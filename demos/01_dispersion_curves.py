@@ -31,7 +31,7 @@ for name, medium in (("single", single), ("double", double)):
     # for a single layer the cutoffs are uniformly spaced in closed form
     if name == "single":
         spacing = np.pi * 1000.0 * 10000.0 / (100.0 * np.sqrt(1e8 - 1e6))
-        scan = cutoff_frequencies(medium, 5)
-        print("cutoff spacing, closed form vs scanned:",
-              spacing, np.diff(scan)[1:3])
+        cuts = cutoff_frequencies(medium, 5)
+        print("cutoff spacing, closed form vs computed:",
+              spacing, np.diff(cuts)[1:3])
     print()

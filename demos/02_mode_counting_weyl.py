@@ -3,7 +3,7 @@
 The number of branches above a slowness level y grows linearly in
 frequency, with slope set by the oscillatory layers:
 (omega/pi) * sum |nu_tilde_p(y)| T_tilde_p.  Here the exact count (by
-direct root scan) is compared with that prediction across frequency for
+the Sturm count) is compared with that prediction across frequency for
 the double-layer benchmark, at levels probing one and two oscillatory
 layers.  The `proven` flag marks where the asymptotics is a theorem
 rather than the conjectured extension (always, for up to two layers).

@@ -56,8 +56,8 @@ for _ in range(200):
     worst = max(worst, abs(det - rec) / max(abs(det), abs(rec)))
 print(f"  max relative deviation over 200 points: {worst:.2e}")
 
-print("\nfinite-difference eigensolver vs scanned roots:")
+print("\nfinite-difference eigensolver vs transfer-matrix roots:")
 ks = fd_eigen_oracle(medium, omega, depth_factor=10.0, grid_points=8000)
 for k_fd, y in zip(ks, roots):
-    print(f"  k_fd = {k_fd:.8f}   k_scan = {omega * y:.8f}   "
+    print(f"  k_fd = {k_fd:.8f}   k_root = {omega * y:.8f}   "
           f"rel diff {abs(k_fd - omega * y) / (omega * y):.2e}")

@@ -13,7 +13,6 @@ finite-difference eigensolver) cross-check the physics.
 from .branch import (
     Branch,
     BranchSet,
-    RootScanOptions,
     cutoff_frequencies,
     refine_root,
     roots_at_omega,
@@ -25,7 +24,6 @@ from .errors import (
     BadBracket,
     DegeneratePoint,
     DivergedOrInfeasible,
-    GridTooCoarse,
     InsufficientData,
     LoveDispError,
     NoLoveWaves,
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch",
     "BranchSet",
-    "RootScanOptions",
     "cutoff_frequencies",
     "refine_root",
     "roots_at_omega",
@@ -88,7 +85,6 @@ __all__ = [
     "NonPositiveParameter",
     "NoLoveWaves",
     "BadBracket",
-    "GridTooCoarse",
     "InsufficientData",
     "UnresolvedLevels",
     "AmbiguousOrdering",

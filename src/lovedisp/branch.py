@@ -1,11 +1,13 @@
 """Root finding in slowness at fixed frequency, branch tracing, cutoffs.
 
-At fixed ``omega`` the dispersion function oscillates in ``y`` with total
-phase ``Phi(y) = omega * sum_j T_j * sqrt(max(1/c_j^2 - y^2, 0))``, a
-monotone decreasing function of ``y``.  The scan grid places nodes at equal
-phase increments of ``pi / phase_safety`` (plus a uniform backbone), so the
-node density follows the root density at any frequency.  Each sign change
-is refined by bisection and polished with one secant step.
+Every root count goes through the exact Sturm count of
+:func:`~lovedisp.dispersion._sturm_count`, the Love-wave form of the
+Wittrick-Williams algorithm: the number of dispersion roots with slowness
+above any level.  Root ``ell`` (rank by descending slowness) is isolated by
+vectorized bisection on "count >= ell" until its bracket holds exactly that
+one root, then refined on the sign of the dispersion function by bisection
+and one secant step.  Cutoffs are isolated the same way in frequency, from
+the count at the half-space slowness.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _dispersion_scaled
-from .errors import BadBracket, GridTooCoarse
+from .dispersion import _dispersion_scaled, _sturm_count
+from .errors import BadBracket
 from .medium import Medium
 
 __all__ = [
-    "RootScanOptions",
     "Branch",
     "BranchSet",
     "roots_at_omega",
@@ -28,106 +29,73 @@ __all__ = [
     "trace_branches",
 ]
 
-
-@dataclass(frozen=True)
-class RootScanOptions:
-    """Tuning knobs of the slowness scan.
-
-    phase_safety
-        Oversampling of the oscillation: at most ``pi / phase_safety`` of
-        total phase between adjacent scan nodes.  Must be >= 2.
-    refine_tol
-        Relative bracket width (in y) at which bisection stops.
-    y_margin
-        Relative offset keeping scan endpoints away from the domain ends
-        ``1/c_inf`` and ``1/c0``.
-    min_cells
-        Uniform backbone resolution for stretches with little phase.
-    """
-
-    phase_safety: float = 4.0
-    refine_tol: float = 1e-12
-    y_margin: float = 1e-9
-    min_cells: int = 48
-
-    def __post_init__(self):
-        if not self.phase_safety >= 2.0:
-            raise ValueError("phase_safety must be >= 2")
-        if not self.refine_tol > 0.0:
-            raise ValueError("refine_tol must be > 0")
-        if not self.y_margin > 0.0:
-            raise ValueError("y_margin must be > 0")
-        if self.min_cells < 8:
-            raise ValueError("min_cells must be >= 8")
+_REFINE_TOL = 1e-12  # relative bracket width (in y) at which bisection stops
+_OMEGA_TOL = 1e-13  # the same for cutoff frequencies
+_Y_MARGIN = 1e-9  # relative offset keeping roots away from 1/c_inf and 1/c0
+_SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
+_MAX_HALVINGS = 100  # more halvings than double precision can resolve
 
 
-_DEFAULT_OPTS = RootScanOptions()
-
-
-def _oscillatory_phase(medium: Medium, omega: float, y) -> np.ndarray:
-    """Total oscillatory phase at slowness ``y`` (vectorized, monotone in y)."""
-    y = np.asarray(y, dtype=float)
-    y2 = y * y
-    acc = np.zeros_like(y2)
-    for j in range(medium.n):
-        d = float(medium.slowness_sq[j]) - y2
-        acc += float(medium.thickness[j]) * np.sqrt(np.maximum(d, 0.0))
-    return omega * acc
-
-
-def _scan_domain(medium: Medium, opts: RootScanOptions) -> tuple[float, float]:
+def _domain(medium: Medium) -> tuple[float, float]:
     lo, hi = medium.slowness_domain
-    return lo * (1.0 + opts.y_margin), hi * (1.0 - opts.y_margin)
+    return lo * (1.0 + _Y_MARGIN), hi * (1.0 - _Y_MARGIN)
 
 
-def _scan_nodes(
-    medium: Medium, omega: float, y_lo: float, y_hi: float, opts: RootScanOptions
-) -> np.ndarray:
-    """Scan nodes on ``[y_lo, y_hi]``: equal-phase levels plus a uniform backbone."""
-    base = np.linspace(y_lo, y_hi, opts.min_cells + 1)
-    ph_lo = float(_oscillatory_phase(medium, omega, y_lo))
-    ph_hi = float(_oscillatory_phase(medium, omega, y_hi))
-    n_ph = int(np.ceil((ph_lo - ph_hi) / (np.pi / opts.phase_safety)))
-    if n_ph > 1:
-        targets = ph_lo + (ph_hi - ph_lo) * np.arange(1, n_ph) / n_ph
-        lo = np.full(targets.shape, y_lo)
-        hi = np.full(targets.shape, y_hi)
-        for _ in range(44):
-            mid = 0.5 * (lo + hi)
-            go_right = _oscillatory_phase(medium, omega, mid) > targets
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-        nodes = np.concatenate([base, 0.5 * (lo + hi)])
-    else:
-        nodes = base
-    # never place a node exactly on a layer slowness: the degenerate matrix
-    # is reserved for deliberate exact hits
-    for inv in medium.slowness[:-1]:
-        exact = nodes == inv
-        if np.any(exact):
-            nodes[exact] = np.nextafter(inv, y_hi)
-    nodes = np.unique(nodes)
-    return nodes[(nodes >= y_lo) & (nodes <= y_hi)]
+def _count_above(medium: Medium, omega: float, levels) -> np.ndarray:
+    """Roots above each slowness level inside the trimmed domain, in one count."""
+    y_lo, y_hi = _domain(medium)
+    ys = np.clip(np.append(levels, y_hi), y_lo, y_hi)
+    counts = _sturm_count(medium, omega, ys)
+    return counts[:-1] - counts[-1]
 
 
-def _bisect_brackets(
-    medium: Medium,
-    omega: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    s_lo: np.ndarray,
-    refine_tol: float,
-    max_iter: int = 80,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bisection of sign-change brackets; returns refined (lo, hi)."""
-    lo = lo.copy()
-    hi = hi.copy()
+def _isolate(count, inside, outside, c_in, c_out, ranks):
+    """Shrink brackets until each holds exactly one step of a monotone count.
+
+    Rank ``ell`` is bracketed by a point ``inside`` counting at least ``ell``
+    roots and a point ``outside`` counting fewer; bisection on
+    "count >= ell" stops once the ends read exactly ``ell`` and ``ell - 1``.
+    Vectorized over ranks; ``count`` maps an array of points to counts.
+    Updates the given arrays in place and returns the ``(inside, outside)``
+    ends.
+    """
+    for _ in range(_MAX_HALVINGS):
+        todo = np.flatnonzero((c_in != ranks) | (c_out != ranks - 1))
+        if len(todo) == 0:
+            return inside, outside
+        mid = 0.5 * (inside[todo] + outside[todo])
+        c = count(mid)
+        hit = c >= ranks[todo]
+        inside[todo[hit]], c_in[todo[hit]] = mid[hit], c[hit]
+        outside[todo[~hit]], c_out[todo[~hit]] = mid[~hit], c[~hit]
+    k = todo[0]
+    raise BadBracket(
+        f"could not isolate rank {ranks[k]} between {inside[k]!r} and {outside[k]!r}"
+    )
+
+
+def _bisect_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: int = 80):
+    """Vectorized bisection of sign-change brackets of ``f``; returns refined (lo, hi).
+
+    Raises
+    ------
+    BadBracket
+        Unless ``f`` has strictly opposite signs at the ends of every bracket.
+    """
+    v = np.sign(f(np.concatenate([lo, hi])))
+    s_lo, s_hi = v[: len(lo)], v[len(lo) :]
+    bad = np.flatnonzero((s_lo == 0) | (s_hi == 0) | (s_lo == s_hi))
+    if len(bad):
+        k = bad[0]
+        raise BadBracket(
+            f"no sign change on ({lo[k]}, {hi[k]}): "
+            f"signs {int(s_lo[k])}, {int(s_hi[k])}"
+        )
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if np.all(hi - lo <= refine_tol * mid):
+        if np.all(hi - lo <= tol * mid):
             break
-        vm, _ = _dispersion_scaled(medium, omega, mid)
-        sm = np.sign(vm)
+        sm = np.sign(f(mid))
         go_right = sm == s_lo
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
@@ -154,68 +122,46 @@ def _secant_polish(
     return np.where((y > lo) & (y < hi) | (lo == hi), np.clip(y, lo, hi), mid)
 
 
-def _roots_on_interval(
-    medium: Medium,
-    omega: float,
-    y_lo: float,
-    y_hi: float,
-    opts: RootScanOptions,
-    count_only: bool = False,
-):
-    """All dispersion zeros on ``[y_lo, y_hi]``, ascending (or just their count)."""
-    if y_hi <= y_lo:
-        return 0 if count_only else np.empty(0)
-    nodes = _scan_nodes(medium, omega, y_lo, y_hi, opts)
-    vals, logs = _dispersion_scaled(medium, omega, nodes)
-    signs = np.sign(vals)
-    exact = np.flatnonzero(signs == 0)
-    # a sign change between consecutive non-zero nodes brackets one root
-    nz = signs != 0
-    idx = np.flatnonzero(nz[:-1] & nz[1:] & (signs[:-1] * signs[1:] < 0))
-    if count_only:
-        return int(len(idx) + len(exact))
-    if len(idx) == 0 and len(exact) == 0:
-        return np.empty(0)
-    lo, hi = _bisect_brackets(
-        medium, omega, nodes[idx], nodes[idx + 1], signs[idx], opts.refine_tol
-    )
-    roots = _secant_polish(medium, omega, lo, hi)
-    if len(exact):
-        roots = np.concatenate([roots, nodes[exact]])
-    return np.unique(roots)
-
-
-def roots_at_omega(
-    medium: Medium, omega: float, opts: RootScanOptions | None = None
+def _refine_roots(
+    medium: Medium, omega: float, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
+    """Slowness zeros of F in sign-change brackets: bisection, then one secant step."""
+    lo, hi = _bisect_zeros(
+        lambda y: _dispersion_scaled(medium, omega, y)[0], lo, hi, _REFINE_TOL
+    )
+    return _secant_polish(medium, omega, lo, hi)
+
+
+def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
     """All guided-wave slownesses at ``omega``, strictly descending.
 
-    Scans ``(1/c_inf, 1/c0)`` shrunk by ``y_margin`` on both ends; an empty
-    array simply means no branch exists yet at this frequency.
+    Covers ``(1/c_inf, 1/c0)`` shrunk by a fixed relative margin of 1e-9 on
+    both ends; an empty array simply means no branch exists yet at this
+    frequency.
+
+    Raises
+    ------
+    BadBracket
+        If the count fails to isolate a root, or an isolated bracket shows
+        no strict sign change of the dispersion function.
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
-    opts = opts or _DEFAULT_OPTS
-    y_lo, y_hi = _scan_domain(medium, opts)
-    roots = _roots_on_interval(medium, omega, y_lo, y_hi, opts)
-    return roots[::-1]
+    nodes = np.linspace(*_domain(medium), _SEED_NODES)
+    counts = _sturm_count(medium, omega, nodes)
+    ranks = np.arange(counts[-1] + 1, counts[0] + 1)
+    if len(ranks) == 0:
+        return np.empty(0)
+    # seed cell of rank ell: the last node with at least ell roots above it
+    i = np.searchsorted(-counts, -ranks, side="right") - 1
+    lo, hi = _isolate(
+        lambda y: _sturm_count(medium, omega, y),
+        nodes[i], nodes[i + 1], counts[i], counts[i + 1], ranks,
+    )
+    return _refine_roots(medium, omega, lo, hi)
 
 
-def _count_roots(
-    medium: Medium, omega: float, opts: RootScanOptions, y_lo=None, y_hi=None
-) -> int:
-    lo, hi = _scan_domain(medium, opts)
-    y_lo = lo if y_lo is None else y_lo
-    y_hi = hi if y_hi is None else y_hi
-    return _roots_on_interval(medium, omega, y_lo, y_hi, opts, count_only=True)
-
-
-def refine_root(
-    medium: Medium,
-    omega: float,
-    bracket: tuple[float, float],
-    opts: RootScanOptions | None = None,
-) -> float:
+def refine_root(medium: Medium, omega: float, bracket: tuple[float, float]) -> float:
     """Refine one bracketed dispersion zero in slowness.
 
     Raises
@@ -224,82 +170,52 @@ def refine_root(
         If the dispersion values at the bracket ends do not have strictly
         opposite signs.
     """
-    opts = opts or _DEFAULT_OPTS
     y_lo, y_hi = float(bracket[0]), float(bracket[1])
     if not y_lo < y_hi:
         raise BadBracket(f"empty bracket ({y_lo}, {y_hi})")
-    v, _ = _dispersion_scaled(medium, omega, np.array([y_lo, y_hi]))
-    s = np.sign(v)
-    if s[0] == 0 or s[1] == 0 or s[0] == s[1]:
-        raise BadBracket(
-            f"no sign change on ({y_lo}, {y_hi}): signs {int(s[0])}, {int(s[1])}"
-        )
-    lo, hi = _bisect_brackets(
-        medium,
-        omega,
-        np.array([y_lo]),
-        np.array([y_hi]),
-        np.array([s[0]]),
-        opts.refine_tol,
-    )
-    return float(_secant_polish(medium, omega, lo, hi)[0])
+    return float(_refine_roots(medium, omega, np.array([y_lo]), np.array([y_hi]))[0])
 
 
-def cutoff_frequencies(
-    medium: Medium, ell_max: int, opts: RootScanOptions | None = None
-) -> np.ndarray:
+def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     """First ``ell_max`` branch-start frequencies, ascending.
 
-    Branch ``ell`` appears where the dispersion function vanishes at the
-    half-space slowness ``y = 1/c_inf`` (where it reduces to the propagated
-    ``Q`` component).  A leading exact ``0.0`` is emitted when the first
-    branch exists at arbitrarily small frequency.
+    Branch ``ell`` appears where the count of roots above the half-space
+    slowness ``y0 = 1/c_inf`` first reaches ``ell``; there the dispersion
+    function vanishes at ``y0`` (where it reduces to the propagated ``Q``
+    component).  Each transition is isolated by bisection on that count,
+    vectorized over ``ell``, and refined on the sign of ``F(omega, y0)``.
+    An exact ``0.0`` is emitted for a branch that exists at arbitrarily
+    small frequency.
+
+    Raises
+    ------
+    BadBracket
+        If an isolated frequency bracket shows no strict sign change of
+        ``F(omega, y0)``.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
-    opts = opts or _DEFAULT_OPTS
     y0 = float(medium.slowness[-1])
-    rate = float(_oscillatory_phase(medium, 1.0, y0))  # phase slope in omega
-    step = (np.pi / opts.phase_safety) / rate
-    zeros: list[float] = []
-    w_start = step * 1e-3
-    block = 512
-    i = 0
-    while len(zeros) < ell_max and i < 4096:
-        ws = w_start + step * np.arange(i * block, (i + 1) * block + 1)
-        vals, _ = _dispersion_scaled(medium, ws, y0)
-        signs = np.sign(vals)
-        for k in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-            zeros.append(_refine_omega_zero(medium, y0, ws[k], ws[k + 1]))
-        zeros.extend(float(ws[k]) for k in np.flatnonzero(signs == 0))
-        i += 1
-    zeros = sorted(zeros)[:ell_max]
-    if not zeros:
-        raise RuntimeError("no cutoff found in the scanned frequency range")
-    # does a branch already exist below the first positive zero?
-    probe = zeros[0] / 2.0
-    if _count_roots(medium, probe, opts) >= 1:
-        zeros = [0.0] + zeros
-    return np.array(zeros[:ell_max])
 
+    def count(w):
+        return _sturm_count(medium, w, y0)
 
-def _refine_omega_zero(medium: Medium, y0: float, w_lo: float, w_hi: float) -> float:
-    v, _ = _dispersion_scaled(medium, np.array([w_lo]), y0)
-    s_lo = np.sign(v)[0]
-    lo, hi = w_lo, w_hi
-    for _ in range(80):
-        if hi - lo <= 1e-13 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        vm, _ = _dispersion_scaled(medium, np.array([mid]), y0)
-        sm = np.sign(vm)[0]
-        if sm == 0:
-            return mid
-        if sm == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # frequency scale: one pi of total layer phase at y0, the cutoff spacing
+    nu = np.sqrt(np.maximum(medium.slowness_sq[:-1] - y0 * y0, 0.0))
+    scale = np.pi / float(np.sum(nu * medium.thickness))
+    w_min, w_max = 1e-3 * scale, (ell_max + 1) * scale
+    n_min = int(count(w_min))
+    while (n_max := int(count(w_max))) < ell_max:
+        w_max *= 2.0
+    ranks = np.arange(n_min + 1, ell_max + 1)
+    ones = np.ones(len(ranks), dtype=np.int64)
+    hi, lo = _isolate(
+        count, w_max * ones, w_min * ones, n_max * ones, n_min * ones, ranks
+    )
+    lo, hi = _bisect_zeros(
+        lambda w: _dispersion_scaled(medium, w, y0)[0], lo, hi, _OMEGA_TOL
+    )
+    return np.concatenate([np.zeros(min(n_min, ell_max)), 0.5 * (lo + hi)])
 
 
 @dataclass(frozen=True)
@@ -342,96 +258,29 @@ class BranchSet:
         return np.asarray(out)
 
 
-def trace_branches(
-    medium: Medium,
-    omega_grid,
-    opts: RootScanOptions | None = None,
-) -> BranchSet:
-    """Scan every grid frequency and assemble rank-indexed branches.
+def trace_branches(medium: Medium, omega_grid) -> BranchSet:
+    """Find the roots at every grid frequency and assemble rank-indexed branches.
 
     Branch identity across frequencies is by rank in descending slowness,
-    which is exact because branches never cross.  Cutoffs are located by
-    bisection on the root count between grid nodes.
-
-    Raises
-    ------
-    GridTooCoarse
-        If the root count ever decreases along the grid, which signals
-        missed roots; retry with a larger ``phase_safety``.
+    which is exact because branches never cross.  Cutoffs come from
+    :func:`cutoff_frequencies`.
     """
-    opts = opts or _DEFAULT_OPTS
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or len(omega_grid) == 0:
         raise ValueError("omega_grid must be a non-empty 1-D array")
     if not np.all(omega_grid > 0.0) or not np.all(np.diff(omega_grid) > 0.0):
         raise ValueError("omega_grid must be positive and strictly increasing")
 
-    roots_per_node = [roots_at_omega(medium, w, opts) for w in omega_grid]
+    roots_per_node = [roots_at_omega(medium, w) for w in omega_grid]
     counts = np.array([len(r) for r in roots_per_node])
-    drops = np.flatnonzero(np.diff(counts) < 0)
-    if len(drops):
-        raise GridTooCoarse(
-            f"root count dropped from {counts[drops[0]]} to "
-            f"{counts[drops[0] + 1]} between omega={omega_grid[drops[0]]:g} "
-            f"and omega={omega_grid[drops[0] + 1]:g}"
-        )
-
+    n_branches = int(counts.max())
     branches = []
-    cutoffs = []
-    for ell in range(1, int(counts.max()) + 1 if len(counts) else 1):
+    for ell in range(1, n_branches + 1):
         start = int(np.argmax(counts >= ell))
-        if counts[start] < ell:
-            break
         ys = np.array([roots_per_node[i][ell - 1] for i in range(start, len(counts))])
         branches.append(Branch(ell=ell, omega=omega_grid[start:].copy(), y=ys))
-        cutoffs.append(_cutoff_by_count(medium, omega_grid, start, ell, opts))
     return BranchSet(
         omega_grid=omega_grid.copy(),
         branches=tuple(branches),
-        cutoffs=np.array(cutoffs),
+        cutoffs=cutoff_frequencies(medium, n_branches) if n_branches else np.empty(0),
     )
-
-
-def _cutoff_by_count(
-    medium: Medium,
-    omega_grid: np.ndarray,
-    start: int,
-    ell: int,
-    opts: RootScanOptions,
-) -> float:
-    """Locate the frequency where the root count first reaches ``ell``.
-
-    Bisection on the root count brackets the transition; the bracket is
-    then refined against the dispersion value at exactly the half-space
-    slowness, where the new branch starts.  A transition with no such zero
-    below it is the scan margin censoring a branch that exists at every
-    positive frequency: its cutoff is exactly zero.
-    """
-    hi = float(omega_grid[start])
-    lo = float(omega_grid[start - 1]) if start > 0 else 0.0
-    tol = max((hi - lo) * 2.0**-14, 1e-12 * hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _count_roots(medium, mid, opts) >= ell:
-            hi = mid
-        else:
-            lo = mid
-    y0 = float(medium.slowness[-1])
-    # look a little below the transition: the count lags the true start by
-    # the time the new root needs to clear the scan margin
-    rate = float(_oscillatory_phase(medium, 1.0, y0))
-    pad = 0.75 * (np.pi / opts.phase_safety) / rate
-    w_lo = max(lo - pad, 1e-12 * hi)
-    ws = np.linspace(w_lo, hi, 65)
-    v, _ = _dispersion_scaled(medium, ws, y0)
-    s = np.sign(v)
-    changes = np.flatnonzero((s[:-1] != s[1:]) & (s[:-1] != 0) & (s[1:] != 0))
-    if len(changes):
-        last = changes[-1]
-        return _refine_omega_zero(medium, y0, float(ws[last]), float(ws[last + 1]))
-    hits = np.flatnonzero(s == 0)
-    if len(hits):
-        return float(ws[hits[-1]])
-    # no branch-start zero below the transition: the scan margin censored a
-    # branch that exists at every positive frequency
-    return 0.0 if start == 0 else 0.5 * (lo + hi)

@@ -18,12 +18,7 @@ import numpy as np
 
 from . import io as lio
 from .branch import trace_branches
-from .errors import (
-    DivergedOrInfeasible,
-    GridTooCoarse,
-    LoveDispError,
-    NonRealResult,
-)
+from .errors import DivergedOrInfeasible, LoveDispError, NonRealResult
 from .inversion import (
     branchset_from_dataset,
     invert_double_layer,
@@ -268,7 +263,7 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except (GridTooCoarse, DivergedOrInfeasible, NonRealResult) as exc:
+    except (DivergedOrInfeasible, NonRealResult) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (LoveDispError, ValueError, OSError) as exc:

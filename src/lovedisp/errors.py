@@ -17,10 +17,6 @@ class BadBracket(LoveDispError, ValueError):
     """Root refinement was asked to work on an interval without a sign change."""
 
 
-class GridTooCoarse(LoveDispError, RuntimeError):
-    """Root count decreased along a frequency grid, i.e. a scan missed roots."""
-
-
 class InsufficientData(LoveDispError, ValueError):
     """Not enough branch samples, cutoffs, or branches to apply a recovery rule."""
 

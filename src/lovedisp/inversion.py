@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .branch import Branch, BranchSet, RootScanOptions, roots_at_omega, trace_branches
+from .branch import Branch, BranchSet, roots_at_omega, trace_branches
 from .dispersion import _dispersion_scale_floor, _dispersion_scaled
 from .errors import (
     AmbiguousOrdering,
@@ -468,7 +468,6 @@ def least_squares_refine(
     guess: Medium,
     data: DispersionDataset,
     free: np.ndarray,
-    opts: RootScanOptions | None = None,
     max_iter: int = 400,
 ) -> tuple[Medium, float]:
     """Refine masked parameters by simplex descent on the wavenumber misfit.
@@ -512,7 +511,7 @@ def least_squares_refine(
             return np.inf
         total = 0.0
         for wi, w in enumerate(uniq_w):
-            roots = roots_at_omega(medium, float(w), opts)
+            roots = roots_at_omega(medium, float(w))
             sel = inverse == wi
             for r, k_obs in zip(ranks[sel], data.k[sel]):
                 if r < len(roots):
@@ -565,7 +564,6 @@ def synthesize_observations(
     noise_sigma: float = 0.0,
     seed: int = 0,
     branchset: BranchSet | None = None,
-    opts: RootScanOptions | None = None,
 ) -> DispersionDataset:
     """Trace branches and emit (omega, k) samples with multiplicative noise.
 
@@ -574,7 +572,7 @@ def synthesize_observations(
     bit for bit.  Pass an existing ``branchset`` to skip the trace.
     """
     if branchset is None:
-        branchset = trace_branches(medium, omega_grid, opts)
+        branchset = trace_branches(medium, omega_grid)
     ws, ks, ells = [], [], []
     for b in branchset.branches:
         ws.append(b.omega)

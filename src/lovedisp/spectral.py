@@ -1,7 +1,8 @@
 """Mode counting, Weyl-law predictions, and accumulation-level detection.
 
-``mode_count`` counts dispersion zeros above a slowness level by direct
-scan.  The Weyl prediction approximates that count at large frequency by
+``mode_count`` counts dispersion zeros above a slowness level with the
+exact Sturm count that also locates every root.  The Weyl prediction
+approximates that count at large frequency by
 ``(omega/pi) * sum_p |nu_tilde_p(y)| * T_tilde_p`` over the ordered layers
 oscillatory at ``y``.  Branches pile up just below each distinct layer
 slowness ``1/c_j`` at rate ``sqrt(omega)``; the accumulation statistic
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .branch import BranchSet, RootScanOptions, _roots_on_interval, _scan_domain
+from .branch import BranchSet, _count_above
 from .errors import InsufficientData, OutOfRange
 from .medium import Medium, ordered_profile
 
@@ -28,9 +29,6 @@ __all__ = [
     "accumulation_statistic",
     "detect_levels",
 ]
-
-_DEFAULT_OPTS = RootScanOptions()
-
 
 @dataclass(frozen=True)
 class WeylPrediction:
@@ -59,30 +57,19 @@ class LevelEstimate:
     weight: float
 
 
-def mode_count(
-    medium: Medium, omega: float, y: float, opts: RootScanOptions | None = None
-) -> int:
+def mode_count(medium: Medium, omega: float, y: float) -> int:
     """Number of dispersion zeros with slowness >= ``y`` at ``omega``.
 
-    Counted by a direct sign-change scan on ``[y, 1/c0)``, independent of
-    any stored branch data.
+    Counted by the Sturm count over the same margin-trimmed domain that
+    :func:`~lovedisp.branch.roots_at_omega` covers, independent of any
+    stored branch data.
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
-    opts = opts or _DEFAULT_OPTS
     lo, hi = medium.slowness_domain
     if not lo < y < hi:
         raise OutOfRange(f"level {y!r} outside the open slowness domain ({lo}, {hi})")
-    return _count_above(medium, omega, y, opts)
-
-
-def _count_above(
-    medium: Medium, omega: float, y: float, opts: RootScanOptions
-) -> int:
-    """Count with the level clamped into the scan window (internal)."""
-    s_lo, s_hi = _scan_domain(medium, opts)
-    y_lo = min(max(y, s_lo), s_hi)
-    return _roots_on_interval(medium, omega, y_lo, s_hi, opts, count_only=True)
+    return int(_count_above(medium, omega, y)[0])
 
 
 def weyl_prediction(medium: Medium, omega: float, y: float) -> WeylPrediction:
@@ -104,7 +91,6 @@ def accumulation_statistic(
     medium: Medium,
     omega: float,
     y: float,
-    opts: RootScanOptions | None = None,
     strict: bool = False,
 ) -> float:
     """Pile-up statistic ``pi * (N(omega, y - 1/omega) - N(omega, y)) / sqrt(2 omega)``.
@@ -120,7 +106,6 @@ def accumulation_statistic(
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
-    opts = opts or _DEFAULT_OPTS
     lo, hi = medium.slowness_domain
     if not lo < y < hi:
         raise OutOfRange(f"level {y!r} outside the open slowness domain ({lo}, {hi})")
@@ -130,8 +115,7 @@ def accumulation_statistic(
             f"shifted level {shifted!r} at or below 1/c_inf = {lo!r}; "
             f"needs omega > {1.0 / (y - lo):g}"
         )
-    n_hi = _count_above(medium, omega, shifted, opts)
-    n_lo = _count_above(medium, omega, y, opts)
+    n_hi, n_lo = _count_above(medium, omega, [shifted, y])
     return float(np.pi * (n_hi - n_lo) / np.sqrt(2.0 * omega))
 
 

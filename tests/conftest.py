@@ -9,8 +9,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lovedisp import Medium, trace_branches
+
+# Same examples on every run, no per-example deadline: the suite runs on
+# slow shared hosts, and a property failure must reproduce exactly.
+settings.register_profile(
+    "tier1", derandomize=True, deadline=None, max_examples=30, database=None
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
