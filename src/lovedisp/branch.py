@@ -6,8 +6,11 @@ Wittrick-Williams algorithm: the number of dispersion roots with slowness
 above any level.  Root ``ell`` (rank by descending slowness) is isolated by
 vectorized bisection on "count >= ell" until its bracket holds exactly that
 one root, then refined on the sign of the dispersion function by bisection
-and one secant step.  Cutoffs are isolated the same way in frequency, from
-the count at the half-space slowness.
+and one secant step.  Roots are found for a block of frequencies in one
+vectorized pass: every step works on all (frequency, rank) pairs of the
+block at once, and a single frequency is a block of one.  Cutoffs are
+isolated the same way in frequency, from the count at the half-space
+slowness.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
 _Y_MARGIN = 1e-9  # relative offset keeping roots away from 1/c_inf and 1/c0
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
 _MAX_HALVINGS = 100  # more halvings than double precision can resolve
+_TRACE_BLOCK = 64  # frequencies per root search in a trace: bounds its memory
 
 
 def _domain(medium: Medium) -> tuple[float, float]:
@@ -49,13 +53,14 @@ def _count_above(medium: Medium, omega: float, levels) -> np.ndarray:
     return counts[:-1] - counts[-1]
 
 
-def _isolate(count, inside, outside, c_in, c_out, ranks):
+def _isolate(count, inside, outside, c_in, c_out, ranks, label):
     """Shrink brackets until each holds exactly one step of a monotone count.
 
     Rank ``ell`` is bracketed by a point ``inside`` counting at least ``ell``
     roots and a point ``outside`` counting fewer; bisection on
     "count >= ell" stops once the ends read exactly ``ell`` and ``ell - 1``.
-    Vectorized over ranks; ``count`` maps an array of points to counts.
+    Vectorized over brackets; ``count(k, x)`` maps bracket indices ``k`` and
+    points ``x`` to counts, and ``label(k)`` names bracket ``k`` in errors.
     Updates the given arrays in place and returns the ``(inside, outside)``
     ends.
     """
@@ -64,51 +69,59 @@ def _isolate(count, inside, outside, c_in, c_out, ranks):
         if len(todo) == 0:
             return inside, outside
         mid = 0.5 * (inside[todo] + outside[todo])
-        c = count(mid)
+        c = count(todo, mid)
         hit = c >= ranks[todo]
         inside[todo[hit]], c_in[todo[hit]] = mid[hit], c[hit]
         outside[todo[~hit]], c_out[todo[~hit]] = mid[~hit], c[~hit]
     k = todo[0]
     raise BadBracket(
-        f"could not isolate rank {ranks[k]} between {inside[k]!r} and {outside[k]!r}"
+        f"could not isolate {label(k)} between {float(inside[k])!r} "
+        f"and {float(outside[k])!r}"
     )
 
 
-def _bisect_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: int = 80):
+def _bisect_zeros(
+    f, lo: np.ndarray, hi: np.ndarray, tol: float, label, max_iter: int = 80
+):
     """Vectorized bisection of sign-change brackets of ``f``; returns refined (lo, hi).
+
+    Each bracket is halved until its width is at most ``tol`` times its
+    midpoint.  ``f(k, x)`` evaluates at points ``x`` of bracket indices
+    ``k``; ``label(k)`` names bracket ``k`` in errors.
 
     Raises
     ------
     BadBracket
         Unless ``f`` has strictly opposite signs at the ends of every bracket.
     """
-    v = np.sign(f(np.concatenate([lo, hi])))
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    k = np.arange(len(lo))
+    v = np.sign(f(np.concatenate([k, k]), np.concatenate([lo, hi])))
     s_lo, s_hi = v[: len(lo)], v[len(lo) :]
     bad = np.flatnonzero((s_lo == 0) | (s_hi == 0) | (s_lo == s_hi))
     if len(bad):
-        k = bad[0]
+        b = bad[0]
         raise BadBracket(
-            f"no sign change on ({lo[k]}, {hi[k]}): "
-            f"signs {int(s_lo[k])}, {int(s_hi[k])}"
+            f"no sign change for {label(b)} on ({lo[b]}, {hi[b]}): "
+            f"signs {int(s_lo[b])}, {int(s_hi[b])}"
         )
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if np.all(hi - lo <= tol * mid):
+        todo = np.flatnonzero(hi - lo > tol * 0.5 * (lo + hi))
+        if len(todo) == 0:
             break
-        sm = np.sign(f(mid))
-        go_right = sm == s_lo
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
+        mid = 0.5 * (lo[todo] + hi[todo])
+        sm = np.sign(f(todo, mid))
+        right = sm == s_lo[todo]
+        lo[todo[right]] = mid[right]
+        hi[todo[~right]] = mid[~right]
         # an exact zero at the midpoint collapses the bracket
         hit = sm == 0
-        if np.any(hit):
-            lo = np.where(hit, mid, lo)
-            hi = np.where(hit, mid, hi)
+        lo[todo[hit]] = mid[hit]
     return lo, hi
 
 
 def _secant_polish(
-    medium: Medium, omega: float, lo: np.ndarray, hi: np.ndarray
+    medium: Medium, omega: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     v_lo, l_lo = _dispersion_scaled(medium, omega, lo)
     v_hi, l_hi = _dispersion_scaled(medium, omega, hi)
@@ -123,13 +136,49 @@ def _secant_polish(
 
 
 def _refine_roots(
-    medium: Medium, omega: float, lo: np.ndarray, hi: np.ndarray
+    medium: Medium, omega: np.ndarray, lo: np.ndarray, hi: np.ndarray, label
 ) -> np.ndarray:
-    """Slowness zeros of F in sign-change brackets: bisection, then one secant step."""
+    """Slowness zeros of F in sign-change brackets: bisection, then one secant step.
+
+    Bracket ``i`` lies at frequency ``omega[i]``.
+    """
     lo, hi = _bisect_zeros(
-        lambda y: _dispersion_scaled(medium, omega, y)[0], lo, hi, _REFINE_TOL
+        lambda k, y: _dispersion_scaled(medium, omega[k], y)[0],
+        lo, hi, _REFINE_TOL, label,
     )
     return _secant_polish(medium, omega, lo, hi)
+
+
+def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
+    """Roots at each frequency of ``omegas``, each strictly descending.
+
+    One pass for the whole block: one seed count on the (frequency x node)
+    grid, then isolation, bisection and the secant step each vectorized
+    over every (frequency, rank) pair.
+    """
+    nodes = np.linspace(*_domain(medium), _SEED_NODES)
+    counts = _sturm_count(medium, omegas[:, None], nodes)
+    # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j];
+    # listing them cell by cell orders each frequency's ranks descending
+    c_in, c_out = counts[:, :-1].ravel(), counts[:, 1:].ravel()
+    per_cell = c_in - c_out
+    cell = np.repeat(np.arange(len(per_cell)), per_cell)
+    first = np.cumsum(per_cell) - per_cell
+    ranks = c_in[cell] - (np.arange(len(cell)) - first[cell])
+    row, j = np.divmod(cell, _SEED_NODES - 1)
+    omega = omegas[row]
+
+    def label(k):
+        return f"rank {ranks[k]} at omega={float(omega[k])!r}"
+
+    lo, hi = _isolate(
+        lambda k, y: _sturm_count(medium, omega[k], y),
+        nodes[j], nodes[j + 1], c_in[cell], c_out[cell], ranks, label,
+    )
+    roots = _refine_roots(medium, omega, lo, hi, label)
+    # ranks run descending per frequency; reverse to descending slowness
+    splits = np.cumsum(counts[:, 0] - counts[:, -1])[:-1]
+    return [r[::-1] for r in np.split(roots, splits)]
 
 
 def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
@@ -147,18 +196,7 @@ def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
-    nodes = np.linspace(*_domain(medium), _SEED_NODES)
-    counts = _sturm_count(medium, omega, nodes)
-    ranks = np.arange(counts[-1] + 1, counts[0] + 1)
-    if len(ranks) == 0:
-        return np.empty(0)
-    # seed cell of rank ell: the last node with at least ell roots above it
-    i = np.searchsorted(-counts, -ranks, side="right") - 1
-    lo, hi = _isolate(
-        lambda y: _sturm_count(medium, omega, y),
-        nodes[i], nodes[i + 1], counts[i], counts[i + 1], ranks,
-    )
-    return _refine_roots(medium, omega, lo, hi)
+    return _roots_on_grid(medium, np.array([float(omega)]))[0]
 
 
 def refine_root(medium: Medium, omega: float, bracket: tuple[float, float]) -> float:
@@ -173,7 +211,11 @@ def refine_root(medium: Medium, omega: float, bracket: tuple[float, float]) -> f
     y_lo, y_hi = float(bracket[0]), float(bracket[1])
     if not y_lo < y_hi:
         raise BadBracket(f"empty bracket ({y_lo}, {y_hi})")
-    return float(_refine_roots(medium, omega, np.array([y_lo]), np.array([y_hi]))[0])
+    root = _refine_roots(
+        medium, np.array([float(omega)]), np.array([y_lo]), np.array([y_hi]),
+        lambda k: f"the bracket at omega={omega!r}",
+    )
+    return float(root[0])
 
 
 def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
@@ -197,23 +239,27 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
         raise ValueError("ell_max must be >= 1")
     y0 = float(medium.slowness[-1])
 
-    def count(w):
+    def count(k, w):
         return _sturm_count(medium, w, y0)
 
     # frequency scale: one pi of total layer phase at y0, the cutoff spacing
     nu = np.sqrt(np.maximum(medium.slowness_sq[:-1] - y0 * y0, 0.0))
     scale = np.pi / float(np.sum(nu * medium.thickness))
     w_min, w_max = 1e-3 * scale, (ell_max + 1) * scale
-    n_min = int(count(w_min))
-    while (n_max := int(count(w_max))) < ell_max:
+    n_min = int(count(None, w_min))
+    while (n_max := int(count(None, w_max))) < ell_max:
         w_max *= 2.0
     ranks = np.arange(n_min + 1, ell_max + 1)
     ones = np.ones(len(ranks), dtype=np.int64)
+
+    def label(k):
+        return f"cutoff {ranks[k]}"
+
     hi, lo = _isolate(
-        count, w_max * ones, w_min * ones, n_max * ones, n_min * ones, ranks
+        count, w_max * ones, w_min * ones, n_max * ones, n_min * ones, ranks, label
     )
     lo, hi = _bisect_zeros(
-        lambda w: _dispersion_scaled(medium, w, y0)[0], lo, hi, _OMEGA_TOL
+        lambda k, w: _dispersion_scaled(medium, w, y0)[0], lo, hi, _OMEGA_TOL, label
     )
     return np.concatenate([np.zeros(min(n_min, ell_max)), 0.5 * (lo + hi)])
 
@@ -271,13 +317,20 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     if not np.all(omega_grid > 0.0) or not np.all(np.diff(omega_grid) > 0.0):
         raise ValueError("omega_grid must be positive and strictly increasing")
 
-    roots_per_node = [roots_at_omega(medium, w) for w in omega_grid]
-    counts = np.array([len(r) for r in roots_per_node])
+    roots = [
+        r
+        for s in range(0, len(omega_grid), _TRACE_BLOCK)
+        for r in _roots_on_grid(medium, omega_grid[s : s + _TRACE_BLOCK])
+    ]
+    counts = np.fromiter(map(len, roots), dtype=np.int64, count=len(roots))
     n_branches = int(counts.max())
+    # row i: the roots at node i by rank, padded after its last one
+    table = np.full((len(roots), n_branches), np.nan)
+    table[np.arange(n_branches) < counts[:, None]] = np.concatenate(roots)
     branches = []
     for ell in range(1, n_branches + 1):
         start = int(np.argmax(counts >= ell))
-        ys = np.array([roots_per_node[i][ell - 1] for i in range(start, len(counts))])
+        ys = table[start:, ell - 1].copy()
         branches.append(Branch(ell=ell, omega=omega_grid[start:].copy(), y=ys))
     return BranchSet(
         omega_grid=omega_grid.copy(),

@@ -65,7 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, required=True)
 
     p = sub.add_parser("invert", help="recover medium parameters from a dataset")
-    p.add_argument("--data", required=True, help="dataset CSV (omega,k[,ell])")
+    p.add_argument(
+        "--data", required=True, help="dataset CSV (omega,k[,ell][,noise_sigma])"
+    )
     p.add_argument("--mode", choices=("n1", "n2", "ls"), required=True)
     p.add_argument("--rho1", type=float, help="surface density (n1 mode)")
     p.add_argument("--medium", help="guess medium config (ls mode)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .branch import Branch, BranchSet, roots_at_omega, trace_branches
+from .branch import Branch, BranchSet, _roots_on_grid, trace_branches
 from .dispersion import _dispersion_scale_floor, _dispersion_scaled
 from .errors import (
     AmbiguousOrdering,
@@ -474,10 +474,13 @@ def least_squares_refine(
 
     The objective is ``sum_i (k_model(omega_i) - k_i)^2`` with the model
     wavenumber read from the root of matching rank at each sample
-    frequency.  The simplex is seeded at +2% per free parameter, iterates
-    never increase the best residual, and any iterate that violates
-    positivity or the guided-wave condition is rejected with an infinite
-    objective.
+    frequency; the roots at all sample frequencies are found in one
+    vectorized pass per evaluation.  A rank the trial medium lacks at a
+    sample frequency is filled with the half-space edge value
+    ``omega_i / c_inf`` of the guess, where that branch starts.  The
+    simplex is seeded at +2% per free parameter, iterates never increase
+    the best residual, and any iterate that violates positivity or the
+    guided-wave condition is rejected with an infinite objective.
 
     Raises
     ------
@@ -499,6 +502,7 @@ def least_squares_refine(
 
     uniq_w, inverse = np.unique(data.omega, return_inverse=True)
     ranks = _sample_ranks(data, inverse, uniq_w)
+    edge = float(guess.slowness[-1])
 
     def objective(free_vals: np.ndarray) -> float:
         theta = theta0.copy()
@@ -509,17 +513,13 @@ def least_squares_refine(
             medium = _medium_from_theta(theta, n)
         except LoveDispError:
             return np.inf
-        total = 0.0
-        for wi, w in enumerate(uniq_w):
-            roots = roots_at_omega(medium, float(w))
-            sel = inverse == wi
-            for r, k_obs in zip(ranks[sel], data.k[sel]):
-                if r < len(roots):
-                    k_mod = w * roots[r]
-                else:
-                    k_mod = w * float(guess.slowness[-1])  # rank missing: edge value
-                total += (k_mod - k_obs) ** 2
-        return total
+        roots = _roots_on_grid(medium, uniq_w)
+        counts = np.fromiter(map(len, roots), dtype=np.int64, count=len(roots))
+        # the edge value sits last, where every missing rank points
+        ys = np.append(np.concatenate(roots), edge)
+        first = np.cumsum(counts) - counts
+        at = np.where(ranks < counts[inverse], first[inverse] + ranks, len(ys) - 1)
+        return float(np.sum((data.omega * ys[at] - data.k) ** 2))
 
     x0 = theta0[free]
     if len(x0) == 0:

@@ -53,27 +53,41 @@ def write_cutoffs_csv(path: str | Path, branchset: BranchSet) -> None:
 
 
 def write_dataset_csv(path: str | Path, dataset: DispersionDataset) -> None:
-    """Columns ``omega, k[, ell]``."""
+    """Columns ``omega, k[, ell][, noise_sigma]``.
+
+    ``noise_sigma`` is written, on every row, only when it is nonzero.
+    """
+    header = ["omega", "k"]
+    cols = [[_fmt(w) for w in dataset.omega], [_fmt(k) for k in dataset.k]]
     if dataset.ell is not None:
-        rows = [
-            (_fmt(w), _fmt(k), int(e))
-            for w, k, e in zip(dataset.omega, dataset.k, dataset.ell)
-        ]
-        _write_rows(path, ("omega", "k", "ell"), rows)
-    else:
-        rows = [(_fmt(w), _fmt(k)) for w, k in zip(dataset.omega, dataset.k)]
-        _write_rows(path, ("omega", "k"), rows)
+        header.append("ell")
+        cols.append([int(e) for e in dataset.ell])
+    if dataset.noise_sigma:
+        header.append("noise_sigma")
+        cols.append([_fmt(dataset.noise_sigma)] * len(dataset))
+    _write_rows(path, header, zip(*cols))
 
 
 def read_dataset_csv(path: str | Path) -> DispersionDataset:
+    """Read a file written by :func:`write_dataset_csv`.
+
+    Raises
+    ------
+    ValueError
+        If the header is not ``omega, k[, ell][, noise_sigma]`` or the
+        noise level differs between rows.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         cols = [h.strip() for h in header]
         if cols[:2] != ["omega", "k"]:
-            raise ValueError(f"expected columns omega,k[,ell]; got {cols}")
+            raise ValueError(
+                f"expected columns omega,k[,ell][,noise_sigma]; got {cols}"
+            )
         labeled = len(cols) >= 3 and cols[2] == "ell"
-        omega, k, ell = [], [], []
+        sigma_col = cols.index("noise_sigma") if "noise_sigma" in cols else None
+        omega, k, ell, sigma = [], [], [], set()
         for row in reader:
             if not row:
                 continue
@@ -81,10 +95,15 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
             k.append(float(row[1]))
             if labeled:
                 ell.append(int(row[2]))
+            if sigma_col is not None:
+                sigma.add(float(row[sigma_col]))
+    if len(sigma) > 1:
+        raise ValueError(f"noise_sigma differs between rows: {sorted(sigma)}")
     return DispersionDataset(
         omega=np.array(omega),
         k=np.array(k),
         ell=np.array(ell, dtype=int) if labeled else None,
+        noise_sigma=sigma.pop() if sigma else None,
     )
 
 

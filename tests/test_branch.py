@@ -13,6 +13,15 @@ from lovedisp import (
 
 MAG_A = np.sqrt(1e-6 - 1e-8)  # |nu_1| of the benchmark at the half-space slowness
 SPACING_A = np.pi / (MAG_A * 100.0)  # closed-form cutoff spacing
+# seed-105 random medium: two roots 1.8% apart at omega = 60
+FOUR_LAYER = Medium(
+    mu=[4612356.4957442675, 24043856.688325193, 1281914.2909105883,
+        6697000.2330318, 73352399.29616506],
+    rho=[1.0150405901166124, 2.7084220584269563, 1.8512071997082267,
+         2.0305111513959364, 1.213403968980094],
+    thickness=[124.53003394766058, 154.7248812895132, 63.80876746410887,
+               75.00988020061546],
+)
 
 
 @pytest.mark.parametrize("omega,expected", [(15.0, 1), (100.0, 4), (1000.0, 32)])
@@ -55,15 +64,26 @@ def test_refine_root_rejects_equal_signs(medium_a):
         refine_root(medium_a, 100.0, (4e-4, 4.05e-4))
 
 
-def test_phantom_count_step_raises(medium_a, monkeypatch):
-    # a count step with no sign change of F behind it is an error, not a root
+def _add_phantom_count_step(monkeypatch):
     real = branch_mod._sturm_count
     def phantom(medium, omega, y):
         return real(medium, omega, y) + (np.asarray(y) < 5e-4)
 
     monkeypatch.setattr(branch_mod, "_sturm_count", phantom)
+
+
+def test_phantom_count_step_raises(medium_a, monkeypatch):
+    # a count step with no sign change of F behind it is an error, not a root
+    _add_phantom_count_step(monkeypatch)
     with pytest.raises(BadBracket):
         roots_at_omega(medium_a, 15.0)
+
+
+def test_phantom_count_step_raises_in_trace(medium_a, monkeypatch):
+    # the batched path raises the same error and names rank and frequency
+    _add_phantom_count_step(monkeypatch)
+    with pytest.raises(BadBracket, match=r"rank \d+ at omega=5\.0"):
+        trace_branches(medium_a, np.arange(5.0, 400.01, 5.0))
 
 
 def test_refine_root_across_interior_kink(medium_b):
@@ -162,16 +182,48 @@ def test_four_layer_medium_keeps_close_root_pair():
     # two roots 1.8% apart at omega = 60 that a phase-sampled scan skips
     from lovedisp import fd_eigen_oracle
 
-    m = Medium(
-        mu=[4612356.4957442675, 24043856.688325193, 1281914.2909105883,
-            6697000.2330318, 73352399.29616506],
-        rho=[1.0150405901166124, 2.7084220584269563, 1.8512071997082267,
-             2.0305111513959364, 1.213403968980094],
-        thickness=[124.53003394766058, 154.7248812895132, 63.80876746410887,
-                   75.00988020061546],
-    )
+    m = FOUR_LAYER
     trace_branches(m, np.arange(1.0, 300.5, 1.0))
     roots = roots_at_omega(m, 60.0)
     ks = fd_eigen_oracle(m, 60.0, depth_factor=8.0, grid_points=8000)
     assert len(roots) == len(ks) == 4
     assert np.max(np.abs(ks - 60.0 * roots) / ks) < 1e-3
+
+
+def _assert_trace_matches_pointwise(medium, grid):
+    assert len(grid) > branch_mod._TRACE_BLOCK  # spans more than one block
+    bs = trace_branches(medium, grid)
+    for node, w in enumerate(grid):
+        traced = bs.slownesses_at(node)
+        single = roots_at_omega(medium, w)
+        assert len(traced) == len(single)
+        assert np.all(np.abs(traced - single) <= 1e-12 * single)
+    return bs
+
+
+@pytest.mark.parametrize("name", ["medium_a", "medium_b", "medium_b_swapped"])
+def test_trace_matches_roots_at_omega(name, request):
+    _assert_trace_matches_pointwise(
+        request.getfixturevalue(name), np.arange(1.0, 150.01, 1.5)
+    )
+
+
+def test_trace_matches_roots_at_omega_four_layer():
+    _assert_trace_matches_pointwise(FOUR_LAYER, np.arange(1.0, 300.5, 3.0))
+
+
+def test_trace_blocks_without_roots():
+    # below the first cutoff of the faster-interior medium whole blocks of
+    # the trace hold no root at all
+    m = Medium(mu=[1e6, 4e8, 1e8], rho=[1.0, 1.0, 1.0], thickness=[100.0, 50.0])
+    grid = np.arange(1, 241) * 0.05
+    bs = _assert_trace_matches_pointwise(m, grid)
+    first = int(np.argmax(grid > bs.cutoffs[0]))
+    assert bs.cutoffs[0] == pytest.approx(9.8077, abs=1e-4)
+    assert first >= 3 * branch_mod._TRACE_BLOCK  # three whole blocks
+    assert [len(bs.slownesses_at(i)) for i in range(first)] == [0] * first
+    assert len(bs.branches[0].omega) == len(grid) - first
+    # one block mixing empty and nonempty frequencies keeps them in place
+    roots = branch_mod._roots_on_grid(m, grid)
+    traced = [len(bs.slownesses_at(i)) for i in range(len(grid))]
+    assert [len(r) for r in roots] == traced

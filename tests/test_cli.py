@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import lovedisp.io as lio
 from lovedisp import load_medium, roots_at_omega
 from lovedisp.cli import run
 
@@ -106,6 +107,39 @@ def test_synth_invert_roundtrip(tmp_path, medium_a_config, capsys):
     assert values["c2"] == pytest.approx(10000.0, rel=0.01)
     assert values["H"] == pytest.approx(100.0, rel=0.02)
     assert values["rho2"] == pytest.approx(1.0, rel=0.05)
+
+
+def test_noisy_synth_invert_roundtrip(tmp_path, medium_a_config):
+    # noise swaps the ranks near 577 here; the noise level written with the
+    # data exempts its labels from the noiseless rank check
+    out = tmp_path / "s"
+    assert run(
+        ["synth", "--medium", medium_a_config, "--omega-max", "600",
+         "--omega-step", "1.0", "--noise", "1e-3", "--seed", "7", "--out", str(out)]
+    ) == 0
+    data = lio.read_dataset_csv(out / "dataset.csv")
+    assert data.noise_sigma == 1e-3
+    assert run(
+        ["invert", "--data", str(out / "dataset.csv"), "--mode", "n1",
+         "--rho1", "1.0", "--out", str(out)]
+    ) == 0
+
+
+def test_noiseless_swapped_labels_rejected(tmp_path, capsys):
+    path = tmp_path / "swapped.csv"
+    path.write_text("omega,k,ell\n100,0.09,1\n100,0.095,2\n")
+    assert run(["invert", "--data", str(path), "--mode", "n1", "--rho1", "1.0",
+                "--out", str(tmp_path)]) == 2
+    assert "inconsistent with descending k" in capsys.readouterr().err
+
+
+def test_dataset_noise_sigma_must_be_constant(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "omega,k,ell,noise_sigma\n100,0.095,1,0.001\n100,0.09,2,0.002\n"
+    )
+    with pytest.raises(ValueError, match="noise_sigma"):
+        lio.read_dataset_csv(path)
 
 
 def test_synth_deterministic(tmp_path, medium_a_config):
