@@ -18,7 +18,7 @@ from .branch import (
     roots_at_omega,
     trace_branches,
 )
-from .dispersion import DispersionValue, PQState, dispersion_value, layer_matrix, pq_state
+from .dispersion import DispersionValue, dispersion_value, layer_matrix
 from .errors import (
     AmbiguousOrdering,
     BadBracket,
@@ -47,11 +47,8 @@ from .inversion import (
     synthesize_observations,
 )
 from .medium import (
-    LateralWavenumber,
     Medium,
     OrderedProfile,
-    WavenumberKind,
-    lateral_wavenumber,
     load_medium,
     ordered_profile,
     validate_medium,
@@ -77,10 +74,8 @@ __all__ = [
     "roots_at_omega",
     "trace_branches",
     "DispersionValue",
-    "PQState",
     "dispersion_value",
     "layer_matrix",
-    "pq_state",
     "LoveDispError",
     "NonPositiveParameter",
     "NoLoveWaves",
@@ -104,11 +99,8 @@ __all__ = [
     "parameter_mask",
     "recover_extremes",
     "synthesize_observations",
-    "LateralWavenumber",
     "Medium",
     "OrderedProfile",
-    "WavenumberKind",
-    "lateral_wavenumber",
     "load_medium",
     "ordered_profile",
     "validate_medium",

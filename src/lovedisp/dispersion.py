@@ -1,17 +1,20 @@
-"""Dispersion function of the layered half-space, via scaled transfer matrices.
+"""Dispersion function of the layered half-space, via one scaled layer kernel.
 
-The pair ``(P, Q)`` proportional to ``(phi, mu phi'/omega)`` is propagated
-from the surface through the finite layers by 2x2 real matrices.  The
-dispersion function
+The pair ``(P, Q)`` proportional to ``(phi, mu phi'/omega)`` is carried
+from the surface down through the finite layers.  :func:`_layer` is the
+only code that knows the three forms of a layer's transfer map, chosen by
+the sign of ``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory
+layers (``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
+(``d > 0``), and the linear limit only on an exact hit (``d == 0``).  The root count, the dispersion value, the
+public layer matrix and the mode shapes all call it.  The state is
+renormalized after every layer, so arbitrarily large frequency-thickness
+products stay inside double range; the accumulated positive factor is
+tracked as ``log_scale``.  The dispersion function
 
     F(omega, y) = mu_inf * nu_inf(y) * P_n(omega, y) + Q_n(omega, y)
 
 is real on the slowness strip ``y in [1/c_inf, 1/c0)`` and vanishes exactly
-at the guided-wave slownesses.  Oscillatory layers use cos/sin forms, never
-complex arithmetic.  Evanescent layers factor out ``exp(x)`` per layer and
-the state is renormalized after every multiply, so arbitrarily large
-frequency-thickness products stay inside double range; the accumulated
-positive factor is tracked as ``log_scale``.
+at the guided-wave slownesses.
 """
 
 from __future__ import annotations
@@ -22,16 +25,7 @@ import numpy as np
 
 from .medium import Medium
 
-__all__ = ["PQState", "DispersionValue", "layer_matrix", "pq_state", "dispersion_value"]
-
-
-@dataclass(frozen=True)
-class PQState:
-    """Scaled propagated pair: the true values are ``exp(log_scale) * (p, q)``."""
-
-    p: float
-    q: float
-    log_scale: float
+__all__ = ["DispersionValue", "layer_matrix", "dispersion_value"]
 
 
 @dataclass(frozen=True)
@@ -43,83 +37,75 @@ class DispersionValue:
     sign: int
 
 
-def _layer_factors(mu_j, invc_j, invc2_j, t_j, omega, y):
-    """Scaled transfer-matrix entries of one layer, broadcast over (omega, y).
+def _layer(medium: Medium, j: int, omega, y, depth, p, q):
+    """Carry the state ``(p, q)`` from the top of finite layer ``j`` (0-based)
+    down ``depth``, broadcast over ``omega``, ``y``, ``depth`` and the state.
 
-    Returns ``(m11, m12, m21, m22, log_factor)``; the true matrix is
-    ``exp(log_factor) * [[m11, m12], [m21, m22]]``.  The evanescent branch is
-    scaled by ``exp(-x)`` so entries stay O(1); oscillatory and degenerate
-    branches carry no factor.
+    The map is ``[[C, S/a], [sigma a S, C]]`` with ``a = mu_j |nu_j|``,
+    ``x = omega |nu_j| depth`` and ``sigma = sign(y^2 - 1/c_j^2)``:
+    ``(C, S) = (cos x, sin x)`` in oscillatory layers, and the
+    ``exp(-x)``-scaled ``(cosh x, sinh x)`` in evanescent ones.  The
+    degenerate form ``[[1, omega depth/mu_j], [0, 1]]`` is used only on an
+    exact hit ``y^2 == 1/c_j^2``, which includes ``y == 1/c_j``.  Once
+    ``exp(-2x)`` is below rounding, the scaled cosh and sinh round to the
+    same value; a state whose growing part cancels exactly would then map
+    to zero, so it is kept as the decaying solution it is, scaled by
+    ``exp(-x)``.
+
+    Returns ``(p2, q2, lf, x, a, mono)``: the true state below is
+    ``exp(lf) * (p2, q2)``, and ``mono`` marks the evanescent and
+    degenerate points, where the displacement changes sign at most once.
     """
-    omega, y = np.broadcast_arrays(omega, y)
-    d = y * y - invc2_j
+    mu = float(medium.mu[j])
+    d = y * y - float(medium.slowness_sq[j])
     mag = np.sqrt(np.abs(d))
-    zero = (y == invc_j) | (mag == 0.0)
-    evan = (y > invc_j) & ~zero
-    osci = (y < invc_j) & ~zero
+    x = omega * mag * depth
+    a = mu * mag
+    osc = d < 0.0
+    em = np.expm1(-2.0 * x)
+    c = np.where(osc, np.cos(x), 1.0 + 0.5 * em)
+    s = np.where(osc, np.sin(x), -0.5 * em)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_a = s / a
+    hit = d == 0.0
+    if np.any(hit):
+        s_a = np.where(hit, omega * depth / mu, s_a)
+    p2 = c * p + s_a * q
+    q2 = c * q + np.sign(d) * a * s * p
+    lf = np.where(osc, 0.0, x)
+    lost = (p2 == 0.0) & (q2 == 0.0)
+    if np.any(lost):
+        p2, q2, lf = np.where(lost, p, p2), np.where(lost, q, q2), np.where(lost, -x, lf)
+    return p2, q2, lf, x, a, ~osc
 
-    shape = d.shape
-    m11 = np.ones(shape)
-    m12 = np.zeros(shape)
-    m21 = np.zeros(shape)
-    m22 = np.ones(shape)
-    lf = np.zeros(shape)
 
-    if np.any(evan):
-        x = omega[evan] * mag[evan] * t_j
-        # cosh x = e^x (1 + e^-2x)/2, sinh x = -e^x expm1(-2x)/2: exact at x=0
-        ch = 0.5 * (1.0 + np.exp(-2.0 * x))
-        sh = -0.5 * np.expm1(-2.0 * x)
-        a = mu_j * mag[evan]
-        m11[evan] = ch
-        m12[evan] = sh / a
-        m21[evan] = a * sh
-        m22[evan] = ch
-        lf[evan] = x
-    if np.any(osci):
-        x = omega[osci] * mag[osci] * t_j
-        cx = np.cos(x)
-        sx = np.sin(x)
-        a = mu_j * mag[osci]
-        m11[osci] = cx
-        m12[osci] = sx / a
-        m21[osci] = -a * sx
-        m22[osci] = cx
-    if np.any(zero):
-        # exact degenerate hit: the limit matrix [[1, omega T / mu], [0, 1]]
-        m12[zero] = omega[zero] * t_j / mu_j
-    return m11, m12, m21, m22, lf
+def _propagate(medium: Medium, omega, y):
+    """Yield the scaled state ``(p, q, log_scale)`` at the bottom of each layer.
+
+    Starts from the surface state ``(1, 0)``; ``omega`` and ``y`` must be
+    broadcast-compatible, ``omega >= 0``.  After every layer the state is
+    divided by ``max(|p|, |q|)``.
+    """
+    omega = np.asarray(omega, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(omega.shape, y.shape)
+    p, q, ls = np.ones(shape), np.zeros(shape), np.zeros(shape)
+    for j in range(medium.n):
+        p, q, lf = _layer(medium, j, omega, y, medium.thickness[j], p, q)[:3]
+        s = np.maximum(np.abs(p), np.abs(q))
+        p, q, ls = p / s, q / s, ls + np.log(s) + lf
+        yield p, q, ls
 
 
 def _pq_scaled(medium: Medium, omega, y):
     """Vectorized scaled propagation: returns arrays ``(p, q, log_scale)``.
 
-    ``omega`` and ``y`` must be broadcast-compatible; ``omega >= 0``.  After
-    every layer the state is divided by ``max(|p|, |q|)``, so the returned
-    components satisfy ``max(|p|, |q|) == 1`` except for the untouched
-    initial state at ``omega == 0``.
+    The true pair below the last finite layer is ``exp(log_scale) * (p, q)``,
+    with ``max(|p|, |q|) == 1``.
     """
-    omega = np.asarray(omega, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(omega.shape, y.shape)
-    p = np.ones(shape)
-    q = np.zeros(shape)
-    ls = np.zeros(shape)
-    for j in range(medium.n):
-        m11, m12, m21, m22, lf = _layer_factors(
-            float(medium.mu[j]),
-            float(medium.slowness[j]),
-            float(medium.slowness_sq[j]),
-            float(medium.thickness[j]),
-            omega,
-            y,
-        )
-        p, q = m11 * p + m12 * q, m21 * p + m22 * q
-        s = np.maximum(np.abs(p), np.abs(q))
-        p = p / s
-        q = q / s
-        ls = ls + np.log(s) + lf
-    return p, q, ls
+    for state in _propagate(medium, omega, y):
+        pass
+    return state
 
 
 def _halfspace_decay(medium: Medium, y):
@@ -146,61 +132,20 @@ def _sturm_count(medium: Medium, omega, y):
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(omega.shape, y.shape)
-    omega = np.broadcast_to(omega, shape)
-    y = np.broadcast_to(y, shape)
-    p = np.ones(shape)
-    q = np.zeros(shape)
+    p, q = np.ones(shape), np.zeros(shape)
     total = np.zeros(shape, dtype=np.int64)
     half_pi = 0.5 * np.pi
     for j in range(medium.n):
-        mu_j = float(medium.mu[j])
-        t_j = float(medium.thickness[j])
-        inv = float(medium.slowness[j])
-        d = y * y - float(medium.slowness_sq[j])
-        mag = np.sqrt(np.abs(d))
-        zero = (y == inv) | (mag == 0.0)
-        evan = (y > inv) & ~zero
-        osci = (y < inv) & ~zero
-
-        p2 = np.empty(shape)
-        q2 = np.empty(shape)
-        if np.any(evan | zero):
-            sel = evan | zero
-            x = omega[sel] * mag[sel] * t_j
-            # exp(x)-scaled hyperbolic entries: positive scale, same signs
-            ch = 0.5 * (1.0 + np.exp(-2.0 * x))
-            sh = -0.5 * np.expm1(-2.0 * x)
-            a = np.where(zero[sel], 1.0, mu_j * mag[sel])
-            p2[sel] = np.where(
-                zero[sel], p[sel] + omega[sel] * t_j / mu_j * q[sel],
-                ch * p[sel] + sh / a * q[sel],
-            )
-            q2[sel] = np.where(zero[sel], q[sel], a * sh * p[sel] + ch * q[sel])
-            # monotone-type layer: at most one interior sign change
-            flip = (p[sel] != 0.0) & (
-                (p2[sel] == 0.0) | (np.sign(p2[sel]) == -np.sign(p[sel]))
-            )
-            inc = np.zeros(shape, dtype=np.int64)
-            inc[sel] = flip.astype(np.int64)
-            total += inc
-        if np.any(osci):
-            x = omega[osci] * mag[osci] * t_j
-            a = mu_j * mag[osci]
-            v0 = q[osci] / a
-            cx, sx = np.cos(x), np.sin(x)
-            p2[osci] = cx * p[osci] + sx * v0
-            q2[osci] = a * (-sx * p[osci] + cx * v0)
-            # zeros of R cos(t - delta) for the rotation angle t in (0, x]
-            delta = np.arctan2(v0, p[osci])
-            inc = np.zeros(shape, dtype=np.int64)
-            inc[osci] = (
-                np.floor((x - delta - half_pi) / np.pi)
-                - np.floor((-delta - half_pi) / np.pi)
-            ).astype(np.int64)
-            total += inc
+        p2, q2, _, x, a, mono = _layer(medium, j, omega, y, medium.thickness[j], p, q)
+        # monotone-type layer: at most one interior sign change
+        flip = (p != 0.0) & ((p2 == 0.0) | (np.sign(p2) == -np.sign(p)))
+        # oscillatory layer: zeros of R cos(t - delta) for the rotation angle t in (0, x]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.arctan2(q / a, p)
+        turns = np.floor((x - delta - half_pi) / np.pi) - np.floor((-delta - half_pi) / np.pi)
+        total += np.where(mono, flip, turns).astype(np.int64)
         s = np.maximum(np.abs(p2), np.abs(q2))
-        p = p2 / s
-        q = q2 / s
+        p, q = p2 / s, q2 / s
     f = float(medium.mu[-1]) * _halfspace_decay(medium, y) * p + q
     tail = (p != 0.0) & (np.sign(f) == -np.sign(p))
     return total + tail.astype(np.int64)
@@ -238,34 +183,20 @@ def _check_point(medium: Medium, omega: float, y: float) -> None:
 def layer_matrix(medium: Medium, j: int, omega: float, y: float) -> np.ndarray:
     """True (unscaled) 2x2 transfer matrix of finite layer ``j`` (1-based).
 
-    Unit determinant in every branch.  For very large ``omega * T`` the
-    hyperbolic entries can overflow double range; the propagation path in
-    :func:`pq_state` is immune to that because it rescales per layer.
+    Unit determinant in every branch.  Its columns are the images of the
+    unit states under the layer kernel.  For very large ``omega * T`` the
+    hyperbolic entries can overflow double range; the propagation behind
+    :func:`dispersion_value` and the mode shapes is immune to that because
+    it rescales per layer.
     """
     if not 1 <= j <= medium.n:
         raise ValueError(f"layer index {j} outside 1..{medium.n}")
     _check_point(medium, omega, y)
-    mu_j = float(medium.mu[j - 1])
-    t_j = float(medium.thickness[j - 1])
-    inv = float(medium.slowness[j - 1])
-    d = y * y - float(medium.slowness_sq[j - 1])
-    mag = float(np.sqrt(abs(d)))
-    if y == inv or mag == 0.0:
-        return np.array([[1.0, omega * t_j / mu_j], [0.0, 1.0]])
-    x = omega * mag * t_j
-    a = mu_j * mag
-    if y > inv:
-        return np.array(
-            [[np.cosh(x), np.sinh(x) / a], [a * np.sinh(x), np.cosh(x)]]
-        )
-    return np.array([[np.cos(x), np.sin(x) / a], [-a * np.sin(x), np.cos(x)]])
-
-
-def pq_state(medium: Medium, omega: float, y: float) -> PQState:
-    """Scaled ``(P, Q)`` after propagation through all finite layers."""
-    _check_point(medium, omega, y)
-    p, q, ls = _pq_scaled(medium, np.asarray(float(omega)), np.asarray(float(y)))
-    return PQState(p=float(p), q=float(q), log_scale=float(ls))
+    p, q, lf = _layer(
+        medium, j - 1, float(omega), float(y), medium.thickness[j - 1],
+        np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+    )[:3]
+    return np.exp(lf) * np.array([p, q])
 
 
 def dispersion_value(medium: Medium, omega: float, y: float) -> DispersionValue:

@@ -30,7 +30,7 @@ class AmbiguousOrdering(LoveDispError, RuntimeError):
 
 
 class OutOfRange(LoveDispError, ValueError):
-    """An evaluation point lies outside the admissible slowness range."""
+    """An evaluation point lies outside the admissible slowness range, or a result outside double range."""
 
 
 class DivergedOrInfeasible(LoveDispError, RuntimeError):

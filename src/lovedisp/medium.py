@@ -1,4 +1,4 @@
-"""Layered elastic half-space model and per-layer lateral wavenumbers.
+"""Layered elastic half-space model.
 
 The medium consists of ``n`` finite layers over a semi-infinite half-space,
 each with constant shear modulus ``mu`` (Pa) and density ``rho`` (kg/m^3).
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +23,8 @@ from .errors import NonPositiveParameter, NoLoveWaves
 __all__ = [
     "Medium",
     "OrderedProfile",
-    "LateralWavenumber",
-    "WavenumberKind",
     "validate_medium",
     "ordered_profile",
-    "lateral_wavenumber",
     "load_medium",
 ]
 
@@ -56,9 +52,10 @@ class Medium:
     ----------
     c : ndarray
         Shear velocities ``sqrt(mu/rho)`` per layer.
-    slowness : ndarray
-        Stored per-layer slownesses ``1/c_j``.  Degeneracy tests compare
-        a query slowness against these exact floats, never fuzzily.
+    slowness, slowness_sq : ndarray
+        Stored per-layer slownesses ``1/c_j`` and their squares.  The layer
+        kernel treats a layer as degenerate only when ``y * y`` equals the
+        stored square exactly, never fuzzily.
     depths : ndarray, shape (n+1,)
         Interface depths ``H_1 = 0 < H_2 < ... < H_{n+1}``.
 
@@ -137,43 +134,6 @@ class Medium:
                 f"mu={self.mu[j]:.6g}  {t}"
             )
         return "\n".join(rows)
-
-
-class WavenumberKind(Enum):
-    EVANESCENT = "evanescent"
-    OSCILLATORY = "oscillatory"
-    ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class LateralWavenumber:
-    """Branch-resolved vertical wavenumber factor ``sqrt(y^2 - 1/c_j^2)``.
-
-    The square root takes the branch with non-positive imaginary part, so the
-    value is ``magnitude`` (real, decaying with depth) in the evanescent case
-    and ``-1j * magnitude`` in the oscillatory case.
-    """
-
-    kind: WavenumberKind
-    magnitude: float
-
-    @property
-    def complex_value(self) -> complex:
-        if self.kind is WavenumberKind.OSCILLATORY:
-            return -1j * self.magnitude
-        return complex(self.magnitude)
-
-    @property
-    def is_evanescent(self) -> bool:
-        return self.kind is WavenumberKind.EVANESCENT
-
-    @property
-    def is_oscillatory(self) -> bool:
-        return self.kind is WavenumberKind.OSCILLATORY
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind is WavenumberKind.ZERO
 
 
 @dataclass(frozen=True)
@@ -255,23 +215,3 @@ def ordered_profile(medium: Medium) -> OrderedProfile:
         t_tilde=_readonly(t_all[order]),
         sigma=tuple(int(i) + 1 for i in order),
     )
-
-
-def lateral_wavenumber(medium: Medium, j: int, y: float) -> LateralWavenumber:
-    """Lateral wavenumber of layer ``j`` (1-based) at slowness ``y``.
-
-    The kind switches exactly at the stored slowness ``1/c_j``; callers that
-    want fuzzy matching must snap ``y`` themselves before calling.
-    """
-    if not 1 <= j <= medium.n + 1:
-        raise ValueError(f"layer index {j} outside 1..{medium.n + 1}")
-    if not y > 0.0:
-        raise ValueError("slowness must be positive")
-    inv = float(medium.slowness[j - 1])
-    d = y * y - float(medium.slowness_sq[j - 1])
-    mag = float(np.sqrt(abs(d)))
-    if y == inv or mag == 0.0:
-        return LateralWavenumber(WavenumberKind.ZERO, 0.0)
-    if y > inv:
-        return LateralWavenumber(WavenumberKind.EVANESCENT, mag)
-    return LateralWavenumber(WavenumberKind.OSCILLATORY, mag)

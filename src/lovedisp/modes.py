@@ -1,21 +1,29 @@
 """Construction and verification of guided-wave eigenfunctions.
 
-A mode at a dispersion root ``(omega, k)`` is assembled layer by layer from
-the propagated pair ``(phi, mu phi'/omega)``, normalized to ``phi(0) = 1``
-and ``phi'(0) = 0``.  Inside each finite layer the displacement is a
-cos/cosh combination; below the last interface it decays exponentially.
-Norm integrals are evaluated in closed form per layer, which keeps the
-quotient identities accurate to rounding.
+A mode at a dispersion root ``(omega, k)`` is normalized to ``phi(0) = 1``
+and ``phi'(0) = 0`` and built on the scaled propagation of
+:mod:`lovedisp.dispersion`: the true displacement and scaled stress
+``(phi, mu phi'/omega)`` are recorded at every interface, and inside a
+layer the shape is the same layer kernel applied to the state at the layer
+top.  Below the last interface it decays exponentially.  Norm integrals
+are evaluated in closed form per layer, which keeps the quotient
+identities accurate to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import _dispersion_scale_floor, _dispersion_scaled
-from .errors import NotOnBranch
+from .dispersion import (
+    _dispersion_scale_floor,
+    _dispersion_scaled,
+    _halfspace_decay,
+    _layer,
+    _propagate,
+)
+from .errors import NotOnBranch, OutOfRange
 from .medium import Medium
 
 __all__ = ["ModeShape", "ModeDiagnostics", "mode_shape", "mode_residuals", "mode_norms"]
@@ -76,27 +84,12 @@ class ModeShape:
         return phi, stress
 
     def _eval_layer(self, j: int, z: np.ndarray):
-        m = self.medium
-        mu_j = float(m.mu[j])
-        dz = z - float(m.depths[j])
-        a = self.tops[j].phi
-        q = self.tops[j].q
-        inv = float(m.slowness[j])
-        d = self.y * self.y - float(m.slowness_sq[j])
-        mag = float(np.sqrt(abs(d)))
-        if self.y == inv or mag == 0.0:
-            slope = self.omega * q / mu_j
-            return a + slope * dz, np.full_like(dz, mu_j * slope)
-        nu = self.omega * mag
-        if self.y > inv:
-            b = q / (mu_j * mag)
-            phi = a * np.cosh(nu * dz) + b * np.sinh(nu * dz)
-            dphi = nu * (a * np.sinh(nu * dz) + b * np.cosh(nu * dz))
-        else:
-            b = q / (mu_j * mag)
-            phi = a * np.cos(nu * dz) + b * np.sin(nu * dz)
-            dphi = nu * (-a * np.sin(nu * dz) + b * np.cos(nu * dz))
-        return phi, mu_j * dphi
+        """Displacement and stress in finite layer ``j`` at depths ``z``."""
+        top = self.tops[j]
+        dz = z - float(self.medium.depths[j])
+        p, q, lf = _layer(self.medium, j, self.omega, self.y, dz, top.phi, top.q)[:3]
+        scale = np.exp(lf)
+        return p * scale, self.omega * q * scale
 
 
 @dataclass(frozen=True)
@@ -111,41 +104,6 @@ class ModeDiagnostics:
     rayleigh_quotient: float
 
 
-def _true_pq_tops(medium: Medium, omega: float, y: float):
-    """Unscaled per-interface ``(phi, q)`` values, phi(0)=1, phi'(0)=0.
-
-    Plain-float propagation: adequate for moderate frequency-thickness
-    products (the scaled path in :mod:`lovedisp.dispersion` exists for the
-    extreme ones, but a mode with an astronomically scaled interior has no
-    meaningful normalized shape anyway).
-    """
-    tops = [LayerCoefficients(phi=1.0, q=0.0)]
-    phi, q = 1.0, 0.0
-    for j in range(medium.n):
-        mu_j = float(medium.mu[j])
-        t_j = float(medium.thickness[j])
-        inv = float(medium.slowness[j])
-        d = y * y - float(medium.slowness_sq[j])
-        mag = float(np.sqrt(abs(d)))
-        if y == inv or mag == 0.0:
-            phi, q = phi + (omega * t_j / mu_j) * q, q
-        else:
-            x = omega * mag * t_j
-            a = mu_j * mag
-            if y > inv:
-                phi, q = (
-                    np.cosh(x) * phi + np.sinh(x) / a * q,
-                    a * np.sinh(x) * phi + np.cosh(x) * q,
-                )
-            else:
-                phi, q = (
-                    np.cos(x) * phi + np.sin(x) / a * q,
-                    -a * np.sin(x) * phi + np.cos(x) * q,
-                )
-        tops.append(LayerCoefficients(phi=float(phi), q=float(q)))
-    return tops
-
-
 def mode_shape(
     medium: Medium, omega: float, k: float, residual_floor: float = 1e-8
 ) -> ModeShape:
@@ -156,6 +114,8 @@ def mode_shape(
     NotOnBranch
         If the normalized dispersion residual at ``(omega, k/omega)``
         exceeds ``residual_floor``.
+    OutOfRange
+        If the displacement or stress at an interface leaves double range.
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
@@ -178,15 +138,22 @@ def mode_shape(
             f"residual {res:.3e} exceeds floor {residual_floor:.1e} "
             f"at (omega={omega:g}, k={k:g})"
         )
-    tops = _true_pq_tops(medium, omega, y)
-    nu_inf = omega * float(np.sqrt(max(y * y - float(medium.slowness_sq[-1]), 0.0)))
+    tops = [LayerCoefficients(phi=1.0, q=0.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, q, ls in _propagate(medium, omega, y):
+            scale = np.exp(ls)
+            tops.append(LayerCoefficients(phi=float(p * scale), q=float(q * scale)))
+    if not all(np.isfinite(t.phi) and np.isfinite(t.q) for t in tops):
+        raise OutOfRange(
+            f"mode amplitude leaves double range at (omega={omega:g}, k={k:g})"
+        )
     return ModeShape(
         medium=medium,
         omega=float(omega),
         k=float(k),
         tops=tuple(tops[:-1]),
-        a_inf=float(tops[-1].phi),
-        decay_rate=nu_inf,
+        a_inf=tops[-1].phi,
+        decay_rate=omega * float(_halfspace_decay(medium, y)),
     )
 
 
@@ -221,14 +188,15 @@ def mode_residuals(
         s_scale = max(abs(stress_b[0]), abs(stress_t), stress_scale)
         stress_jump = max(stress_jump, abs(stress_b[0] - stress_t) / s_scale)
 
-    # pointwise ODE residual, second derivative from the analytic layer form
+    # pointwise ODE residual: every layer form has phi'' = omega^2 (y^2 -
+    # 1/c_j^2) phi, checked against the coefficient built from mu and rho
     ode_residual = 0.0
     for j in range(m.n):
         zs = np.linspace(float(m.depths[j]), float(m.depths[j + 1]), n_depths + 2)[1:-1]
         phi, _ = shape._eval_layer(j, zs)
         mu_j, rho_j = float(m.mu[j]), float(m.rho[j])
         coef = (mu_j * k * k - rho_j * omega * omega) / mu_j
-        d2 = coef * phi if _is_exact_hit(m, j, y) else _second_derivative(shape, j, zs)
+        d2 = omega * omega * (y * y - float(m.slowness_sq[j])) * phi
         scale = np.max(np.abs(coef * phi)) + np.max(np.abs(d2)) + 1e-300
         ode_residual = max(ode_residual, float(np.max(np.abs(d2 - coef * phi)) / scale))
 
@@ -242,7 +210,16 @@ def mode_residuals(
         decay_error = np.inf  # constant tail: not square integrable
 
     if shape.is_l2:
-        mu_dphi_sq, rho_phi_sq, mu_phi_sq = mode_norms(shape)
+        # both figures are ratios of norms, which scale with the square of
+        # the amplitudes: take the norms of the shape over its largest
+        # displacement, so that a huge tail cannot overflow them
+        amp = max(abs(shape.a_inf), *(abs(t.phi) for t in shape.tops))
+        unit = replace(
+            shape,
+            tops=tuple(LayerCoefficients(t.phi / amp, t.q / amp) for t in shape.tops),
+            a_inf=shape.a_inf / amp,
+        )
+        mu_dphi_sq, rho_phi_sq, mu_phi_sq = mode_norms(unit)
         lhs = mu_dphi_sq - omega * omega * rho_phi_sq
         rhs = -k * k * mu_phi_sq
         rayleigh_residual = abs(lhs - rhs) / abs(rhs)
@@ -261,30 +238,18 @@ def mode_residuals(
     )
 
 
-def _is_exact_hit(m: Medium, j: int, y: float) -> bool:
-    return y == float(m.slowness[j]) or y * y == float(m.slowness_sq[j])
-
-
-def _second_derivative(shape: ModeShape, j: int, zs: np.ndarray) -> np.ndarray:
-    """Analytic second derivative of the layer form at depths ``zs``."""
-    m = shape.medium
-    mu_j = float(m.mu[j])
-    dz = zs - float(m.depths[j])
-    a = shape.tops[j].phi
-    b = shape.tops[j].q / (mu_j * float(np.sqrt(abs(shape.y**2 - m.slowness_sq[j]))))
-    d = shape.y**2 - float(m.slowness_sq[j])
-    nu = shape.omega * float(np.sqrt(abs(d)))
-    if d > 0:
-        return nu * nu * (a * np.cosh(nu * dz) + b * np.sinh(nu * dz))
-    return -nu * nu * (a * np.cos(nu * dz) + b * np.sin(nu * dz))
-
-
 def mode_norms(shape: ModeShape) -> tuple[float, float, float]:
     """Closed-form norms ``(||sqrt(mu) phi'||^2, ||sqrt(rho) phi||^2, ||sqrt(mu) phi||^2)``.
 
-    Each finite layer contributes analytic integrals of its cos/cosh form;
-    the half-space contributes the exponential tail.  Requires a decaying
-    (square-integrable) mode.
+    Each finite layer contributes the analytic integrals of its form,
+    written once for the cos and the cosh form in ``sigma = sign(y^2 -
+    1/c_j^2)``; the half-space contributes the exponential tail.  Requires
+    a decaying (square-integrable) mode.
+
+    Raises
+    ------
+    OutOfRange
+        If a squared amplitude leaves double range.
     """
     if not shape.is_l2:
         raise ValueError("mode is not square integrable (zero decay rate)")
@@ -292,36 +257,40 @@ def mode_norms(shape: ModeShape) -> tuple[float, float, float]:
     omega, y = shape.omega, shape.y
     phi_sq = np.zeros(m.n + 1)
     dphi_sq = np.zeros(m.n + 1)
-    for j in range(m.n):
-        t_j = float(m.thickness[j])
-        mu_j = float(m.mu[j])
-        a = shape.tops[j].phi
-        q = shape.tops[j].q
-        d = y * y - float(m.slowness_sq[j])
-        mag = float(np.sqrt(abs(d)))
-        if _is_exact_hit(m, j, y) or mag == 0.0:
-            slope = omega * q / mu_j
-            phi_sq[j] = a * a * t_j + a * slope * t_j**2 + slope**2 * t_j**3 / 3.0
-            dphi_sq[j] = slope * slope * t_j
-            continue
-        nu = omega * mag
-        b = q / (mu_j * mag)
-        if d > 0:
-            i_cc = 0.5 * t_j + np.sinh(2 * nu * t_j) / (4 * nu)
-            i_ss = -0.5 * t_j + np.sinh(2 * nu * t_j) / (4 * nu)
-            i_cs = np.sinh(nu * t_j) ** 2 / (2 * nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m.n):
+            t_j = float(m.thickness[j])
+            mu_j = float(m.mu[j])
+            a = shape.tops[j].phi
+            q = shape.tops[j].q
+            d = y * y - float(m.slowness_sq[j])
+            sigma = float(np.sign(d))
+            if sigma == 0.0:  # the degenerate layer: phi is linear in depth
+                slope = omega * q / mu_j
+                phi_sq[j] = a * a * t_j + a * slope * t_j**2 + slope**2 * t_j**3 / 3.0
+                dphi_sq[j] = slope * slope * t_j
+                continue
+            mag = float(np.sqrt(abs(d)))
+            nu = omega * mag
+            b = q / (mu_j * mag)
+            sine = np.sinh if sigma > 0 else np.sin
+            w = sine(2 * nu * t_j) / (4 * nu)
+            i_cc = 0.5 * t_j + w
+            i_ss = sigma * (w - 0.5 * t_j)
+            i_cs = sine(nu * t_j) ** 2 / (2 * nu)
             phi_sq[j] = a * a * i_cc + 2 * a * b * i_cs + b * b * i_ss
-            dphi_sq[j] = nu * nu * (a * a * i_ss + 2 * a * b * i_cs + b * b * i_cc)
-        else:
-            i_cc = 0.5 * t_j + np.sin(2 * nu * t_j) / (4 * nu)
-            i_ss = 0.5 * t_j - np.sin(2 * nu * t_j) / (4 * nu)
-            i_cs = np.sin(nu * t_j) ** 2 / (2 * nu)
-            phi_sq[j] = a * a * i_cc + 2 * a * b * i_cs + b * b * i_ss
-            dphi_sq[j] = nu * nu * (a * a * i_ss - 2 * a * b * i_cs + b * b * i_cc)
-    nu_inf = shape.decay_rate
-    phi_sq[-1] = shape.a_inf**2 / (2 * nu_inf)
-    dphi_sq[-1] = shape.a_inf**2 * nu_inf / 2
-    mu_dphi = float(np.dot(m.mu, dphi_sq))
-    rho_phi = float(np.dot(m.rho, phi_sq))
-    mu_phi = float(np.dot(m.mu, phi_sq))
-    return mu_dphi, rho_phi, mu_phi
+            dphi_sq[j] = nu * nu * (a * a * i_ss + 2 * sigma * a * b * i_cs + b * b * i_cc)
+        nu_inf = shape.decay_rate
+        a2_inf = shape.a_inf * shape.a_inf
+        phi_sq[-1] = a2_inf / (2 * nu_inf)
+        dphi_sq[-1] = a2_inf * nu_inf / 2
+        norms = (
+            float(np.dot(m.mu, dphi_sq)),
+            float(np.dot(m.rho, phi_sq)),
+            float(np.dot(m.mu, phi_sq)),
+        )
+    if not np.all(np.isfinite(norms)):
+        raise OutOfRange(
+            f"mode norms leave double range at (omega={omega:g}, k={shape.k:g})"
+        )
+    return norms

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,8 @@ from lovedisp import (
     determinant_oracle,
     dispersion_value,
     layer_matrix,
-    pq_state,
 )
-from lovedisp.dispersion import _dispersion_scaled
+from lovedisp.dispersion import _dispersion_scaled, _pq_scaled, _sturm_count
 
 
 def _random_valid_medium(rng, n):
@@ -23,8 +24,8 @@ def test_identity_at_zero_frequency(medium_a):
     for j in (1,):
         for y in (1.2e-4, 5e-4, 9e-4):
             assert np.array_equal(layer_matrix(medium_a, j, 0.0, y), np.eye(2))
-    st = pq_state(medium_a, 0.0, 5e-4)
-    assert (st.p, st.q, st.log_scale) == (1.0, 0.0, 0.0)
+    p, q, ls = _pq_scaled(medium_a, 0.0, 5e-4)
+    assert (p, q, ls) == (1.0, 0.0, 0.0)
 
 
 def test_dispersion_at_zero_frequency_is_halfspace_term(medium_a):
@@ -78,9 +79,9 @@ def test_pq_state_at_first_positive_cutoff(medium_a):
     # the closed-form cutoff makes the surface-layer phase exactly pi
     mag = np.sqrt(1e-6 - 1e-8)
     omega2 = np.pi / (mag * 100.0)
-    st = pq_state(medium_a, omega2, 1e-4)
-    true_p = st.p * np.exp(st.log_scale)
-    true_q = st.q * np.exp(st.log_scale)
+    p, q, ls = _pq_scaled(medium_a, omega2, 1e-4)
+    true_p = p * np.exp(ls)
+    true_q = q * np.exp(ls)
     assert true_p == pytest.approx(-1.0, rel=1e-12)
     assert abs(true_q) < 1e-9 * 1e6 * mag  # mu1 |nu1| sin(pi) ~ 0
 
@@ -96,10 +97,23 @@ def test_scaled_propagation_matches_unscaled_product():
         vec = np.array([1.0, 0.0])
         for j in range(1, m.n + 1):
             vec = layer_matrix(m, j, omega, y) @ vec
-        st = pq_state(m, omega, y)
-        scale = np.exp(st.log_scale)
-        assert st.p * scale == pytest.approx(vec[0], rel=1e-12)
-        assert st.q * scale == pytest.approx(vec[1], rel=1e-12, abs=1e-12 * abs(vec[0]))
+        p, q, ls = _pq_scaled(m, omega, y)
+        scale = np.exp(ls)
+        assert p * scale == pytest.approx(vec[0], rel=1e-12)
+        assert q * scale == pytest.approx(vec[1], rel=1e-12, abs=1e-12 * abs(vec[0]))
+
+
+def test_deeply_evanescent_layer_keeps_decaying_part(medium_b):
+    # the state entering the deeply evanescent layer 2 cancels its growing
+    # part exactly in doubles here; the kernel must keep the decaying part
+    # rather than map the state to zero (a 0/0 at the renormalization)
+    y = 7.104536672233425e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dv = dispersion_value(medium_b, 953.5, y)
+        counts = _sturm_count(medium_b, 953.5, np.array([y * (1 - 1e-15), y, y * (1 + 1e-15)]))
+    assert np.isfinite(dv.value) and np.isfinite(dv.log_scale)
+    assert np.all(np.diff(counts) <= 0)
 
 
 def test_continuity_across_layer_slownesses(medium_b):

@@ -5,8 +5,8 @@ from lovedisp import (
     Medium,
     NoLoveWaves,
     NonPositiveParameter,
-    WavenumberKind,
-    lateral_wavenumber,
+    dispersion_value,
+    layer_matrix,
     ordered_profile,
     validate_medium,
 )
@@ -109,34 +109,54 @@ def test_ordered_profile_idempotent(medium_b_swapped):
 
 
 def test_lateral_wavenumber_oscillatory_example(medium_a):
-    # sqrt(1/1000^2 - (1e-4)^2) computed independently
+    # sqrt(1/1000^2 - (1e-4)^2) computed independently; at phase pi/2 the
+    # cos form reads m21 = -mu_1 |nu_1| and m12 = 1/(mu_1 |nu_1|)
     expected = np.sqrt(1e-6 - 1e-8)
-    lw = lateral_wavenumber(medium_a, 1, 1e-4)
-    assert lw.kind is WavenumberKind.OSCILLATORY
-    assert lw.magnitude == pytest.approx(expected, rel=1e-15)
-    assert lw.complex_value == pytest.approx(-1j * expected)
+    m = layer_matrix(medium_a, 1, 0.5 * np.pi / (expected * 100.0), 1e-4)
+    assert m[1, 0] == pytest.approx(-1e6 * expected, rel=1e-15)
+    assert m[0, 1] == pytest.approx(1.0 / (1e6 * expected), rel=1e-15)
+    assert abs(m[0, 0]) < 1e-15
 
 
 def test_lateral_wavenumber_zero_and_evanescent(medium_a):
-    lw0 = lateral_wavenumber(medium_a, 2, float(medium_a.slowness[1]))
-    assert lw0.kind is WavenumberKind.ZERO and lw0.magnitude == 0.0
-    lw = lateral_wavenumber(medium_a, 2, 2e-4)
-    assert lw.kind is WavenumberKind.EVANESCENT
-    assert lw.magnitude == pytest.approx(np.sqrt(4e-8 - 1e-8), rel=1e-15)
+    # an exact hit on 1/c_1 takes the degenerate form, a slowness above it
+    # the cosh form; x = omega |nu_1| T_1 = 1 here
+    inv = float(medium_a.slowness[0])
+    assert np.array_equal(
+        layer_matrix(medium_a, 1, 2.0, inv), [[1.0, 2.0 * 100.0 / 1e6], [0.0, 1.0]]
+    )
+    mag = np.sqrt(4e-6 - 1e-6)
+    m = layer_matrix(medium_a, 1, 1.0 / (mag * 100.0), 2e-3)
+    assert m[0, 0] == pytest.approx(np.cosh(1.0), rel=1e-14)
+    assert m[1, 0] == pytest.approx(1e6 * mag * np.sinh(1.0), rel=1e-14)
+    assert m[0, 1] == pytest.approx(np.sinh(1.0) / (1e6 * mag), rel=1e-14)
+    # the half-space: no decay exactly on 1/c_inf, sqrt(y^2 - 1/c_inf^2) above
+    assert dispersion_value(medium_a, 0.0, float(medium_a.slowness[1])).value == 0.0
+    dv = dispersion_value(medium_a, 0.0, 2e-4)
+    assert dv.value == pytest.approx(1e8 * np.sqrt(4e-8 - 1e-8), rel=1e-15)
 
 
 def test_lateral_wavenumber_kind_switch_is_continuous(medium_b):
-    # magnitude goes to zero from both sides of each stored slowness
-    for j in range(1, medium_b.n + 2):
+    # |nu_j| goes to zero from both sides of each stored slowness: the cos
+    # form below (m21 < 0), the cosh form above (m21 > 0), and
+    # m21 ~ -+omega T mu |nu|^2 on either side
+    omega = 3.0
+    for j in range(1, medium_b.n + 1):
         inv = float(medium_b.slowness[j - 1])
+        mu_j, t_j = float(medium_b.mu[j - 1]), float(medium_b.thickness[j - 1])
+        hit = layer_matrix(medium_b, j, omega, inv)
+        assert hit[1, 0] == 0.0 and hit[0, 1] == omega * t_j / mu_j
         for eps in (1e-9, 1e-12):
-            below = lateral_wavenumber(medium_b, j, inv * (1 - eps))
-            above = lateral_wavenumber(medium_b, j, inv * (1 + eps))
-            assert below.kind is WavenumberKind.OSCILLATORY
-            assert above.kind is WavenumberKind.EVANESCENT
+            below = layer_matrix(medium_b, j, omega, inv * (1 - eps))
+            above = layer_matrix(medium_b, j, omega, inv * (1 + eps))
+            assert below[1, 0] < 0.0 < above[1, 0]
             scale = inv * np.sqrt(2 * eps) * 1.1
-            assert below.magnitude < scale
-            assert above.magnitude < scale
+            assert abs(below[1, 0]) < omega * t_j * mu_j * scale**2
+            assert abs(above[1, 0]) < omega * t_j * mu_j * scale**2
+    inv = float(medium_b.slowness[-1])
+    for eps in (1e-9, 1e-12):
+        dv = dispersion_value(medium_b, 0.0, inv * (1 + eps))
+        assert 0.0 < dv.value < float(medium_b.mu[-1]) * inv * np.sqrt(2 * eps) * 1.1
 
 
 def test_medium_arrays_are_readonly(medium_a):

@@ -3,8 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from lovedisp import (
+    Medium,
     NotOnBranch,
+    OutOfRange,
     cutoff_frequencies,
+    layer_matrix,
     mode_norms,
     mode_residuals,
     mode_shape,
@@ -130,3 +133,60 @@ def test_halfspace_decay_profile(medium_a):
     dz = 2.0 / ms.decay_rate
     phi, _ = ms.evaluate(np.array([h, h + dz]))
     assert phi[1] / phi[0] == pytest.approx(np.exp(-ms.decay_rate * dz), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mode_tops_match_layer_matrix_product(n):
+    # at small omega T the unscaled product of layer matrices is accurate,
+    # and no evanescent layer amplifies rounding by much
+    rng = np.random.default_rng(40 + n)
+    checked = 0
+    while checked < 4:
+        c = np.concatenate([rng.uniform(600.0, 3000.0, n), [rng.uniform(5000.0, 12000.0)]])
+        rho = rng.uniform(0.5, 3.0, n + 1)
+        m = Medium(mu=rho * c * c, rho=rho, thickness=rng.uniform(30.0, 200.0, n))
+        omega = rng.uniform(0.5, 2.0) / float(m.thickness @ m.slowness[:-1])
+        for y in roots_at_omega(m, omega):
+            ms = mode_shape(m, omega, omega * y)
+            vec = np.array([1.0, 0.0])
+            for j in range(1, m.n + 1):
+                vec = layer_matrix(m, j, omega, y) @ vec
+                tol = 1e-12 * np.max(np.abs(vec))
+                phi = ms.tops[j].phi if j < m.n else ms.a_inf
+                assert phi == pytest.approx(vec[0], rel=1e-12, abs=tol)
+                if j < m.n:
+                    assert ms.tops[j].q == pytest.approx(vec[1], rel=1e-12, abs=tol)
+            checked += 1
+
+
+def _seed_301_medium():
+    """Five layers whose fundamental mode at omega = 541.96 has a_inf ~ 3e158."""
+    return Medium(
+        mu=[965687.8306799785, 4225370.929023254, 10553868.242614688,
+            11098091.655598242, 11926392.574845508, 92927167.95445684],
+        rho=[2.303310066213048, 0.6704994347523034, 1.8208532533543145,
+             1.6115293313156485, 2.2183231153308163, 1.4462332337509478],
+        thickness=[42.77801600534525, 128.4061632376295, 93.11361021573084,
+                   96.26575971241381, 174.30658318998996],
+    )
+
+
+def test_huge_mode_amplitude_gives_diagnostics_not_overflow():
+    m = _seed_301_medium()
+    omega = 541.9607729993972
+    ms = mode_shape(m, omega, omega * roots_at_omega(m, omega)[0])
+    assert ms.a_inf > 1e150
+    with pytest.raises(OutOfRange):
+        mode_norms(ms)  # a_inf^2 leaves double range
+    d = mode_residuals(ms)
+    assert all(np.isfinite(v) for v in vars(d).values())
+    # the surface-shooting cancellation shows as a large interface jump
+    assert max(d.phi_jump, d.stress_jump) > 1e-6
+
+
+def test_mode_shape_out_of_double_range(medium_b):
+    # the fundamental mode's evanescent phase in layer 2 is about 1000 here
+    omega = 12000.0
+    y = roots_at_omega(medium_b, omega)[0]
+    with pytest.raises(OutOfRange):
+        mode_shape(medium_b, omega, omega * y)
