@@ -5,9 +5,10 @@ elastic half-space with overflow-safe scaled transfer matrices, finds all
 wavenumber roots at a frequency, traces branches, and counts modes against
 Weyl-law asymptotics.  The inverse path recovers layer velocities,
 thicknesses, and (for one layer) densities from dispersion data, with a
-derivative-free least-squares refiner for the general case.  Two
-independent oracles (a boundary-matching determinant and a
-finite-difference eigensolver) cross-check the physics.
+Levenberg-Marquardt least-squares refiner on Rayleigh-principle
+sensitivities for the general case.  Two independent oracles (a
+boundary-matching determinant and a finite-difference eigensolver)
+cross-check the physics.
 """
 
 from .branch import (
@@ -31,6 +32,7 @@ from .errors import (
     NonRealResult,
     NotOnBranch,
     OutOfRange,
+    ResultOutOfRange,
     UnresolvedLevels,
 )
 from .inversion import (
@@ -84,6 +86,7 @@ __all__ = [
     "UnresolvedLevels",
     "AmbiguousOrdering",
     "OutOfRange",
+    "ResultOutOfRange",
     "DivergedOrInfeasible",
     "DegeneratePoint",
     "NonRealResult",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as lio
 from .branch import trace_branches
-from .errors import DivergedOrInfeasible, LoveDispError, NonRealResult
+from .errors import DivergedOrInfeasible, LoveDispError, NonRealResult, ResultOutOfRange
 from .inversion import (
     branchset_from_dataset,
     invert_double_layer,
@@ -265,7 +265,7 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except (DivergedOrInfeasible, NonRealResult) as exc:
+    except (DivergedOrInfeasible, NonRealResult, ResultOutOfRange) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (LoveDispError, ValueError, OSError) as exc:

@@ -5,8 +5,11 @@ from the surface down through the finite layers.  :func:`_layer` is the
 only code that knows the three forms of a layer's transfer map, chosen by
 the sign of ``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory
 layers (``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
-(``d > 0``), and the linear limit only on an exact hit (``d == 0``).  The root count, the dispersion value, the
-public layer matrix and the mode shapes all call it.  The state is
+(``d > 0``), and the linear limit only on an exact hit (``d == 0``).  The
+root count, the dispersion value, the public layer matrix and the mode
+shapes all call it.  :func:`_layer_integrals` holds the integrals of
+``phi^2`` and ``phi'^2`` over a layer in the same three forms; the mode
+norms and the root sensitivities call it.  The state is
 renormalized after every layer, so arbitrarily large frequency-thickness
 products stay inside double range; the accumulated positive factor is
 tracked as ``log_scale``.  The dispersion function
@@ -77,6 +80,52 @@ def _layer(medium: Medium, j: int, omega, y, depth, p, q):
     if np.any(lost):
         p2, q2, lf = np.where(lost, p, p2), np.where(lost, q, q2), np.where(lost, -x, lf)
     return p2, q2, lf, x, a, ~osc
+
+
+def _layer_integrals(medium: Medium, j, omega, y, p, q):
+    """Integrals of ``phi^2`` and ``phi'^2`` over finite layer ``j`` (0-based).
+
+    ``(p, q)`` is the state ``(phi, mu phi'/omega)`` at the layer top; every
+    argument broadcasts, ``j`` included.  With ``b = q / (mu_j |nu_j|)``
+    and ``x = omega |nu_j| T_j``, an oscillatory layer holds
+    ``phi = p cos + b sin`` and is integrated in that form.  An evanescent
+    layer holds ``phi = g e^(nu z) + h e^(-nu z)`` with ``g, h = (p +- b)/2``
+    and is integrated in that form scaled by ``exp(-2x)``, so ``sinh(2x)``
+    is never formed and the growing part of a decaying mode, which nearly
+    cancels at the top, is never squared against its own rounding.  The
+    degenerate layer (an exact hit ``y^2 == 1/c_j^2``) is linear in depth.
+    Returns ``(i_phi, i_dphi, lg)``: the true integrals are
+    ``exp(lg) * (i_phi, i_dphi)``.
+    """
+    mu = medium.mu[j]
+    t = medium.thickness[j]
+    d = y * y - medium.slowness_sq[j]
+    mag = np.sqrt(np.abs(d))
+    nu = omega * mag
+    x = nu * t
+    osc = d < 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = q / (mu * mag)
+        two_x, inv = 2.0 * x, 0.5 / nu
+        # oscillatory: the integrals of cos^2 and sin^2, and the cross term
+        # 2 p b times the integral of cos sin
+        w = 0.5 * np.sin(two_x) * inv
+        i_cc, i_ss = 0.5 * t + w, 0.5 * t - w
+        pp, bb, mix = p * p, b * b, 2.0 * p * b * (np.sin(x) ** 2 * inv)
+        # evanescent, times exp(-2x): e^(2 nu z) and e^(-2 nu z) integrate
+        # to (1 - e^(-2x)) / (2 nu) and e^(-2x) times that, the cross term to T
+        g, h = 0.5 * (p + b), 0.5 * (p - b)
+        decay = np.exp(-two_x)
+        ends = (g * g + h * h * decay) * (-np.expm1(-two_x) * inv)
+        cross = 2.0 * g * h * t * decay
+        i_phi = np.where(osc, pp * i_cc + mix + bb * i_ss, ends + cross)
+        i_dphi = nu * nu * np.where(osc, pp * i_ss - mix + bb * i_cc, ends - cross)
+    hit = d == 0.0
+    if np.any(hit):  # the degenerate layer: phi is linear in depth
+        slope = omega * q / mu
+        i_phi = np.where(hit, p * p * t + p * slope * t**2 + slope**2 * t**3 / 3.0, i_phi)
+        i_dphi = np.where(hit, slope * slope * t, i_dphi)
+    return i_phi, i_dphi, np.where(osc, 0.0, 2.0 * x)
 
 
 def _propagate(medium: Medium, omega, y):

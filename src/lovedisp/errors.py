@@ -30,7 +30,18 @@ class AmbiguousOrdering(LoveDispError, RuntimeError):
 
 
 class OutOfRange(LoveDispError, ValueError):
-    """An evaluation point lies outside the admissible slowness range, or a result outside double range."""
+    """An evaluation point lies outside the admissible slowness range.
+
+    Results outside double range raise the subclass :class:`ResultOutOfRange`.
+    """
+
+
+class ResultOutOfRange(OutOfRange):
+    """A computed result (a mode amplitude or norm) lies outside double range.
+
+    A numerical failure rather than an input error; it stays an
+    :class:`OutOfRange`, so callers that catch that also catch this.
+    """
 
 
 class DivergedOrInfeasible(LoveDispError, RuntimeError):

@@ -6,16 +6,17 @@ thickness from the uniform cutoff spacing, and the substrate density from
 the dispersion identity evaluated on any branch sample.  For two layers
 the velocities and thicknesses come from the accumulation levels and
 weights, with the layer ordering resolved by an equidistance test on the
-level crossings.  A derivative-free least-squares refiner covers the
-general case.
+level crossings.  A Levenberg-Marquardt least-squares refiner covers the
+general case; its Jacobian is the Rayleigh-principle sensitivity of every
+root, from the closed-form energy integrals of the mode shapes.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .branch import Branch, BranchSet, _roots_on_grid, trace_branches
 from .dispersion import _dispersion_scale_floor, _dispersion_scaled
@@ -27,7 +28,10 @@ from .errors import (
     UnresolvedLevels,
 )
 from .medium import Medium
+from .modes import _wavenumber_sensitivities
 from .spectral import detect_levels
+
+_log = logging.getLogger("lovedisp")
 
 __all__ = [
     "DispersionDataset",
@@ -470,23 +474,39 @@ def least_squares_refine(
     free: np.ndarray,
     max_iter: int = 400,
 ) -> tuple[Medium, float]:
-    """Refine masked parameters by simplex descent on the wavenumber misfit.
+    """Refine masked parameters by Levenberg-Marquardt on the wavenumber misfit.
 
-    The objective is ``sum_i (k_model(omega_i) - k_i)^2`` with the model
+    The misfit is ``sum_i (k_model(omega_i) - k_i)^2`` with the model
     wavenumber read from the root of matching rank at each sample
     frequency; the roots at all sample frequencies are found in one
-    vectorized pass per evaluation.  A rank the trial medium lacks at a
+    vectorized pass per trial medium.  A rank the trial medium lacks at a
     sample frequency is filled with the half-space edge value
-    ``omega_i / c_inf`` of the guess, where that branch starts.  The
-    simplex is seeded at +2% per free parameter, iterates never increase
-    the best residual, and any iterate that violates positivity or the
-    guided-wave condition is rejected with an infinite objective.
+    ``omega_i / c_inf`` of the guess, where that branch starts, and gets a
+    zero Jacobian row.
+
+    The free parameters are refined in logarithms, which keeps them
+    positive.  The Jacobian is analytic: Rayleigh-principle sensitivities
+    of every root from the closed-form energy integrals
+    (:func:`~lovedisp.modes._wavenumber_sensitivities`), so an iteration
+    costs one root search.  The step solves the damped normal equations
+    ``(J^T J + lam D^2) step = -J^T r`` with ``D^2 = diag(J^T J)``, as a
+    least-squares problem, so a rank-deficient ``J`` (moduli and densities
+    scaled together leave every velocity unchanged) still gives a step.
+    ``lam`` starts at 1e-3, shrinks tenfold after an accepted step and
+    grows tenfold after a rejected one.  A trial is rejected if its medium
+    is infeasible or its misfit is not lower, so accepted iterates never
+    raise the misfit.  The iteration stops when the largest relative step
+    is below 1e-10, when the misfit is below 1e-14 of the initial misfit,
+    or after ``max_iter`` trials.
+
+    A debug line on the ``lovedisp`` logger reports the iterations, root
+    searches, rejected steps, samples at the edge value and the final
+    misfit.
 
     Raises
     ------
     DivergedOrInfeasible
-        If the initial guess is infeasible or no finite-objective point is
-        found.
+        If the initial guess is infeasible.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -504,45 +524,64 @@ def least_squares_refine(
     ranks = _sample_ranks(data, inverse, uniq_w)
     edge = float(guess.slowness[-1])
 
-    def objective(free_vals: np.ndarray) -> float:
-        theta = theta0.copy()
-        theta[free] = free_vals
-        if np.any(theta <= 0.0):
-            return np.inf
-        try:
-            medium = _medium_from_theta(theta, n)
-        except LoveDispError:
-            return np.inf
+    def model(medium: Medium):
+        """Residuals, and the model slowness and a found flag per sample."""
         roots = _roots_on_grid(medium, uniq_w)
         counts = np.fromiter(map(len, roots), dtype=np.int64, count=len(roots))
+        first = np.cumsum(counts) - counts
+        found = ranks < counts[inverse]
         # the edge value sits last, where every missing rank points
         ys = np.append(np.concatenate(roots), edge)
-        first = np.cumsum(counts) - counts
-        at = np.where(ranks < counts[inverse], first[inverse] + ranks, len(ys) - 1)
-        return float(np.sum((data.omega * ys[at] - data.k) ** 2))
+        y = ys[np.where(found, first[inverse] + ranks, len(ys) - 1)]
+        return data.omega * y - data.k, y, found
 
-    x0 = theta0[free]
-    if len(x0) == 0:
-        return guess, objective(x0)
-    simplex = np.tile(x0, (len(x0) + 1, 1))
-    for i in range(len(x0)):
-        simplex[i + 1, i] *= 1.02
-    result = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": 1e-10 * float(np.max(np.abs(x0))),
-            "fatol": 1e-14 * max(objective(x0), 1e-30),
-            "maxiter": max_iter,
-        },
-    )
-    if not np.isfinite(result.fun):
-        raise DivergedOrInfeasible("no feasible point with finite misfit found")
-    theta = theta0.copy()
-    theta[free] = result.x
-    return _medium_from_theta(theta, n), float(result.fun)
+    def jacobian(medium: Medium, theta, y, found):
+        """Residual derivatives in the free log-parameters; zero rows where missing."""
+        jac = np.zeros((len(data), int(free.sum())))
+        sens = _wavenumber_sensitivities(medium, data.omega[found], y[found])
+        jac[found] = sens[:, free] * theta[free]
+        return jac
+
+    theta, medium = theta0, guess
+    r, y, found = model(medium)
+    misfit = float(r @ r)
+    target = 1e-14 * max(misfit, 1e-30)
+    jac = jacobian(medium, theta, y, found)
+    lam = 1e-3
+    iterations, searches, rejected = 0, 1, 0
+    while free.any() and iterations < max_iter and misfit > target:
+        damp = np.sqrt(lam * np.sum(jac * jac, axis=0))
+        step = np.linalg.lstsq(
+            np.vstack([jac, np.diag(damp)]),
+            np.concatenate([-r, np.zeros(len(damp))]),
+            rcond=None,
+        )[0]
+        if np.max(np.abs(step)) < 1e-10:
+            break
+        iterations += 1
+        trial = theta.copy()
+        trial[free] *= np.exp(step)
+        try:
+            trial_medium = _medium_from_theta(trial, n)
+        except LoveDispError:
+            rejected, lam = rejected + 1, 10.0 * lam
+            continue
+        searches += 1
+        r_t, y_t, found_t = model(trial_medium)
+        if r_t @ r_t < misfit:
+            theta, medium, r, found = trial, trial_medium, r_t, found_t
+            misfit = float(r @ r)
+            jac = jacobian(medium, theta, y_t, found)
+            lam *= 0.1
+        else:
+            rejected, lam = rejected + 1, 10.0 * lam
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "least_squares_refine: %d iterations, %d root searches, %d rejected "
+            "steps, %d of %d samples at the edge value, misfit %.6g",
+            iterations, searches, rejected, int(np.sum(~found)), len(data), misfit,
+        )
+    return medium, misfit
 
 
 def _sample_ranks(data: DispersionDataset, inverse, uniq_w) -> np.ndarray:

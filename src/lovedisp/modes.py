@@ -7,7 +7,9 @@ and ``phi'(0) = 0`` and built on the scaled propagation of
 layer the shape is the same layer kernel applied to the state at the layer
 top.  Below the last interface it decays exponentially.  Norm integrals
 are evaluated in closed form per layer, which keeps the quotient
-identities accurate to rounding.
+identities accurate to rounding.  The same integrals, on states shot from
+both ends of the stack, give the Rayleigh-principle sensitivities of the
+root wavenumbers to every modulus, density and thickness.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .dispersion import (
     _dispersion_scaled,
     _halfspace_decay,
     _layer,
+    _layer_integrals,
     _propagate,
 )
-from .errors import NotOnBranch, OutOfRange
+from .errors import NotOnBranch, ResultOutOfRange
 from .medium import Medium
 
 __all__ = ["ModeShape", "ModeDiagnostics", "mode_shape", "mode_residuals", "mode_norms"]
@@ -114,7 +117,7 @@ def mode_shape(
     NotOnBranch
         If the normalized dispersion residual at ``(omega, k/omega)``
         exceeds ``residual_floor``.
-    OutOfRange
+    ResultOutOfRange
         If the displacement or stress at an interface leaves double range.
     """
     if not omega > 0.0:
@@ -144,7 +147,7 @@ def mode_shape(
             scale = np.exp(ls)
             tops.append(LayerCoefficients(phi=float(p * scale), q=float(q * scale)))
     if not all(np.isfinite(t.phi) and np.isfinite(t.q) for t in tops):
-        raise OutOfRange(
+        raise ResultOutOfRange(
             f"mode amplitude leaves double range at (omega={omega:g}, k={k:g})"
         )
     return ModeShape(
@@ -241,56 +244,138 @@ def mode_residuals(
 def mode_norms(shape: ModeShape) -> tuple[float, float, float]:
     """Closed-form norms ``(||sqrt(mu) phi'||^2, ||sqrt(rho) phi||^2, ||sqrt(mu) phi||^2)``.
 
-    Each finite layer contributes the analytic integrals of its form,
-    written once for the cos and the cosh form in ``sigma = sign(y^2 -
-    1/c_j^2)``; the half-space contributes the exponential tail.  Requires
-    a decaying (square-integrable) mode.
+    Each finite layer contributes the analytic integrals of its form from
+    :func:`~lovedisp.dispersion._layer_integrals`, taken on the layer-top
+    state divided by its largest entry, with that factor and the kernel's
+    ``exp(2x)`` carried as a log-scale; the half-space contributes the
+    exponential tail.  Requires a decaying (square-integrable) mode.
 
     Raises
     ------
-    OutOfRange
-        If a squared amplitude leaves double range.
+    ResultOutOfRange
+        If a norm leaves double range.
     """
     if not shape.is_l2:
         raise ValueError("mode is not square integrable (zero decay rate)")
     m = shape.medium
-    omega, y = shape.omega, shape.y
-    phi_sq = np.zeros(m.n + 1)
-    dphi_sq = np.zeros(m.n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m.n):
-            t_j = float(m.thickness[j])
-            mu_j = float(m.mu[j])
-            a = shape.tops[j].phi
-            q = shape.tops[j].q
-            d = y * y - float(m.slowness_sq[j])
-            sigma = float(np.sign(d))
-            if sigma == 0.0:  # the degenerate layer: phi is linear in depth
-                slope = omega * q / mu_j
-                phi_sq[j] = a * a * t_j + a * slope * t_j**2 + slope**2 * t_j**3 / 3.0
-                dphi_sq[j] = slope * slope * t_j
-                continue
-            mag = float(np.sqrt(abs(d)))
-            nu = omega * mag
-            b = q / (mu_j * mag)
-            sine = np.sinh if sigma > 0 else np.sin
-            w = sine(2 * nu * t_j) / (4 * nu)
-            i_cc = 0.5 * t_j + w
-            i_ss = sigma * (w - 0.5 * t_j)
-            i_cs = sine(nu * t_j) ** 2 / (2 * nu)
-            phi_sq[j] = a * a * i_cc + 2 * a * b * i_cs + b * b * i_ss
-            dphi_sq[j] = nu * nu * (a * a * i_ss + 2 * sigma * a * b * i_cs + b * b * i_cc)
-        nu_inf = shape.decay_rate
-        a2_inf = shape.a_inf * shape.a_inf
-        phi_sq[-1] = a2_inf / (2 * nu_inf)
-        dphi_sq[-1] = a2_inf * nu_inf / 2
-        norms = (
-            float(np.dot(m.mu, dphi_sq)),
-            float(np.dot(m.rho, phi_sq)),
-            float(np.dot(m.mu, phi_sq)),
-        )
+    phi = np.array([t.phi for t in shape.tops])
+    q = np.array([t.q for t in shape.tops])
+    s = np.maximum(np.abs(phi), np.abs(q))
+    i_phi, i_dphi, lg = _layer_integrals(
+        m, np.arange(m.n), shape.omega, shape.y, phi / s, q / s
+    )
+    nu_inf = shape.decay_rate
+    tail = 0.5 * shape.a_inf * shape.a_inf
+    with np.errstate(over="ignore"):
+        weight = np.exp(lg + 2.0 * np.log(s))
+        phi_sq, dphi_sq = i_phi * weight, i_dphi * weight
+    mu_inf, rho_inf = float(m.mu[-1]), float(m.rho[-1])
+    norms = (
+        float(m.mu[:-1] @ dphi_sq) + mu_inf * tail * nu_inf,
+        float(m.rho[:-1] @ phi_sq) + rho_inf * tail / nu_inf,
+        float(m.mu[:-1] @ phi_sq) + mu_inf * tail / nu_inf,
+    )
     if not np.all(np.isfinite(norms)):
-        raise OutOfRange(
-            f"mode norms leave double range at (omega={omega:g}, k={shape.k:g})"
+        raise ResultOutOfRange(
+            f"mode norms leave double range at (omega={shape.omega:g}, k={shape.k:g})"
         )
     return norms
+
+
+def _interface_states(medium: Medium, omega, y):
+    """The eigenfunction at every interface, shot from both ends.
+
+    Shooting down from the surface loses a mode's decaying part below its
+    trapping layers: rounding excites the growing solution, which can
+    swamp the true state (the surface-shooting limit of
+    :func:`mode_shape`).  Shooting up from the half-space's decaying
+    solution has the same flaw in the opposite direction.  Each side's
+    state is trusted by the log of its size over the largest growth an
+    error could have had on the way (the evanescent phases ``x`` crossed);
+    the two are matched at the interface that maximizes the smaller of
+    the two margins, and the upper side is taken from the downward shot,
+    the lower side from the upward one.  Going up, a layer is the
+    downward map applied to ``(p, -q)``: the reflection ``z -> -z``.
+
+    Vectorized over roots; returns ``(p, q, ls, up)``, each of shape
+    ``(n + 1, len(y))`` and indexed by interface from the surface: the state
+    is ``exp(ls) * (p, q)`` up to one factor per root, and ``up`` marks the
+    states taken from the upward shot.
+    """
+    n = medium.n
+    ones, zeros = np.ones_like(y), np.zeros_like(y)
+    pd, qd, ld = map(np.array, zip((ones, zeros, zeros), *_propagate(medium, omega, y)))
+    p, q = ones, -float(medium.mu[-1]) * _halfspace_decay(medium, y)
+    s = np.maximum(np.abs(p), np.abs(q))
+    shot = [(p / s, q / s, zeros)]
+    for j in range(n - 1, -1, -1):
+        p, q, ls = shot[-1]
+        p2, q2, lf = _layer(medium, j, omega, y, medium.thickness[j], p, -q)[:3]
+        s = np.maximum(np.abs(p2), np.abs(q2))
+        shot.append((p2 / s, -q2 / s, ls + np.log(s) + lf))
+    pu, qu, lu = map(np.array, zip(*shot[::-1]))
+    d = y * y - medium.slowness_sq[:-1, None]
+    growth = np.sqrt(np.maximum(d, 0.0)) * omega * medium.thickness[:, None]
+    above = np.vstack([zeros, np.cumsum(growth, axis=0)])
+    margin = np.minimum(ld - above, lu - (above[-1] - above))
+    match = np.argmax(margin, axis=0)
+    cols = np.arange(len(y))
+    shift = ld[match, cols] - lu[match, cols] + 0.5 * np.log(
+        (pd[match, cols] ** 2 + qd[match, cols] ** 2)
+        / (pu[match, cols] ** 2 + qu[match, cols] ** 2)
+    )
+    use_up = np.arange(n + 1)[:, None] > match
+    return (
+        np.where(use_up, pu, pd),
+        np.where(use_up, qu, qd),
+        np.where(use_up, lu + shift, ld),
+        use_up,
+    )
+
+
+def _wavenumber_sensitivities(medium: Medium, omega, y) -> np.ndarray:
+    """Derivatives of the root wavenumber ``k = omega y`` at fixed ``omega``.
+
+    By Rayleigh's principle the variational identity
+    ``omega^2 sum rho int phi^2 - k^2 sum mu int phi^2 - sum mu int phi'^2 = 0``
+    is stationary in ``phi``, so with ``I2 = sum_j mu_j int_j phi^2``
+    (half-space included) a parameter change moves ``k`` by
+
+    - ``dk/dmu_j = -(k^2 int_j phi^2 + int_j phi'^2) / (2 k I2)``,
+    - ``dk/drho_j = omega^2 int_j phi^2 / (2 k I2)``,
+    - ``dk/dT_j = sum_{i >= j} (L_i - L_{i+1})(z_i) / (2 k I2)``, where
+      ``L_m = (rho_m omega^2 - mu_m k^2) phi^2 + tau^2 / mu_m`` is taken at
+      interface ``i`` on the side of layer ``m`` and ``tau = mu phi'``.
+
+    The interface states come from :func:`_interface_states`.  A layer
+    above the matching interface is integrated down from its top state, a
+    layer below it up from its bottom state (the integrals of the
+    reflected shape are the same), so each runs in the direction its shot
+    is accurate.  Vectorized over roots ``(omega_i, y_i)``; every integral
+    and interface value is scaled by the same per-root factor, which
+    cancels.  Returns an array of shape ``(len(omega), 3n + 2)`` over
+    ``[mu, rho, thickness]``.
+    """
+    omega = np.asarray(omega, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p, q, ls, up = _interface_states(medium, omega, y)
+    layers = np.arange(medium.n)[:, None]
+    from_top = _layer_integrals(medium, layers, omega, y, p[:-1], q[:-1])
+    from_bottom = _layer_integrals(medium, layers, omega, y, p[1:], -q[1:])
+    i_phi, i_dphi, lg = (np.where(up[1:], b, t) for t, b in zip(from_top, from_bottom))
+    logs = np.vstack([lg + 2.0 * np.where(up[1:], ls[1:], ls[:-1]), 2.0 * ls[-1:]])
+    ref = np.maximum(logs.max(axis=0), 2.0 * ls.max(axis=0))
+    weight = np.exp(logs - ref)
+    nu_inf = omega * _halfspace_decay(medium, y)
+    tail = 0.5 * p[-1] ** 2
+    phi_sq = np.vstack([i_phi, tail / nu_inf]) * weight
+    dphi_sq = np.vstack([i_dphi, tail * nu_inf]) * weight
+    k = omega * y
+    mu, rho = medium.mu[:, None], medium.rho[:, None]
+    den = 2.0 * k * np.sum(mu * phi_sq, axis=0)
+    # interface i sits at the bottom of finite layer i
+    at = np.exp(2.0 * ls[1:] - ref)
+    jump = ((rho[:-1] - rho[1:]) * omega**2 - (mu[:-1] - mu[1:]) * k**2) * p[1:] ** 2 * at
+    jump += (1.0 / mu[:-1] - 1.0 / mu[1:]) * (omega * q[1:]) ** 2 * at
+    d_t = np.cumsum(jump[::-1], axis=0)[::-1]
+    return (np.vstack([-(k**2 * phi_sq + dphi_sq), omega**2 * phi_sq, d_t]) / den).T

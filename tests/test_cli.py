@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,24 @@ def medium_a_config(tmp_path):
                 "n": 1,
                 "layers": [
                     {"c": 1000.0, "rho": 1.0, "thickness": 100.0},
+                    {"c": 10000.0, "rho": 1.0},
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+@pytest.fixture()
+def medium_b_config(tmp_path):
+    path = tmp_path / "medium_b.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "layers": [
+                    {"c": 1000.0, "rho": 1.0, "thickness": 100.0},
+                    {"c": 1818.0, "rho": 1.0, "thickness": 100.0},
                     {"c": 10000.0, "rho": 1.0},
                 ],
             }
@@ -198,3 +217,40 @@ def test_invert_missing_rho1_is_usage_error(tmp_path, medium_a_config):
          "--omega-step", "2.0", "--out", str(out)]
     ) == 0
     assert run(["invert", "--data", str(out / "dataset.csv"), "--mode", "n1"]) == 1
+
+
+def test_mode_out_of_double_range_is_numerical_failure(
+    tmp_path, medium_b_config, capsys
+):
+    medium = load_medium(medium_b_config)
+    k = 12000.0 * float(roots_at_omega(medium, 12000.0)[0])
+    code = run(["mode", "--medium", medium_b_config, "--omega", "12000",
+                "--k", repr(k), "--out", str(tmp_path / "m")])
+    assert code == 3
+    assert "leaves double range" in capsys.readouterr().err
+
+
+def test_level_outside_domain_is_data_error(medium_a_config, capsys):
+    # a slowness outside the domain is an input error, not a numerical one
+    assert run(["count", "--medium", medium_a_config, "--omega", "100",
+                "--y", "2e-3"]) == 2
+    assert "outside" in capsys.readouterr().err
+
+
+def test_invert_least_squares_refines_thickness(tmp_path, medium_a_config):
+    out = tmp_path / "s"
+    assert run(
+        ["synth", "--medium", medium_a_config, "--omega-max", "500",
+         "--omega-step", "20", "--out", str(out)]
+    ) == 0
+    guess = tmp_path / "guess.json"
+    config = json.loads(Path(medium_a_config).read_text())
+    config["layers"][0]["thickness"] = 105.0
+    guess.write_text(json.dumps(config))
+    assert run(
+        ["invert", "--data", str(out / "dataset.csv"), "--mode", "ls",
+         "--medium", str(guess), "--free", "thickness", "--out", str(out)]
+    ) == 0
+    rows = (out / "report.txt").read_text().splitlines()[1:]
+    values = {line.split()[0]: float(line.split()[1]) for line in rows}
+    assert values["thickness1"] == pytest.approx(100.0, abs=1e-6)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -161,40 +163,101 @@ def test_least_squares_fixed_point(medium_a):
     assert resid <= 1e-20
 
 
-def test_least_squares_recovers_thickness(medium_a):
+def _count_root_searches(monkeypatch, on_roots=None):
+    """Count (and optionally inspect) the refine's batched root searches."""
+    import lovedisp.inversion as inv_mod
+
+    calls = []
+    orig = inv_mod._roots_on_grid
+
+    def recording(medium, omegas):
+        roots = orig(medium, omegas)
+        calls.append(medium)
+        if on_roots is not None:
+            on_roots(omegas, roots)
+        return roots
+
+    monkeypatch.setattr(inv_mod, "_roots_on_grid", recording)
+    return calls
+
+
+def test_least_squares_recovers_thickness(medium_a, monkeypatch):
     grid = np.linspace(20.0, 500.0, 25)
     bs = trace_branches(medium_a, grid)
     data = synthesize_observations(medium_a, grid, branchset=bs)
     guess = Medium(mu=medium_a.mu, rho=medium_a.rho, thickness=[105.0])
     mask = parameter_mask(guess, thickness=True)
+    calls = _count_root_searches(monkeypatch)
     refined, resid = least_squares_refine(guess, data, mask)
-    assert refined.thickness[0] == pytest.approx(100.0, rel=1e-3)
+    assert refined.thickness[0] == pytest.approx(100.0, abs=1e-6)
+    assert len(calls) <= 10
+
+
+def test_least_squares_recovers_two_thicknesses(medium_b):
+    grid = np.linspace(20.0, 500.0, 25)
+    data = synthesize_observations(medium_b, grid)
+    guess = Medium(mu=medium_b.mu, rho=medium_b.rho, thickness=[105.0, 95.0])
+    refined, _ = least_squares_refine(guess, data, parameter_mask(guess, thickness=True))
+    assert refined.thickness == pytest.approx([100.0, 100.0], abs=1e-6)
+
+
+def test_least_squares_moduli_and_densities_together(medium_b):
+    # scaling every mu and rho together changes no velocity, so J^T J is
+    # singular; the damped step must still make progress without error
+    grid = np.linspace(20.0, 300.0, 12)
+    data = synthesize_observations(medium_b, grid)
+    guess = Medium(
+        mu=medium_b.mu * np.array([1.05, 0.97, 1.02]),
+        rho=medium_b.rho * np.array([0.98, 1.03, 1.0]),
+        thickness=medium_b.thickness,
+    )
+    mask = parameter_mask(guess, mu=True, rho=True)
+    _, start = least_squares_refine(guess, data, mask, max_iter=0)
+    refined, resid = least_squares_refine(guess, data, mask)
+    assert resid <= start
+    assert refined.c == pytest.approx(medium_b.c, rel=1e-6)
 
 
 def test_least_squares_monotone_residual(medium_a, monkeypatch):
-    import lovedisp.inversion as inv_mod
-
     grid = np.linspace(20.0, 300.0, 12)
     bs = trace_branches(medium_a, grid)
     data = synthesize_observations(medium_a, grid, branchset=bs)
     guess = Medium(mu=medium_a.mu, rho=medium_a.rho, thickness=[103.0])
+    edge = float(guess.slowness[-1])
     seen = []
-    orig = inv_mod.minimize
 
-    def recording(fun, x0, **kwargs):
-        best = [np.inf]
+    def misfit(omegas, roots):
+        # the misfit of this trial: the labelled rank's root, else the edge
+        by_omega = dict(zip(omegas.tolist(), roots))
+        y = np.array([
+            by_omega[w][ell - 1] if ell <= len(by_omega[w]) else edge
+            for w, ell in zip(data.omega.tolist(), data.ell)
+        ])
+        seen.append(float(np.sum((data.omega * y - data.k) ** 2)))
 
-        def wrapped(x):
-            v = fun(x)
-            best[0] = min(best[0], v)
-            seen.append(best[0])
-            return v
+    _count_root_searches(monkeypatch, misfit)
+    _, resid = least_squares_refine(
+        guess, data, parameter_mask(guess, thickness=True), max_iter=60
+    )
+    assert len(seen) >= 2
+    # equal up to the order in which the squares are summed
+    assert resid == pytest.approx(min(seen), rel=1e-12)
+    assert resid <= seen[0]
 
-        return orig(wrapped, x0, **kwargs)
 
-    monkeypatch.setattr(inv_mod, "minimize", recording)
-    least_squares_refine(guess, data, parameter_mask(guess, thickness=True), max_iter=60)
-    assert np.all(np.diff(seen) <= 0.0)  # best-so-far never worsens
+def test_least_squares_logs_its_work(medium_a, caplog):
+    grid = np.linspace(20.0, 300.0, 12)
+    data = synthesize_observations(medium_a, grid)
+    guess = Medium(mu=medium_a.mu, rho=medium_a.rho, thickness=[103.0])
+    mask = parameter_mask(guess, thickness=True)
+    with caplog.at_level(logging.DEBUG, logger="lovedisp"):
+        least_squares_refine(guess, data, mask)
+    (record,) = [r for r in caplog.records if r.name == "lovedisp"]
+    assert "root searches" in record.getMessage()
+    assert f"of {len(data)} samples at the edge value" in record.getMessage()
+    caplog.clear()
+    least_squares_refine(guess, data, mask)  # the logger is off by default
+    assert not [r for r in caplog.records if r.name == "lovedisp"]
 
 
 def test_least_squares_infeasible_guess_detected(medium_a):

@@ -190,3 +190,50 @@ def test_mode_shape_out_of_double_range(medium_b):
     y = roots_at_omega(medium_b, omega)[0]
     with pytest.raises(OutOfRange):
         mode_shape(medium_b, omega, omega * y)
+
+
+def test_mode_norms_in_range_where_the_shape_is(medium_b):
+    # layer 2's evanescent phase is 418 here: sinh(2 nu T) alone would
+    # overflow, the exp(-2x)-scaled integrals do not
+    omega = 5000.0
+    ms = mode_shape(medium_b, omega, omega * roots_at_omega(medium_b, omega)[0])
+    d = mode_residuals(ms)
+    assert all(np.isfinite(v) for v in vars(d).values())
+
+
+def _exact_norms(shape):
+    """The cos/cosh closed forms of the norms in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        m = shape.medium
+        omega, y = mp.mpf(shape.omega), mp.mpf(shape.y)
+        mu_dphi = rho_phi = mu_phi = mp.mpf(0)
+        for j, top in enumerate(shape.tops):
+            mu, t = mp.mpf(float(m.mu[j])), mp.mpf(float(m.thickness[j]))
+            d = y * y - mp.mpf(float(m.slowness_sq[j]))
+            nu = omega * mp.sqrt(abs(d))
+            a, b = mp.mpf(top.phi), mp.mpf(top.q) * omega / (mu * nu)
+            sigma, sine = (1, mp.sinh) if d > 0 else (-1, mp.sin)
+            w = sine(2 * nu * t) / (4 * nu)
+            i_cc, i_ss = t / 2 + w, sigma * (w - t / 2)
+            i_cs = sine(nu * t) ** 2 / (2 * nu)
+            phi_sq = a * a * i_cc + 2 * a * b * i_cs + b * b * i_ss
+            dphi_sq = nu * nu * (a * a * i_ss + 2 * sigma * a * b * i_cs + b * b * i_cc)
+            mu_dphi += mu * dphi_sq
+            rho_phi += mp.mpf(float(m.rho[j])) * phi_sq
+            mu_phi += mu * phi_sq
+        nu, a2 = mp.mpf(shape.decay_rate), mp.mpf(shape.a_inf) ** 2
+        mu_dphi += mp.mpf(float(m.mu[-1])) * a2 * nu / 2
+        rho_phi += mp.mpf(float(m.rho[-1])) * a2 / (2 * nu)
+        mu_phi += mp.mpf(float(m.mu[-1])) * a2 / (2 * nu)
+        return np.array([float(mu_dphi), float(rho_phi), float(mu_phi)])
+
+
+@pytest.mark.parametrize("name", ["medium_a", "medium_b"])
+def test_mode_norms_match_exact_closed_form(name, request):
+    medium = request.getfixturevalue(name)
+    for omega in (10.0, 40.0, 70.0, 100.0, 130.0, 150.0):
+        for y in roots_at_omega(medium, omega):
+            ms = mode_shape(medium, omega, omega * y)
+            exact = _exact_norms(ms)
+            assert np.array(mode_norms(ms)) == pytest.approx(exact, rel=1e-12)

@@ -1,4 +1,7 @@
-"""Property test: every root counter agrees with the FD eigensolver.
+"""Property tests on random media: root counts and root sensitivities.
+
+Every root counter agrees with the FD eigensolver, and the analytic
+Rayleigh-principle sensitivities agree with central differences.
 
 Media are drawn like the benchmark's random media: n finite layers at
 600-3000 m/s over a 5-12 km/s half-space, thicknesses 30-200 m.  The
@@ -12,6 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lovedisp import Medium, fd_eigen_oracle, mode_count, roots_at_omega
+from lovedisp.modes import _wavenumber_sensitivities
 
 
 @st.composite
@@ -42,3 +46,40 @@ def test_counts_agree_with_fd_oracle(n, data):
     expected = int(np.sum(fine >= k_level))
     assert mode_count(medium, omega, y) == expected
     assert int(np.sum(roots_at_omega(medium, omega) >= y)) == expected
+
+
+def _log_sensitivities_by_differences(medium, omega, count, h=1e-6):
+    """Central differences of the root wavenumbers in each log-parameter."""
+    theta = np.concatenate([medium.mu, medium.rho, medium.thickness])
+    n = medium.n
+    columns = []
+    for i in range(len(theta)):
+        ks = []
+        for sign in (1.0, -1.0):
+            t = theta.copy()
+            t[i] *= 1.0 + sign * h
+            m = Medium(mu=t[: n + 1], rho=t[n + 1 : 2 * n + 2], thickness=t[2 * n + 2 :])
+            roots = roots_at_omega(m, omega)
+            assume(len(roots) == count)  # a perturbation crossed a cutoff
+            ks.append(omega * roots)
+        columns.append((ks[0] - ks[1]) / (2.0 * h))
+    return np.array(columns).T, theta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@given(data=st.data())
+def test_sensitivities_match_central_differences(n, data):
+    # every root's analytic dk/dtheta in log-parameters, against central
+    # differences of roots_at_omega, relative to the root's largest entry
+    medium, omega, _ = data.draw(query(n))
+    roots = roots_at_omega(medium, omega)
+    assume(len(roots) > 0)
+    # a root just past its cutoff, or at a layer slowness, makes the
+    # differences (or the closed-form integrals) ill-conditioned
+    assume(np.all(roots > medium.slowness[-1] * (1.0 + 1e-4)))
+    gaps = np.abs(roots[:, None] - medium.slowness[None, :-1])
+    assume(np.all(gaps > 1e-4 * roots[:, None]))
+    numeric, theta = _log_sensitivities_by_differences(medium, omega, len(roots))
+    analytic = _wavenumber_sensitivities(medium, np.full(len(roots), omega), roots) * theta
+    scale = np.max(np.abs(numeric), axis=1, keepdims=True)
+    assert np.all(np.abs(analytic - numeric) <= 1e-5 * scale)
