@@ -15,7 +15,6 @@ from .branch import (
     Branch,
     BranchSet,
     cutoff_frequencies,
-    refine_root,
     roots_at_omega,
     trace_branches,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "Branch",
     "BranchSet",
     "cutoff_frequencies",
-    "refine_root",
     "roots_at_omega",
     "trace_branches",
     "DispersionValue",

@@ -11,6 +11,10 @@ vectorized pass: every step works on all (frequency, rank) pairs of the
 block at once, and a single frequency is a block of one.  Cutoffs are
 isolated the same way in frequency, from the count at the half-space
 slowness.
+
+A traced :class:`BranchSet` stores one (node x rank) table of slownesses,
+NaN where a rank is absent; its :class:`Branch` objects are views of that
+table's columns.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "Branch",
     "BranchSet",
     "roots_at_omega",
-    "refine_root",
     "cutoff_frequencies",
     "trace_branches",
 ]
@@ -135,20 +138,6 @@ def _secant_polish(
     return np.where((y > lo) & (y < hi) | (lo == hi), np.clip(y, lo, hi), mid)
 
 
-def _refine_roots(
-    medium: Medium, omega: np.ndarray, lo: np.ndarray, hi: np.ndarray, label
-) -> np.ndarray:
-    """Slowness zeros of F in sign-change brackets: bisection, then one secant step.
-
-    Bracket ``i`` lies at frequency ``omega[i]``.
-    """
-    lo, hi = _bisect_zeros(
-        lambda k, y: _dispersion_scaled(medium, omega[k], y)[0],
-        lo, hi, _REFINE_TOL, label,
-    )
-    return _secant_polish(medium, omega, lo, hi)
-
-
 def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
     """Roots at each frequency of ``omegas``, each strictly descending.
 
@@ -175,7 +164,11 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
         lambda k, y: _sturm_count(medium, omega[k], y),
         nodes[j], nodes[j + 1], c_in[cell], c_out[cell], ranks, label,
     )
-    roots = _refine_roots(medium, omega, lo, hi, label)
+    lo, hi = _bisect_zeros(
+        lambda k, y: _dispersion_scaled(medium, omega[k], y)[0],
+        lo, hi, _REFINE_TOL, label,
+    )
+    roots = _secant_polish(medium, omega, lo, hi)
     # ranks run descending per frequency; reverse to descending slowness
     splits = np.cumsum(counts[:, 0] - counts[:, -1])[:-1]
     return [r[::-1] for r in np.split(roots, splits)]
@@ -197,25 +190,6 @@ def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
     return _roots_on_grid(medium, np.array([float(omega)]))[0]
-
-
-def refine_root(medium: Medium, omega: float, bracket: tuple[float, float]) -> float:
-    """Refine one bracketed dispersion zero in slowness.
-
-    Raises
-    ------
-    BadBracket
-        If the dispersion values at the bracket ends do not have strictly
-        opposite signs.
-    """
-    y_lo, y_hi = float(bracket[0]), float(bracket[1])
-    if not y_lo < y_hi:
-        raise BadBracket(f"empty bracket ({y_lo}, {y_hi})")
-    root = _refine_roots(
-        medium, np.array([float(omega)]), np.array([y_lo]), np.array([y_hi]),
-        lambda k: f"the bracket at omega={omega!r}",
-    )
-    return float(root[0])
 
 
 def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
@@ -279,29 +253,46 @@ class Branch:
 
 @dataclass(frozen=True)
 class BranchSet:
-    """Branches indexed by rank: branch 1 carries the largest slowness.
+    """Slownesses by grid node and rank: branch 1 carries the largest slowness.
 
+    ``y[i, ell-1]`` is the slowness of branch ``ell`` at ``omega_grid[i]``,
+    NaN where that branch has no sample; every branch has at least one.
     ``cutoffs[ell-1]`` is where branch ``ell`` appears; the start point
     itself (slowness exactly ``1/c_inf``) is not a guided mode and is never
     included among the branch samples.
     """
 
     omega_grid: np.ndarray
-    branches: tuple[Branch, ...]
+    y: np.ndarray
     cutoffs: np.ndarray
+
+    def __post_init__(self):
+        if self.y.ndim != 2 or len(self.y) != len(self.omega_grid):
+            raise ValueError("y must hold one row per grid frequency")
+        empty = np.flatnonzero(np.isnan(self.y).all(axis=0))
+        if len(empty):
+            raise ValueError(f"branch {empty[0] + 1} has no samples")
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
+        return self.y.shape[1]
+
+    @property
+    def branches(self) -> tuple[Branch, ...]:
+        """One :class:`Branch` per column of the table, its NaNs dropped."""
+        present = ~np.isnan(self.y)
+        return tuple(
+            Branch(ell=r + 1, omega=self.omega_grid[p], y=col[p])
+            for r, (col, p) in enumerate(zip(self.y.T, present.T))
+        )
 
     def slownesses_at(self, node: int) -> np.ndarray:
-        """Slownesses of all branches present at grid index ``node``, descending."""
-        out = []
-        for br in self.branches:
-            start = len(self.omega_grid) - len(br.omega)
-            if node >= start:
-                out.append(br.y[node - start])
-        return np.asarray(out)
+        """Slownesses of all branches present at grid index ``node``, by rank.
+
+        Rank order is descending slowness for traced branches.
+        """
+        row = self.y[node]
+        return row[~np.isnan(row)]
 
 
 def trace_branches(medium: Medium, omega_grid) -> BranchSet:
@@ -327,13 +318,8 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     # row i: the roots at node i by rank, padded after its last one
     table = np.full((len(roots), n_branches), np.nan)
     table[np.arange(n_branches) < counts[:, None]] = np.concatenate(roots)
-    branches = []
-    for ell in range(1, n_branches + 1):
-        start = int(np.argmax(counts >= ell))
-        ys = table[start:, ell - 1].copy()
-        branches.append(Branch(ell=ell, omega=omega_grid[start:].copy(), y=ys))
     return BranchSet(
         omega_grid=omega_grid.copy(),
-        branches=tuple(branches),
+        y=table,
         cutoffs=cutoff_frequencies(medium, n_branches) if n_branches else np.empty(0),
     )

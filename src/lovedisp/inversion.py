@@ -9,6 +9,12 @@ weights, with the layer ordering resolved by an equidistance test on the
 level crossings.  A Levenberg-Marquardt least-squares refiner covers the
 general case; its Jacobian is the Rayleigh-principle sensitivity of every
 root, from the closed-form energy integrals of the mode shapes.
+
+The rules read branch data from the (node x rank) slowness table of a
+:class:`~lovedisp.branch.BranchSet`.  Observed samples enter that table
+through :func:`branchset_from_dataset`, ranked by the same helper that
+matches samples to roots in the least-squares refiner: labels if given,
+else descending wavenumber at each frequency.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branch import Branch, BranchSet, _roots_on_grid, trace_branches
+from .branch import BranchSet, _roots_on_grid, trace_branches
 from .dispersion import _dispersion_scale_floor, _dispersion_scaled
 from .errors import (
     AmbiguousOrdering,
@@ -69,27 +75,31 @@ class DispersionDataset:
             ell = np.asarray(self.ell, dtype=int)
             if ell.shape != omega.shape:
                 raise ValueError("ell must match omega in shape")
+            if np.any(ell < 1):
+                raise ValueError("branch labels must be >= 1")
             # noise can legitimately swap the order of near-degenerate
             # wavenumbers, so the rank consistency check only applies to
             # noiseless data; noisy labels carry true branch identity
-            if not self.noise_sigma:
-                _check_labels(omega, k, ell)
+            _check_labels(omega, k, ell, ordered=not self.noise_sigma)
             object.__setattr__(self, "ell", ell)
 
     def __len__(self) -> int:
         return len(self.omega)
 
 
-def _check_labels(omega, k, ell):
-    for w in np.unique(omega):
-        sel = omega == w
-        if len(np.unique(ell[sel])) != int(np.sum(sel)):
-            raise ValueError(f"duplicate branch labels at omega={w:g}")
-        order = np.argsort(ell[sel])
-        if np.any(np.diff(k[sel][order]) >= 0.0):
-            raise ValueError(
-                f"labels at omega={w:g} are inconsistent with descending k"
-            )
+def _check_labels(omega, k, ell, ordered: bool):
+    """Reject labels that repeat at one frequency or, if ``ordered``, break
+    descending k; the error names the lowest frequency at fault."""
+    order = np.lexsort((ell, omega))
+    w, k, ell = omega[order], k[order], ell[order]
+    same = w[1:] == w[:-1]
+    dup = same & (ell[1:] == ell[:-1])
+    bad = dup | (same & (k[1:] >= k[:-1])) if ordered else dup
+    if bad.any():
+        at = w[np.argmax(bad)]
+        if np.any(dup & (w[1:] == at)):
+            raise ValueError(f"duplicate branch labels at omega={at:g}")
+        raise ValueError(f"labels at omega={at:g} are inconsistent with descending k")
 
 
 @dataclass(frozen=True)
@@ -128,33 +138,25 @@ class InversionReport:
 
 
 def branchset_from_dataset(dataset: DispersionDataset) -> BranchSet:
-    """Group labeled (or rank-labeled) samples into an empirical branch set.
+    """Scatter labeled (or rank-labeled) samples into an empirical branch set.
 
-    Cutoffs are approximated by each branch's smallest observed frequency,
-    which overshoots the true cutoff by at most one grid step; spacing-based
-    rules are insensitive to that shared bias.
+    The grid is the set of sample frequencies, and sample ``i`` fills the
+    cell of its frequency and rank (:func:`_sample_ranks`) with
+    ``k_i / omega_i``.  Cutoffs are approximated by each branch's smallest
+    observed frequency, which overshoots the true cutoff by at most one grid
+    step; spacing-based rules are insensitive to that shared bias.
+
+    Raises
+    ------
+    ValueError
+        If a rank below the largest label has no sample.
     """
-    omega = dataset.omega
-    k = dataset.k
-    if dataset.ell is not None:
-        ell = dataset.ell
-    else:
-        ell = np.empty(len(omega), dtype=int)
-        for w in np.unique(omega):
-            sel = np.flatnonzero(omega == w)
-            order = np.argsort(-k[sel])
-            ell[sel[order]] = np.arange(1, len(sel) + 1)
-    grid = np.unique(omega)
-    branches = []
-    cutoffs = []
-    for lab in np.unique(ell):
-        sel = ell == lab
-        order = np.argsort(omega[sel])
-        w = omega[sel][order]
-        y = (k[sel] / omega[sel])[order]
-        branches.append(Branch(ell=int(lab), omega=w, y=y))
-        cutoffs.append(float(w[0]))
-    return BranchSet(omega_grid=grid, branches=tuple(branches), cutoffs=np.array(cutoffs))
+    grid, inverse = np.unique(dataset.omega, return_inverse=True)
+    ranks = _sample_ranks(dataset, inverse)
+    y = np.full((len(grid), ranks.max(initial=-1) + 1), np.nan)
+    y[inverse, ranks] = dataset.k / dataset.omega
+    cutoffs = grid[np.argmax(~np.isnan(y), axis=0)] if len(grid) else grid
+    return BranchSet(omega_grid=grid, y=y, cutoffs=cutoffs)
 
 
 def recover_extremes(branchset: BranchSet, tail_fraction: float = 0.25):
@@ -170,38 +172,47 @@ def recover_extremes(branchset: BranchSet, tail_fraction: float = 0.25):
     InsufficientData
         If no branch carries at least 20 samples.
     """
-    long_enough = [b for b in branchset.branches if len(b.omega) >= 20]
-    if not long_enough:
+    if not np.any(np.sum(~np.isnan(branchset.y), axis=0) >= 20):
         raise InsufficientData("need at least one branch with >= 20 samples")
-    inv_cinf = float(np.median([b.y.min() for b in branchset.branches if len(b.y)]))
+    inv_cinf = float(np.median(np.nanmin(branchset.y, axis=0)))
 
-    b1 = branchset.branches[0]
-    n_tail = max(int(len(b1.omega) * tail_fraction), 8)
-    w = b1.omega[-n_tail:]
-    y = b1.y[-n_tail:]
+    w, y = _first_branch(branchset)
+    n_tail = max(int(len(w) * tail_fraction), 8)
+    w, y = w[-n_tail:], y[-n_tail:]
     design = np.column_stack([np.ones_like(w), -1.0 / w**2])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     inv_c0 = float(coef[0])
     return 1.0 / inv_c0, 1.0 / inv_cinf
 
 
+def _first_branch(branchset: BranchSet):
+    """Frequencies and slownesses of the samples of branch 1."""
+    col = branchset.y[:, 0]
+    keep = ~np.isnan(col)
+    return branchset.omega_grid[keep], col[keep]
+
+
 def _branch_crossings(branchset: BranchSet, level: float) -> np.ndarray:
     """Frequencies where branches cross a slowness level, ascending.
 
     Each branch slowness is increasing, so it crosses the level at most
-    once; the crossing is located by linear interpolation between the two
-    bracketing samples.
+    once: between its first sample at or above the level and the sample
+    before that one, by linear interpolation.  A branch that starts at or
+    above the level, or ends below it, has no crossing.
     """
-    crossings = []
-    for b in branchset.branches:
-        y = b.y
-        if len(y) < 2 or y[0] >= level or y[-1] < level:
-            continue
-        i = int(np.searchsorted(y, level))
-        w0, w1 = b.omega[i - 1], b.omega[i]
-        y0, y1 = y[i - 1], y[i]
-        crossings.append(float(w0 + (level - y0) / (y1 - y0) * (w1 - w0)))
-    return np.sort(np.array(crossings))
+    y, grid = branchset.y, branchset.omega_grid
+    rows = np.arange(len(grid))[:, None]
+    # per cell, the row of the latest sample at or before it (-1 if none)
+    last = np.maximum.accumulate(np.where(np.isnan(y), -1, rows), axis=0)
+    above = y >= level
+    cols = np.arange(y.shape[1])
+    i1 = np.argmax(above, axis=0)
+    i0 = np.where(i1 > 0, last[i1 - 1, cols], -1)
+    cols = np.flatnonzero(above[last[-1], cols] & (i0 >= 0))
+    i0, i1 = i0[cols], i1[cols]
+    w0, w1 = grid[i0], grid[i1]
+    y0, y1 = y[i0, cols], y[i1, cols]
+    return np.sort(w0 + (level - y0) / (y1 - y0) * (w1 - w0))
 
 
 def _spacing_verdict(spacings: np.ndarray, cv_threshold: float = 0.02):
@@ -242,7 +253,7 @@ def invert_single_layer(
         "c2",
         c2,
         "cutoff-slowness-level",
-        spread=float(np.std([b.y.min() for b in branchset.branches])),
+        spread=float(np.std(np.nanmin(branchset.y, axis=0))),
     )
 
     cuts = np.sort(np.asarray(branchset.cutoffs, dtype=float))
@@ -257,7 +268,7 @@ def invert_single_layer(
     h_est = ParameterEstimate("H", float(h), "cutoff-spacing", spread=spacing_spread)
 
     rho2_samples, rho2_weights = _rho2_from_identity(
-        branchset.branches[0], c1, c2, h, rho1, n_rho_samples
+        *_first_branch(branchset), c1, c2, h, rho1, n_rho_samples
     )
     rho2 = float(np.average(rho2_samples, weights=rho2_weights))
     spread = float(
@@ -287,7 +298,7 @@ def invert_single_layer(
 
 
 def _rho2_from_identity(
-    branch: Branch, c1: float, c2: float, h: float, rho1: float, n_samples: int
+    omega, y, c1: float, c2: float, h: float, rho1: float, n_samples: int
 ):
     """Substrate density from the identity rho2 = rho1 (c1/c2)^2 * ratio * tan.
 
@@ -298,14 +309,13 @@ def _rho2_from_identity(
     ``y^2 / nu2^2`` through the prefactor, so the weights fall off sharply
     toward the ill-conditioned (pole-adjacent) part of the branch.
     """
-    y = branch.y
     span = y.max() - y.min()
     inv1, inv2 = 1.0 / c1**2, 1.0 / c2**2
     nu1 = np.sqrt(np.maximum(inv1 - y * y, 1e-300))
     nu2_sq = np.maximum(y * y - inv2, 1e-300)
-    theta = h * branch.omega * nu1
+    theta = h * omega * nu1
     amp = (2.0 / np.maximum(np.abs(np.sin(2.0 * theta)), 1e-9)) * (
-        h * branch.omega * y * y / nu1
+        h * omega * y * y / nu1
     ) + y * y / nu2_sq
     keep = (y >= y.min() + 0.05 * span) & (y <= y.max() - 0.05 * span)
     idx = np.flatnonzero(keep)
@@ -313,7 +323,7 @@ def _rho2_from_identity(
         raise InsufficientData("fewer than 10 usable samples for the density rule")
     pick = idx[np.argsort(amp[idx], kind="stable")][: max(4 * n_samples, 10)]
     yy = y[pick]
-    ww = branch.omega[pick]
+    ww = omega[pick]
     num = inv1 - yy * yy
     den = yy * yy - inv2
     vals = (
@@ -422,13 +432,12 @@ def invert_double_layer(branchset: BranchSet) -> InversionReport:
 
 
 def _model_residual(medium: Medium, branchset: BranchSet, max_samples: int = 200) -> float:
-    """RMS of the normalized dispersion values at the branch samples."""
-    ws, ys = [], []
-    for b in branchset.branches:
-        ws.append(b.omega)
-        ys.append(b.y)
-    w = np.concatenate(ws)
-    y = np.concatenate(ys)
+    """RMS of the normalized dispersion values at the branch samples.
+
+    Samples are taken branch by branch, each in ascending frequency.
+    """
+    rank, node = np.nonzero(~np.isnan(branchset.y.T))
+    w, y = branchset.omega_grid[node], branchset.y[node, rank]
     if len(w) > max_samples:
         pick = np.unique(np.linspace(0, len(w) - 1, max_samples).astype(int))
         w, y = w[pick], y[pick]
@@ -521,7 +530,7 @@ def least_squares_refine(
         raise DivergedOrInfeasible(f"initial guess invalid: {exc}") from exc
 
     uniq_w, inverse = np.unique(data.omega, return_inverse=True)
-    ranks = _sample_ranks(data, inverse, uniq_w)
+    ranks = _sample_ranks(data, inverse)
     edge = float(guess.slowness[-1])
 
     def model(medium: Medium):
@@ -584,16 +593,17 @@ def least_squares_refine(
     return medium, misfit
 
 
-def _sample_ranks(data: DispersionDataset, inverse, uniq_w) -> np.ndarray:
-    """Zero-based root rank per sample: labels if given, else descending k."""
-    ranks = np.empty(len(data), dtype=int)
+def _sample_ranks(data: DispersionDataset, inverse) -> np.ndarray:
+    """Zero-based root rank per sample: labels if given, else descending k.
+
+    ``inverse`` maps each sample to its frequency's index.
+    """
     if data.ell is not None:
-        ranks[:] = data.ell - 1
-        return ranks
-    for wi in range(len(uniq_w)):
-        sel = np.flatnonzero(inverse == wi)
-        order = np.argsort(-data.k[sel])
-        ranks[sel[order]] = np.arange(len(sel))
+        return data.ell - 1
+    order = np.lexsort((-data.k, inverse))
+    grouped = inverse[order]
+    ranks = np.empty(len(data), dtype=int)
+    ranks[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
     return ranks
 
 
@@ -612,16 +622,11 @@ def synthesize_observations(
     """
     if branchset is None:
         branchset = trace_branches(medium, omega_grid)
-    ws, ks, ells = [], [], []
-    for b in branchset.branches:
-        ws.append(b.omega)
-        ks.append(b.k)
-        ells.append(np.full(len(b.omega), b.ell, dtype=int))
-    omega = np.concatenate(ws)
-    k = np.concatenate(ks)
-    ell = np.concatenate(ells)
-    order = np.lexsort((ell, omega))
-    omega, k, ell = omega[order], k[order], ell[order]
+    # row-major order of the filled cells: by omega, then by ell
+    node, rank = np.nonzero(~np.isnan(branchset.y))
+    omega = branchset.omega_grid[node]
+    k = omega * branchset.y[node, rank]
+    ell = rank + 1
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         k = k * (1.0 + noise_sigma * rng.standard_normal(len(k)))
@@ -642,11 +647,10 @@ def alt_thickness_estimate(branchset: BranchSet, c1: float) -> float:
         If fewer than two branches (or no valid pair) exist at the top
         frequency.
     """
-    top = len(branchset.omega_grid) - 1
-    ys = branchset.slownesses_at(top)
+    ys = branchset.slownesses_at(-1)
     if len(ys) < 2:
         raise InsufficientData("need at least two branches at the top frequency")
-    w = float(branchset.omega_grid[top])
+    w = float(branchset.omega_grid[-1])
     rad = (w / c1) ** 2 - (w * ys) ** 2
     valid = rad > 0.0
     v = np.sqrt(rad[valid])  # descending y -> ascending vertical phase

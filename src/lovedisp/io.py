@@ -1,12 +1,15 @@
 """CSV readers and writers for branch, cutoff, dataset, comparison and mode tables.
 
 All floats are written with 17 significant digits so files round-trip
-bit-exactly; non-finite values are refused.
+bit-exactly; non-finite values are refused.  Branch rows come from the
+columns of a :class:`~lovedisp.branch.BranchSet` table, by (ell, omega),
+and the dataset body is read in one numpy call.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,19 +40,29 @@ def _write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_columns(path, header, columns, fmt) -> None:
+    """One row per entry of the equal-length ``columns``, formatted by ``fmt``."""
+    table = np.column_stack(columns)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        raise ValueError(f"refusing to write non-finite value {table[bad][0]!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+
+
 def write_branches_csv(path: str | Path, branchset: BranchSet) -> None:
     """Columns ``ell, omega, y, k`` sorted by (ell, omega)."""
-    rows = []
-    for b in branchset.branches:
-        for w, y in zip(b.omega, b.y):
-            rows.append((b.ell, _fmt(w), _fmt(y), _fmt(w * y)))
-    _write_rows(path, ("ell", "omega", "y", "k"), rows)
+    rank, node = np.nonzero(~np.isnan(branchset.y.T))
+    w, y = branchset.omega_grid[node], branchset.y[node, rank]
+    _write_columns(path, ("ell", "omega", "y", "k"), (rank + 1, w, y, w * y),
+                   ("%d", "%.17g", "%.17g", "%.17g"))
 
 
 def write_cutoffs_csv(path: str | Path, branchset: BranchSet) -> None:
     """Columns ``ell, omega_ell``."""
-    rows = [(i + 1, _fmt(w)) for i, w in enumerate(branchset.cutoffs)]
-    _write_rows(path, ("ell", "omega_ell"), rows)
+    cuts = branchset.cutoffs
+    _write_columns(path, ("ell", "omega_ell"), (np.arange(1, len(cuts) + 1), cuts),
+                   ("%d", "%.17g"))
 
 
 def write_dataset_csv(path: str | Path, dataset: DispersionDataset) -> None:
@@ -58,52 +71,55 @@ def write_dataset_csv(path: str | Path, dataset: DispersionDataset) -> None:
     ``noise_sigma`` is written, on every row, only when it is nonzero.
     """
     header = ["omega", "k"]
-    cols = [[_fmt(w) for w in dataset.omega], [_fmt(k) for k in dataset.k]]
+    cols = [dataset.omega, dataset.k]
+    fmt = ["%.17g", "%.17g"]
     if dataset.ell is not None:
         header.append("ell")
-        cols.append([int(e) for e in dataset.ell])
+        cols.append(dataset.ell)
+        fmt.append("%d")
     if dataset.noise_sigma:
         header.append("noise_sigma")
-        cols.append([_fmt(dataset.noise_sigma)] * len(dataset))
-    _write_rows(path, header, zip(*cols))
+        cols.append(np.full(len(dataset), dataset.noise_sigma))
+        fmt.append("%.17g")
+    _write_columns(path, header, cols, fmt)
 
 
 def read_dataset_csv(path: str | Path) -> DispersionDataset:
     """Read a file written by :func:`write_dataset_csv`.
 
+    The header is checked and the body read in one numpy call; blank lines
+    are skipped and columns the header does not name are ignored.
+
     Raises
     ------
     ValueError
-        If the header is not ``omega, k[, ell][, noise_sigma]`` or the
-        noise level differs between rows.
+        If the header is not ``omega, k[, ell][, noise_sigma]``, a row lacks
+        one of its columns, a value does not parse (``ell`` must be an
+        integer), or the noise level differs between rows.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = [h.strip() for h in header]
+    with open(path, "r", encoding="utf-8") as fh:
+        cols = [h.strip() for h in fh.readline().split(",")]
         if cols[:2] != ["omega", "k"]:
             raise ValueError(
                 f"expected columns omega,k[,ell][,noise_sigma]; got {cols}"
             )
-        labeled = len(cols) >= 3 and cols[2] == "ell"
-        sigma_col = cols.index("noise_sigma") if "noise_sigma" in cols else None
-        omega, k, ell, sigma = [], [], [], set()
-        for row in reader:
-            if not row:
-                continue
-            omega.append(float(row[0]))
-            k.append(float(row[1]))
-            if labeled:
-                ell.append(int(row[2]))
-            if sigma_col is not None:
-                sigma.add(float(row[sigma_col]))
+        names = ["omega", "k"] + (["ell"] if cols[2:3] == ["ell"] else [])
+        if "noise_sigma" in cols:
+            names.append("noise_sigma")
+        dtype = [(n, int if n == "ell" else float) for n in names]
+        with warnings.catch_warnings():
+            # a header with no rows is an empty dataset, not a mistake
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                               usecols=[cols.index(n) for n in names], ndmin=1)
+    sigma = np.unique(table["noise_sigma"]) if "noise_sigma" in names else []
     if len(sigma) > 1:
-        raise ValueError(f"noise_sigma differs between rows: {sorted(sigma)}")
+        raise ValueError(f"noise_sigma differs between rows: {sigma.tolist()}")
     return DispersionDataset(
-        omega=np.array(omega),
-        k=np.array(k),
-        ell=np.array(ell, dtype=int) if labeled else None,
-        noise_sigma=sigma.pop() if sigma else None,
+        omega=table["omega"],
+        k=table["k"],
+        ell=table["ell"] if "ell" in names else None,
+        noise_sigma=float(sigma[0]) if len(sigma) else None,
     )
 
 
@@ -130,5 +146,4 @@ def write_weyl_csv(path: str | Path, rows) -> None:
 
 def write_mode_csv(path: str | Path, z, phi, mu_dphi) -> None:
     """Columns ``z, phi, mu_dphi`` on the given depth grid."""
-    rows = [(_fmt(zz), _fmt(p), _fmt(s)) for zz, p, s in zip(z, phi, mu_dphi)]
-    _write_rows(path, ("z", "phi", "mu_dphi"), rows)
+    _write_columns(path, ("z", "phi", "mu_dphi"), (z, phi, mu_dphi), "%.17g")

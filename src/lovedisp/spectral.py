@@ -123,12 +123,6 @@ def accumulation_statistic(
 # level detection from traced branches
 
 
-def _counts_at_node(slownesses_desc: np.ndarray, level: float) -> int:
-    """Number of branch slownesses >= level (slownesses sorted descending)."""
-    asc = slownesses_desc[::-1]
-    return len(asc) - int(np.searchsorted(asc, level, side="left"))
-
-
 def detect_levels(
     branchset: BranchSet,
     min_cluster: int = 3,
@@ -151,29 +145,21 @@ def detect_levels(
     InsufficientData
         If fewer than 10 branches exist at the largest traced frequency.
     """
-    top = len(branchset.omega_grid) - 1
-    y_top = branchset.slownesses_at(top)
+    y_top = branchset.slownesses_at(-1)
     if len(y_top) < 10:
         raise InsufficientData(
             f"only {len(y_top)} branches at the top frequency; need >= 10"
         )
-    w_top = float(branchset.omega_grid[top])
 
     gaps = -np.diff(y_top)  # descending input -> positive gaps
     thr = gap_factor * float(np.median(gaps))
-    dense = gaps < thr
-    levels: list[float] = []
-    i = 0
-    while i < len(dense):
-        if dense[i]:
-            j = i
-            while j < len(dense) and dense[j]:
-                j += 1
-            if j - i >= min_cluster:
-                levels.append(_refine_level(y_top[i : j + 1]))
-            i = j
-        else:
-            i += 1
+    # a run of dense gaps i..j-1 spans the slownesses i..j
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], gaps < thr, [0]])))
+    levels = [
+        _refine_level(y_top[i : j + 1])
+        for i, j in zip(edges[::2], edges[1::2])
+        if j - i >= min_cluster
+    ]
     if not levels:
         return []
     levels.sort(reverse=True)
@@ -224,24 +210,18 @@ def _level_weights(
     top = len(grid) - 1
     lo_idx = int(np.searchsorted(grid, grid[top] / 10.0))
     idxs = np.unique(np.linspace(lo_idx, top, fit_nodes).astype(int))
+    ys = branchset.y[idxs]
+    keep = ~np.isnan(ys).all(axis=1)
+    ys, w = ys[keep], grid[idxs[keep], None]
     lv = np.asarray(levels)
 
-    rows = []
-    rhs = []
-    for i in idxs:
-        ys = branchset.slownesses_at(i)
-        if len(ys) == 0:
-            continue
-        w = float(grid[i])
-        floor = float(ys.min()) * (1.0 - 1e-12)
-        for level in levels:
-            shifted = max(level - 1.0 / w, floor)
-            d_obs = _counts_at_node(ys, shifted) - _counts_at_node(ys, level)
-            nu_hi = np.sqrt(np.maximum(lv * lv - shifted * shifted, 0.0))
-            nu_lo = np.sqrt(np.maximum(lv * lv - level * level, 0.0))
-            rows.append(w / np.pi * (nu_hi - nu_lo))
-            rhs.append(float(d_obs))
-    a = np.asarray(rows)
-    b = np.asarray(rhs)
-    thickness, _ = nnls(a, b)
+    # one equation per (node, level); the last axis runs over ranks or unknowns
+    floor = np.nanmin(ys, axis=1)[:, None] * (1.0 - 1e-12)
+    shifted = np.maximum(lv - 1.0 / w, floor)[..., None]
+    level = lv[:, None]
+    d_obs = np.sum(ys[:, None] >= shifted, axis=2) - np.sum(ys[:, None] >= level, axis=2)
+    nu_hi = np.sqrt(np.maximum(lv * lv - shifted * shifted, 0.0))
+    nu_lo = np.sqrt(np.maximum(lv * lv - level * level, 0.0))
+    a = (w[..., None] / np.pi * (nu_hi - nu_lo)).reshape(-1, len(lv))
+    thickness, _ = nnls(a, d_obs.ravel().astype(float))
     return thickness * np.sqrt(lv)  # T_j / sqrt(c_j) with c_j = 1/level

@@ -6,7 +6,8 @@ from lovedisp import (
     BadBracket,
     Medium,
     cutoff_frequencies,
-    refine_root,
+    dispersion_value,
+    mode_count,
     roots_at_omega,
     trace_branches,
 )
@@ -52,18 +53,6 @@ def test_roots_stay_inside_margins(medium_a):
     assert np.all(roots <= hi * (1 - branch_mod._Y_MARGIN))
 
 
-def test_refine_root_against_scan(medium_a):
-    roots = roots_at_omega(medium_a, 100.0)
-    y = roots[1]
-    refined = refine_root(medium_a, 100.0, (y * (1 - 1e-4), y * (1 + 1e-4)))
-    assert refined == pytest.approx(y, rel=1e-10)
-
-
-def test_refine_root_rejects_equal_signs(medium_a):
-    with pytest.raises(BadBracket):
-        refine_root(medium_a, 100.0, (4e-4, 4.05e-4))
-
-
 def _add_phantom_count_step(monkeypatch):
     real = branch_mod._sturm_count
     def phantom(medium, omega, y):
@@ -86,16 +75,19 @@ def test_phantom_count_step_raises_in_trace(medium_a, monkeypatch):
         trace_branches(medium_a, np.arange(5.0, 400.01, 5.0))
 
 
-def test_refine_root_across_interior_kink(medium_b):
-    # bracket straddling 1/c_2 where the dispersion function has a kink
-    inv2 = float(medium_b.slowness[1])
-    roots = roots_at_omega(medium_b, 300.0)
+def test_root_near_interior_kink(medium_b):
+    # the root nearest 1/c_2, where the dispersion function has a kink, is
+    # the only root of a bracket straddling the kink, and F changes sign there
+    omega, inv2 = 300.0, float(medium_b.slowness[1])
+    roots = roots_at_omega(medium_b, omega)
     near = roots[np.argmin(np.abs(roots - inv2))]
     width = 4 * abs(near - inv2) + 1e-8
     lo, hi = near - width, near + width
     assert lo < inv2 < hi  # genuinely straddles the kink
-    refined = refine_root(medium_b, 300.0, (lo, hi))
-    assert refined == pytest.approx(near, rel=1e-9)
+    assert np.sum((roots > lo) & (roots < hi)) == 1
+    assert mode_count(medium_b, omega, lo) - mode_count(medium_b, omega, hi) == 1
+    signs = [dispersion_value(medium_b, omega, near * (1 + d)).sign for d in (-1e-10, 1e-10)]
+    assert signs[0] == -signs[1] != 0
 
 
 def test_cutoffs_match_closed_form(medium_a):

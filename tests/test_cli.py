@@ -161,6 +161,22 @@ def test_dataset_noise_sigma_must_be_constant(tmp_path):
         lio.read_dataset_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1.0,0.5,1\n2.0\n", "column"),  # a row with too few columns
+        ("1.0,0.5,1.5\n", "1.5"),  # a label that is not an integer
+        ("100,0.095,0\n100,0.09,1\n", ">= 1"),  # a label below 1
+    ],
+)
+def test_malformed_dataset_is_data_error(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("omega,k,ell\n" + body)
+    assert run(["invert", "--data", str(path), "--mode", "n1", "--rho1", "1.0",
+                "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_synth_deterministic(tmp_path, medium_a_config):
     blobs = []
     for name in ("d1", "d2"):

@@ -18,7 +18,7 @@ from lovedisp import (
     synthesize_observations,
     trace_branches,
 )
-from lovedisp.branch import Branch, BranchSet
+from lovedisp.branch import BranchSet
 
 
 def test_dataset_validation():
@@ -34,6 +34,48 @@ def test_dataset_validation():
         omega=np.array([1.0, 1.0]), k=np.array([2.0, 1.0]), ell=np.array([1, 2])
     )
     assert len(ds) == 2
+
+
+def test_dataset_rejects_labels_below_one():
+    # rank 0 would be read as rank -1, the last root, by the refine
+    for sigma in (None, 1e-3):
+        with pytest.raises(ValueError, match=">= 1"):
+            DispersionDataset(omega=np.array([1.0, 1.0]), k=np.array([2.0, 1.0]),
+                              ell=np.array([0, 1]), noise_sigma=sigma)
+
+
+def test_noisy_dataset_rejects_duplicate_labels():
+    # noise exempts the descending-k order, not the one sample per label
+    omega, k = np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    swapped = DispersionDataset(omega=omega, k=k, ell=np.array([1, 2, 1]),
+                                noise_sigma=1e-3)
+    assert len(swapped) == 3
+    with pytest.raises(ValueError, match="duplicate branch labels at omega=1"):
+        DispersionDataset(omega=omega, k=k, ell=np.array([1, 1, 1]), noise_sigma=1e-3)
+
+
+def test_branchset_from_dataset_with_gap(medium_a):
+    # a branch with a missing sample keeps every other sample in its cell
+    grid = np.arange(10.0, 300.01, 10.0)
+    bs = trace_branches(medium_a, grid)
+    ds = synthesize_observations(medium_a, grid, branchset=bs)
+    keep = ~((ds.omega == 150.0) & (ds.ell == 1))
+    gapped = branchset_from_dataset(
+        DispersionDataset(omega=ds.omega[keep], k=ds.k[keep], ell=ds.ell[keep])
+    )
+    assert gapped.n_branches == bs.n_branches
+    for node, w in enumerate(grid):
+        expected = bs.slownesses_at(node)[1:] if w == 150.0 else bs.slownesses_at(node)
+        got = gapped.slownesses_at(node)
+        assert len(got) == len(expected)
+        assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
+
+
+def test_branchset_from_dataset_rejects_unobserved_rank():
+    ds = DispersionDataset(omega=np.array([1.0, 1.0]), k=np.array([2.0, 1.0]),
+                           ell=np.array([1, 3]))
+    with pytest.raises(ValueError, match="branch 2 has no samples"):
+        branchset_from_dataset(ds)
 
 
 def test_synthesize_deterministic_and_exact(medium_a):
@@ -137,10 +179,7 @@ def test_alt_thickness(trace_a_coarse):
 def test_alt_thickness_degenerate():
     bs = BranchSet(
         omega_grid=np.array([10.0]),
-        branches=(
-            Branch(ell=1, omega=np.array([10.0]), y=np.array([5e-4])),
-            Branch(ell=2, omega=np.array([10.0]), y=np.array([5e-4])),
-        ),
+        y=np.array([[5e-4, 5e-4]]),
         cutoffs=np.array([0.0, 5.0]),
     )
     with pytest.raises(InsufficientData):

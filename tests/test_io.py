@@ -1,0 +1,62 @@
+import numpy as np
+import pytest
+
+import lovedisp.io as lio
+from lovedisp import (
+    DispersionDataset,
+    branchset_from_dataset,
+    synthesize_observations,
+    trace_branches,
+)
+
+
+def _columns(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+
+@pytest.mark.parametrize("name", ["medium_a", "medium_b"])
+def test_branches_csv_survives_dataset_roundtrip(tmp_path, request, name):
+    # trace -> samples -> rank table gives the same file: ranks and
+    # frequencies byte for byte, slownesses and wavenumbers to the ulps of
+    # k = omega y and y = k / omega
+    medium = request.getfixturevalue(name)
+    grid = np.arange(2.0, 300.01, 2.0)
+    bs = trace_branches(medium, grid)
+    rebuilt = branchset_from_dataset(synthesize_observations(medium, grid, branchset=bs))
+    lio.write_branches_csv(tmp_path / "traced.csv", bs)
+    lio.write_branches_csv(tmp_path / "rebuilt.csv", rebuilt)
+    traced = (tmp_path / "traced.csv").read_text().splitlines()
+    again = (tmp_path / "rebuilt.csv").read_text().splitlines()
+    assert len(again) == len(traced) > 1
+    assert [r.split(",")[:2] for r in again] == [r.split(",")[:2] for r in traced]
+    a, b = _columns(tmp_path / "traced.csv"), _columns(tmp_path / "rebuilt.csv")
+    np.testing.assert_array_max_ulp(a[2:], b[2:], maxulp=2)
+
+
+@pytest.mark.parametrize("labels, sigma", [(False, 0.0), (True, 0.0), (True, 1e-3)])
+def test_dataset_csv_roundtrip_is_byte_exact(tmp_path, medium_a, labels, sigma):
+    grid = np.arange(5.0, 400.01, 5.0)
+    ds = synthesize_observations(medium_a, grid, noise_sigma=sigma, seed=4)
+    if not labels:
+        ds = DispersionDataset(omega=ds.omega, k=ds.k)
+    lio.write_dataset_csv(tmp_path / "first.csv", ds)
+    back = lio.read_dataset_csv(tmp_path / "first.csv")
+    lio.write_dataset_csv(tmp_path / "second.csv", back)
+    first = (tmp_path / "first.csv").read_bytes()
+    assert (tmp_path / "second.csv").read_bytes() == first
+    assert np.array_equal(back.k, ds.k)
+    assert (back.ell is None) == (not labels)
+    assert (back.noise_sigma or 0.0) == sigma
+    assert first.count(b"\n") == len(ds) + 1
+
+
+def test_write_refuses_non_finite(tmp_path):
+    with pytest.raises(ValueError, match="non-finite"):
+        lio.write_mode_csv(tmp_path / "m.csv", [0.0, 1.0], [1.0, np.inf], [0.0, 0.0])
+
+
+def test_header_only_dataset_is_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("omega,k,ell\n")
+    data = lio.read_dataset_csv(path)
+    assert len(data) == 0 and data.ell is not None
