@@ -40,9 +40,10 @@ class DispersionValue:
     sign: int
 
 
-def _layer(medium: Medium, j: int, omega, y, depth, p, q):
+def _layer(medium: Medium, j, omega, y, depth, p, q):
     """Carry the state ``(p, q)`` from the top of finite layer ``j`` (0-based)
-    down ``depth``, broadcast over ``omega``, ``y``, ``depth`` and the state.
+    down ``depth``, broadcast over ``j``, ``omega``, ``y``, ``depth`` and the
+    state.
 
     The map is ``[[C, S/a], [sigma a S, C]]`` with ``a = mu_j |nu_j|``,
     ``x = omega |nu_j| depth`` and ``sigma = sign(y^2 - 1/c_j^2)``:
@@ -59,8 +60,8 @@ def _layer(medium: Medium, j: int, omega, y, depth, p, q):
     ``exp(lf) * (p2, q2)``, and ``mono`` marks the evanescent and
     degenerate points, where the displacement changes sign at most once.
     """
-    mu = float(medium.mu[j])
-    d = y * y - float(medium.slowness_sq[j])
+    mu = medium.mu[j]
+    d = y * y - medium.slowness_sq[j]
     mag = np.sqrt(np.abs(d))
     x = omega * mag * depth
     a = mu * mag

@@ -72,11 +72,14 @@ class DispersionDataset:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
         if self.ell is not None:
-            ell = np.asarray(self.ell, dtype=int)
-            if ell.shape != omega.shape:
+            raw = np.asarray(self.ell, dtype=float)
+            if raw.shape != omega.shape:
                 raise ValueError("ell must match omega in shape")
-            if np.any(ell < 1):
+            if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+                raise ValueError("branch labels must be integers")
+            if np.any(raw < 1):
                 raise ValueError("branch labels must be >= 1")
+            ell = raw.astype(int)
             # noise can legitimately swap the order of near-degenerate
             # wavenumbers, so the rank consistency check only applies to
             # noiseless data; noisy labels carry true branch identity

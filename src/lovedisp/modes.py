@@ -1,20 +1,20 @@
 """Construction and verification of guided-wave eigenfunctions.
 
 A mode at a dispersion root ``(omega, k)`` is normalized to ``phi(0) = 1``
-and ``phi'(0) = 0`` and built on the scaled propagation of
-:mod:`lovedisp.dispersion`: the true displacement and scaled stress
-``(phi, mu phi'/omega)`` are recorded at every interface, and inside a
-layer the shape is the same layer kernel applied to the state at the layer
-top.  Below the last interface it decays exponentially.  Norm integrals
-are evaluated in closed form per layer, which keeps the quotient
-identities accurate to rounding.  The same integrals, on states shot from
-both ends of the stack, give the Rayleigh-principle sensitivities of the
+and ``phi'(0) = 0``.  Its displacement and scaled stress
+``(phi, mu phi'/omega)`` at every interface are shot from both ends of the
+stack (:func:`_interface_states`), and each finite layer is evaluated,
+integrated and checked from the end its shot is accurate at, with the
+same layer kernel as :mod:`lovedisp.dispersion`.  Below the last interface
+the shape decays exponentially.  Norm integrals are closed-form per layer
+(:func:`_norm_terms`), which keeps the quotient identities accurate to
+rounding; the same terms give the Rayleigh-principle sensitivities of the
 root wavenumbers to every modulus, density and thickness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .errors import NotOnBranch, ResultOutOfRange
 from .medium import Medium
 
 __all__ = ["ModeShape", "ModeDiagnostics", "mode_shape", "mode_residuals", "mode_norms"]
+
+_RESIDUAL_FLOOR = 1e-8  # normalized dispersion residual accepted as on-branch
+_N_DEPTHS = 100  # sample depths per layer of the pointwise ODE check
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,9 @@ class ModeShape:
     i.e. the top of finite layer j+1.  Below the last interface the shape
     is ``a_inf * exp(-decay_rate * (z - H_last))``; a zero decay rate means
     the point sits on the half-space slowness and the shape is not square
-    integrable (no guided mode there).
+    integrable (no guided mode there).  ``match`` is the interface where
+    the downward and upward shots meet: a finite layer above it is carried
+    down from its top state, a layer below it up from its bottom state.
     """
 
     medium: Medium
@@ -57,6 +62,7 @@ class ModeShape:
     tops: tuple[LayerCoefficients, ...]
     a_inf: float
     decay_rate: float
+    match: int
 
     @property
     def y(self) -> float:
@@ -70,29 +76,32 @@ class ModeShape:
         """Displacement and stress ``mu phi'`` on depth array ``z``."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
         m = self.medium
-        phi = np.empty_like(z)
-        stress = np.empty_like(z)
         h_last = float(m.depths[-1])
         layer = np.searchsorted(m.depths[1:], z, side="right")
-        for j in range(m.n):
-            sel = layer == j
-            if not np.any(sel):
-                continue
-            phi[sel], stress[sel] = self._eval_layer(j, z[sel])
         deep = layer == m.n
-        if np.any(deep):
-            tail = self.a_inf * np.exp(-self.decay_rate * (z[deep] - h_last))
-            phi[deep] = tail
-            stress[deep] = -float(m.mu[-1]) * self.decay_rate * tail
-        return phi, stress
+        phi, q = self._in_layers(np.minimum(layer, m.n - 1), np.minimum(z, h_last))
+        tail = self.a_inf * np.exp(-self.decay_rate * np.maximum(z - h_last, 0.0))
+        tail_stress = -float(m.mu[-1]) * self.decay_rate * tail
+        return np.where(deep, tail, phi), np.where(deep, tail_stress, self.omega * q)
 
-    def _eval_layer(self, j: int, z: np.ndarray):
-        """Displacement and stress in finite layer ``j`` at depths ``z``."""
-        top = self.tops[j]
-        dz = z - float(self.medium.depths[j])
-        p, q, lf = _layer(self.medium, j, self.omega, self.y, dz, top.phi, top.q)[:3]
+    def _states(self) -> np.ndarray:
+        """Rows ``(phi, mu phi'/omega)`` at every interface, the last included."""
+        q_inf = -float(self.medium.mu[-1]) * self.decay_rate / self.omega * self.a_inf
+        return np.array([[t.phi, t.q] for t in self.tops] + [[self.a_inf, q_inf]]).T
+
+    def _in_layers(self, j, z):
+        """Displacement and scaled stress in finite layers ``j`` at depths ``z``
+        (broadcast), each carried from the end its shot is accurate at."""
+        phi, q = self._states()
+        up = j >= self.match
+        start = j + up
+        sign = np.where(up, -1.0, 1.0)
+        dz = sign * (z - self.medium.depths[start])
+        p2, q2, lf = _layer(
+            self.medium, j, self.omega, self.y, dz, phi[start], sign * q[start]
+        )[:3]
         scale = np.exp(lf)
-        return p * scale, self.omega * q * scale
+        return p2 * scale, sign * q2 * scale
 
 
 @dataclass(frozen=True)
@@ -107,18 +116,17 @@ class ModeDiagnostics:
     rayleigh_quotient: float
 
 
-def mode_shape(
-    medium: Medium, omega: float, k: float, residual_floor: float = 1e-8
-) -> ModeShape:
+def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
     """Build the eigenfunction at a dispersion root ``(omega, k)``.
 
     Raises
     ------
     NotOnBranch
         If the normalized dispersion residual at ``(omega, k/omega)``
-        exceeds ``residual_floor``.
+        exceeds ``1e-8``.
     ResultOutOfRange
-        If the displacement or stress at an interface leaves double range.
+        If the displacement and stress at an interface leave the normal
+        double range, above or below.
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
@@ -135,99 +143,77 @@ def mode_shape(
     vals, logs = _dispersion_scaled(medium, omega, probe)
     res = abs(float(vals[1])) / _dispersion_scale_floor(medium)
     brackets = vals[0] == 0.0 or vals[2] == 0.0 or np.sign(vals[0]) != np.sign(vals[2])
-    if not brackets and res > residual_floor:
+    if not brackets and res > _RESIDUAL_FLOOR:
         raise NotOnBranch(
             f"no dispersion zero within {delta:.2e} of y={y!r} and normalized "
-            f"residual {res:.3e} exceeds floor {residual_floor:.1e} "
+            f"residual {res:.3e} exceeds floor {_RESIDUAL_FLOOR:.1e} "
             f"at (omega={omega:g}, k={k:g})"
         )
-    tops = [LayerCoefficients(phi=1.0, q=0.0)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, q, ls in _propagate(medium, omega, y):
-            scale = np.exp(ls)
-            tops.append(LayerCoefficients(phi=float(p * scale), q=float(q * scale)))
-    if not all(np.isfinite(t.phi) and np.isfinite(t.q) for t in tops):
+    p, q, ls, match = (a[..., 0] for a in _interface_states(medium, omega, np.array([y])))
+    # every state has max(|p|, |q|) == 1: its size exp(ls) must be a normal double
+    if np.max(np.abs(ls)) >= -np.log(np.finfo(float).tiny):
         raise ResultOutOfRange(
             f"mode amplitude leaves double range at (omega={omega:g}, k={k:g})"
         )
+    phi, q = p * np.exp(ls), q * np.exp(ls)
     return ModeShape(
         medium=medium,
         omega=float(omega),
         k=float(k),
-        tops=tuple(tops[:-1]),
-        a_inf=tops[-1].phi,
+        tops=tuple(LayerCoefficients(float(a), float(b)) for a, b in zip(phi[:-1], q[:-1])),
+        a_inf=float(phi[-1]),
         decay_rate=omega * float(_halfspace_decay(medium, y)),
+        match=int(match),
     )
 
 
-def mode_residuals(
-    shape: ModeShape, n_depths: int = 100, decay_span: float = 1.0
-) -> ModeDiagnostics:
+def mode_residuals(shape: ModeShape) -> ModeDiagnostics:
     """Verify a constructed mode against the equations that define it.
 
-    Checks continuity of displacement and stress at every interface, the
-    pointwise layer ODE at ``n_depths`` sample depths per layer, the
-    exponential decay rate below the last interface, and the quotient
+    Each finite layer is carried to the end it is not built from, where it
+    must match the stored state; the layer ODE is checked at 100 depths per
+    layer, the decay rate below the last interface, and the quotient
     identity tying the three closed-form norms together.
     """
     m = shape.medium
     omega, k, y = shape.omega, shape.k, shape.y
+    layers = np.arange(m.n)
+    # the interface each layer is checked at: the end it is not carried from
+    far = layers + (layers < shape.match)
+    frac = np.linspace(0.0, 1.0, _N_DEPTHS + 2)[1:-1]
+    z = np.column_stack([m.depths[far], m.depths[:-1, None] + np.outer(m.thickness, frac)])
+    phi, q = shape._in_layers(layers[:, None], z)
 
-    # interface jumps: evaluate the layer form at its bottom vs the stored top
-    phi_jump = 0.0
-    stress_jump = 0.0
-    stress_scale = _dispersion_scale_floor(m) * omega
-    for j in range(m.n):
-        bottom = float(m.depths[j + 1])
-        phi_b, stress_b = shape._eval_layer(j, np.array([bottom]))
-        if j + 1 < m.n:
-            phi_t = shape.tops[j + 1].phi
-            stress_t = omega * shape.tops[j + 1].q
-        else:
-            phi_t = shape.a_inf
-            stress_t = -float(m.mu[-1]) * shape.decay_rate * shape.a_inf
-        phi_scale = max(abs(phi_b[0]), abs(phi_t), 1e-300)
-        phi_jump = max(phi_jump, abs(phi_b[0] - phi_t) / phi_scale)
-        s_scale = max(abs(stress_b[0]), abs(stress_t), stress_scale)
-        stress_jump = max(stress_jump, abs(stress_b[0] - stress_t) / s_scale)
+    # displacement and stress jumps, each relative to its size or a floor
+    ends = np.array([phi[:, 0], q[:, 0]])
+    stored = shape._states()[:, far]
+    floor = np.array([[1e-300], [_dispersion_scale_floor(m)]])
+    size = np.maximum(np.maximum(np.abs(ends), np.abs(stored)), floor)
+    phi_jump, stress_jump = np.max(np.abs(ends - stored) / size, axis=1)
 
     # pointwise ODE residual: every layer form has phi'' = omega^2 (y^2 -
     # 1/c_j^2) phi, checked against the coefficient built from mu and rho
-    ode_residual = 0.0
-    for j in range(m.n):
-        zs = np.linspace(float(m.depths[j]), float(m.depths[j + 1]), n_depths + 2)[1:-1]
-        phi, _ = shape._eval_layer(j, zs)
-        mu_j, rho_j = float(m.mu[j]), float(m.rho[j])
-        coef = (mu_j * k * k - rho_j * omega * omega) / mu_j
-        d2 = omega * omega * (y * y - float(m.slowness_sq[j])) * phi
-        scale = np.max(np.abs(coef * phi)) + np.max(np.abs(d2)) + 1e-300
-        ode_residual = max(ode_residual, float(np.max(np.abs(d2 - coef * phi)) / scale))
+    phi = phi[:, 1:]
+    mu, rho = m.mu[:-1, None], m.rho[:-1, None]
+    coef = (mu * k * k - rho * omega * omega) / mu
+    d2 = omega * omega * (y * y - m.slowness_sq[:-1, None]) * phi
+    scale = np.max(np.abs(coef * phi), axis=1) + np.max(np.abs(d2), axis=1) + 1e-300
+    ode_residual = np.max(np.max(np.abs(d2 - coef * phi), axis=1) / scale)
 
     # exponential decay below the last interface
     h_last = float(m.depths[-1])
-    if shape.decay_rate > 0.0:
-        dz = min(1.0 / shape.decay_rate, h_last if h_last > 0 else 1.0) * decay_span
+    if shape.is_l2:
+        dz = min(1.0 / shape.decay_rate, h_last)
         ratio = shape.evaluate(np.array([h_last + dz]))[0][0] / shape.a_inf
         decay_error = abs(ratio - np.exp(-shape.decay_rate * dz)) / abs(ratio)
-    else:
-        decay_error = np.inf  # constant tail: not square integrable
-
-    if shape.is_l2:
-        # both figures are ratios of norms, which scale with the square of
-        # the amplitudes: take the norms of the shape over its largest
-        # displacement, so that a huge tail cannot overflow them
-        amp = max(abs(shape.a_inf), *(abs(t.phi) for t in shape.tops))
-        unit = replace(
-            shape,
-            tops=tuple(LayerCoefficients(t.phi / amp, t.q / amp) for t in shape.tops),
-            a_inf=shape.a_inf / amp,
-        )
-        mu_dphi_sq, rho_phi_sq, mu_phi_sq = mode_norms(unit)
+        # both figures are ratios of norms: take them from the scaled sums
+        mu_dphi_sq, rho_phi_sq, mu_phi_sq = _scaled_norms(shape)[0]
         lhs = mu_dphi_sq - omega * omega * rho_phi_sq
         rhs = -k * k * mu_phi_sq
         rayleigh_residual = abs(lhs - rhs) / abs(rhs)
         rayleigh_quotient = omega * omega * rho_phi_sq / (k * k * mu_phi_sq)
     else:
+        decay_error = np.inf  # constant tail: not square integrable
         rayleigh_residual = np.inf
         rayleigh_quotient = np.nan
 
@@ -245,10 +231,8 @@ def mode_norms(shape: ModeShape) -> tuple[float, float, float]:
     """Closed-form norms ``(||sqrt(mu) phi'||^2, ||sqrt(rho) phi||^2, ||sqrt(mu) phi||^2)``.
 
     Each finite layer contributes the analytic integrals of its form from
-    :func:`~lovedisp.dispersion._layer_integrals`, taken on the layer-top
-    state divided by its largest entry, with that factor and the kernel's
-    ``exp(2x)`` carried as a log-scale; the half-space contributes the
-    exponential tail.  Requires a decaying (square-integrable) mode.
+    :func:`_norm_terms`; the half-space contributes the exponential tail.
+    Requires a decaying (square-integrable) mode.
 
     Raises
     ------
@@ -257,24 +241,9 @@ def mode_norms(shape: ModeShape) -> tuple[float, float, float]:
     """
     if not shape.is_l2:
         raise ValueError("mode is not square integrable (zero decay rate)")
-    m = shape.medium
-    phi = np.array([t.phi for t in shape.tops])
-    q = np.array([t.q for t in shape.tops])
-    s = np.maximum(np.abs(phi), np.abs(q))
-    i_phi, i_dphi, lg = _layer_integrals(
-        m, np.arange(m.n), shape.omega, shape.y, phi / s, q / s
-    )
-    nu_inf = shape.decay_rate
-    tail = 0.5 * shape.a_inf * shape.a_inf
+    sums, ref = _scaled_norms(shape)
     with np.errstate(over="ignore"):
-        weight = np.exp(lg + 2.0 * np.log(s))
-        phi_sq, dphi_sq = i_phi * weight, i_dphi * weight
-    mu_inf, rho_inf = float(m.mu[-1]), float(m.rho[-1])
-    norms = (
-        float(m.mu[:-1] @ dphi_sq) + mu_inf * tail * nu_inf,
-        float(m.rho[:-1] @ phi_sq) + rho_inf * tail / nu_inf,
-        float(m.mu[:-1] @ phi_sq) + mu_inf * tail / nu_inf,
-    )
+        norms = tuple(float(v) for v in np.array(sums) * np.exp(ref))
     if not np.all(np.isfinite(norms)):
         raise ResultOutOfRange(
             f"mode norms leave double range at (omega={shape.omega:g}, k={shape.k:g})"
@@ -282,25 +251,34 @@ def mode_norms(shape: ModeShape) -> tuple[float, float, float]:
     return norms
 
 
+def _scaled_norms(shape: ModeShape):
+    """The three norms of :func:`mode_norms` over ``exp(ref)``, and ``ref``."""
+    m = shape.medium
+    phi_sq, dphi_sq, ref = _norm_terms(
+        m, shape.omega, shape.y, *shape._states(), np.zeros(m.n + 1), shape.match
+    )
+    return (m.mu @ dphi_sq, m.rho @ phi_sq, m.mu @ phi_sq), ref
+
+
 def _interface_states(medium: Medium, omega, y):
     """The eigenfunction at every interface, shot from both ends.
 
     Shooting down from the surface loses a mode's decaying part below its
     trapping layers: rounding excites the growing solution, which can
-    swamp the true state (the surface-shooting limit of
-    :func:`mode_shape`).  Shooting up from the half-space's decaying
+    swamp the true state.  Shooting up from the half-space's decaying
     solution has the same flaw in the opposite direction.  Each side's
     state is trusted by the log of its size over the largest growth an
     error could have had on the way (the evanescent phases ``x`` crossed);
-    the two are matched at the interface that maximizes the smaller of
-    the two margins, and the upper side is taken from the downward shot,
-    the lower side from the upward one.  Going up, a layer is the
-    downward map applied to ``(p, -q)``: the reflection ``z -> -z``.
+    the two are matched in size and sign at the interface that maximizes
+    the smaller of the two margins, and the upper side is taken from the
+    downward shot, the lower side from the upward one.  Going up, a layer
+    is the downward map applied to ``(p, -q)``: the reflection ``z -> -z``.
 
-    Vectorized over roots; returns ``(p, q, ls, up)``, each of shape
-    ``(n + 1, len(y))`` and indexed by interface from the surface: the state
-    is ``exp(ls) * (p, q)`` up to one factor per root, and ``up`` marks the
-    states taken from the upward shot.
+    Vectorized over roots; returns ``(p, q, ls, match)``.  The first three
+    have shape ``(n + 1, len(y))`` and are indexed by interface from the
+    surface: the state is ``exp(ls) * (p, q)``, with ``max(|p|, |q|) == 1``
+    and ``(1, 0)`` at the surface.  ``match`` is the matching interface per
+    root; the states below it come from the upward shot.
     """
     n = medium.n
     ones, zeros = np.ones_like(y), np.zeros_like(y)
@@ -319,18 +297,43 @@ def _interface_states(medium: Medium, omega, y):
     above = np.vstack([zeros, np.cumsum(growth, axis=0)])
     margin = np.minimum(ld - above, lu - (above[-1] - above))
     match = np.argmax(margin, axis=0)
-    cols = np.arange(len(y))
-    shift = ld[match, cols] - lu[match, cols] + 0.5 * np.log(
-        (pd[match, cols] ** 2 + qd[match, cols] ** 2)
-        / (pu[match, cols] ** 2 + qu[match, cols] ** 2)
+    at = match, np.arange(len(y))
+    shift = ld[at] - lu[at] + 0.5 * np.log(
+        (pd[at] ** 2 + qd[at] ** 2) / (pu[at] ** 2 + qu[at] ** 2)
     )
+    sign = np.where(pd[at] * pu[at] + qd[at] * qu[at] < 0.0, -1.0, 1.0)
     use_up = np.arange(n + 1)[:, None] > match
-    return (
-        np.where(use_up, pu, pd),
-        np.where(use_up, qu, qd),
-        np.where(use_up, lu + shift, ld),
-        use_up,
-    )
+    return (*np.where(use_up, [sign * pu, sign * qu, lu + shift], [pd, qd, ld]), match)
+
+
+def _norm_terms(medium: Medium, omega, y, p, q, ls, match):
+    """Integrals of ``phi^2`` and ``phi'^2`` per finite layer, then the tail.
+
+    Takes interface states ``exp(ls) * (p, q)`` and the matching interface
+    as :func:`_interface_states` returns them, for one root (a scalar
+    ``match``) or many.  Each state is first divided by its largest entry,
+    so that no amplitude is squared in doubles.  A layer above the matching
+    interface is integrated down from its top state, a layer below it up
+    from its bottom state (the reflected shape has the same integrals), so
+    each runs in the direction its shot is accurate.  Returns ``(phi_sq,
+    dphi_sq, ref)``: rows ``0..n-1`` hold the layers, row ``n`` the
+    half-space, all over ``exp(ref)``; ``ref`` is at least ``2 max(ls)``.
+    """
+    s = np.maximum(np.abs(p), np.abs(q))
+    p, q, ls = p / s, q / s, ls + np.log(s)
+    n = medium.n
+    layers = np.arange(n).reshape((n,) + (1,) * np.ndim(match))
+    up = layers >= match
+    p0, q0, l0 = np.where(up, [p[1:], -q[1:], ls[1:]], [p[:-1], q[:-1], ls[:-1]])
+    i_phi, i_dphi, lg = _layer_integrals(medium, layers, omega, y, p0, q0)
+    logs = np.concatenate([lg + 2.0 * l0, [2.0 * ls[-1]]])
+    ref = np.maximum(logs.max(axis=0), 2.0 * ls.max(axis=0))
+    weight = np.exp(logs - ref)
+    nu_inf = omega * _halfspace_decay(medium, y)
+    tail = 0.5 * p[-1] ** 2
+    phi_sq = np.concatenate([i_phi, [tail / nu_inf]]) * weight
+    dphi_sq = np.concatenate([i_dphi, [tail * nu_inf]]) * weight
+    return phi_sq, dphi_sq, ref
 
 
 def _wavenumber_sensitivities(medium: Medium, omega, y) -> np.ndarray:
@@ -347,29 +350,16 @@ def _wavenumber_sensitivities(medium: Medium, omega, y) -> np.ndarray:
       ``L_m = (rho_m omega^2 - mu_m k^2) phi^2 + tau^2 / mu_m`` is taken at
       interface ``i`` on the side of layer ``m`` and ``tau = mu phi'``.
 
-    The interface states come from :func:`_interface_states`.  A layer
-    above the matching interface is integrated down from its top state, a
-    layer below it up from its bottom state (the integrals of the
-    reflected shape are the same), so each runs in the direction its shot
-    is accurate.  Vectorized over roots ``(omega_i, y_i)``; every integral
-    and interface value is scaled by the same per-root factor, which
-    cancels.  Returns an array of shape ``(len(omega), 3n + 2)`` over
-    ``[mu, rho, thickness]``.
+    The interface states come from :func:`_interface_states` and the
+    integrals from :func:`_norm_terms`.  Vectorized over roots
+    ``(omega_i, y_i)``; every integral and interface value is scaled by the
+    same per-root factor, which cancels.  Returns an array of shape
+    ``(len(omega), 3n + 2)`` over ``[mu, rho, thickness]``.
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
-    p, q, ls, up = _interface_states(medium, omega, y)
-    layers = np.arange(medium.n)[:, None]
-    from_top = _layer_integrals(medium, layers, omega, y, p[:-1], q[:-1])
-    from_bottom = _layer_integrals(medium, layers, omega, y, p[1:], -q[1:])
-    i_phi, i_dphi, lg = (np.where(up[1:], b, t) for t, b in zip(from_top, from_bottom))
-    logs = np.vstack([lg + 2.0 * np.where(up[1:], ls[1:], ls[:-1]), 2.0 * ls[-1:]])
-    ref = np.maximum(logs.max(axis=0), 2.0 * ls.max(axis=0))
-    weight = np.exp(logs - ref)
-    nu_inf = omega * _halfspace_decay(medium, y)
-    tail = 0.5 * p[-1] ** 2
-    phi_sq = np.vstack([i_phi, tail / nu_inf]) * weight
-    dphi_sq = np.vstack([i_dphi, tail * nu_inf]) * weight
+    p, q, ls, match = _interface_states(medium, omega, y)
+    phi_sq, dphi_sq, ref = _norm_terms(medium, omega, y, p, q, ls, match)
     k = omega * y
     mu, rho = medium.mu[:, None], medium.rho[:, None]
     den = 2.0 * k * np.sum(mu * phi_sq, axis=0)

@@ -145,7 +145,8 @@ def detect_levels(
     InsufficientData
         If fewer than 10 branches exist at the largest traced frequency.
     """
-    y_top = branchset.slownesses_at(-1)
+    # noisy labelled data need not descend along the top row
+    y_top = np.sort(branchset.slownesses_at(-1))[::-1]
     if len(y_top) < 10:
         raise InsufficientData(
             f"only {len(y_top)} branches at the top frequency; need >= 10"

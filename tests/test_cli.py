@@ -27,15 +27,15 @@ def medium_a_config(tmp_path):
 
 
 @pytest.fixture()
-def medium_b_config(tmp_path):
-    path = tmp_path / "medium_b.json"
+def medium_b_swapped_config(tmp_path):
+    path = tmp_path / "medium_b_swapped.json"
     path.write_text(
         json.dumps(
             {
                 "n": 2,
                 "layers": [
-                    {"c": 1000.0, "rho": 1.0, "thickness": 100.0},
                     {"c": 1818.0, "rho": 1.0, "thickness": 100.0},
+                    {"c": 1000.0, "rho": 1.0, "thickness": 100.0},
                     {"c": 10000.0, "rho": 1.0},
                 ],
             }
@@ -236,11 +236,11 @@ def test_invert_missing_rho1_is_usage_error(tmp_path, medium_a_config):
 
 
 def test_mode_out_of_double_range_is_numerical_failure(
-    tmp_path, medium_b_config, capsys
+    tmp_path, medium_b_swapped_config, capsys
 ):
-    medium = load_medium(medium_b_config)
+    medium = load_medium(medium_b_swapped_config)
     k = 12000.0 * float(roots_at_omega(medium, 12000.0)[0])
-    code = run(["mode", "--medium", medium_b_config, "--omega", "12000",
+    code = run(["mode", "--medium", medium_b_swapped_config, "--omega", "12000",
                 "--k", repr(k), "--out", str(tmp_path / "m")])
     assert code == 3
     assert "leaves double range" in capsys.readouterr().err

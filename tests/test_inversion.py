@@ -44,6 +44,14 @@ def test_dataset_rejects_labels_below_one():
                               ell=np.array([0, 1]), noise_sigma=sigma)
 
 
+def test_dataset_rejects_non_integer_labels():
+    # an integer cast would read label 1.5 as branch 1
+    for sigma in (None, 1e-3):
+        with pytest.raises(ValueError, match="integers"):
+            DispersionDataset(omega=np.array([1.0, 1.0]), k=np.array([2.0, 1.0]),
+                              ell=np.array([1.5, 2.0]), noise_sigma=sigma)
+
+
 def test_noisy_dataset_rejects_duplicate_labels():
     # noise exempts the descending-k order, not the one sample per label
     omega, k = np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from lovedisp import (
     Medium,
     OutOfRange,
     accumulation_statistic,
+    branchset_from_dataset,
     detect_levels,
     mode_count,
     roots_at_omega,
+    synthesize_observations,
     trace_branches,
     weyl_prediction,
 )
@@ -121,6 +125,16 @@ def test_detect_levels_single_layer(medium_a):
     assert len(levels) == 1
     assert levels[0].slowness == pytest.approx(1e-3, rel=2e-3)
     assert levels[0].weight == pytest.approx(100.0 / np.sqrt(1000.0), rel=0.08)
+
+
+def test_detect_levels_ignores_label_order(medium_b):
+    # noise 1e-3 swaps close wavenumbers, so the labelled top row is not
+    # sorted; dropping the labels must not change the levels
+    grid = np.arange(1.0, 1000.01, 1.0)
+    data = synthesize_observations(medium_b, grid, noise_sigma=1e-3, seed=6)
+    labelled = detect_levels(branchset_from_dataset(data))
+    unlabelled = detect_levels(branchset_from_dataset(replace(data, ell=None)))
+    assert labelled == unlabelled
 
 
 def test_detect_levels_requires_branches(medium_a):
