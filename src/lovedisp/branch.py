@@ -37,23 +37,9 @@ __all__ = [
 
 _REFINE_TOL = 1e-12  # relative bracket width (in y) at which bisection stops
 _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
-_Y_MARGIN = 1e-9  # relative offset keeping roots away from 1/c_inf and 1/c0
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
 _MAX_HALVINGS = 100  # more halvings than double precision can resolve
 _TRACE_BLOCK = 64  # frequencies per root search in a trace: bounds its memory
-
-
-def _domain(medium: Medium) -> tuple[float, float]:
-    lo, hi = medium.slowness_domain
-    return lo * (1.0 + _Y_MARGIN), hi * (1.0 - _Y_MARGIN)
-
-
-def _count_above(medium: Medium, omega: float, levels) -> np.ndarray:
-    """Roots above each slowness level inside the trimmed domain, in one count."""
-    y_lo, y_hi = _domain(medium)
-    ys = np.clip(np.append(levels, y_hi), y_lo, y_hi)
-    counts = _sturm_count(medium, omega, ys)
-    return counts[:-1] - counts[-1]
 
 
 def _isolate(count, inside, outside, c_in, c_out, ranks, label):
@@ -145,7 +131,9 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
     grid, then isolation, bisection and the secant step each vectorized
     over every (frequency, rank) pair.
     """
-    nodes = np.linspace(*_domain(medium), _SEED_NODES)
+    nodes = np.linspace(*medium.slowness_domain, _SEED_NODES)
+    # at 1/c0 every layer is evanescent or degenerate, so the shot from (1, 0)
+    # never changes sign there: the last node counts exactly 0 roots
     counts = _sturm_count(medium, omegas[:, None], nodes)
     # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j];
     # listing them cell by cell orders each frequency's ranks descending
@@ -170,16 +158,19 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
     )
     roots = _secant_polish(medium, omega, lo, hi)
     # ranks run descending per frequency; reverse to descending slowness
-    splits = np.cumsum(counts[:, 0] - counts[:, -1])[:-1]
+    splits = np.cumsum(counts[:, 0])[:-1]
     return [r[::-1] for r in np.split(roots, splits)]
 
 
 def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
     """All guided-wave slownesses at ``omega``, strictly descending.
 
-    Covers ``(1/c_inf, 1/c0)`` shrunk by a fixed relative margin of 1e-9 on
-    both ends; an empty array simply means no branch exists yet at this
-    frequency.
+    Returns every root the Sturm count sees on the closed slowness domain
+    ``[1/c_inf, 1/c0]``.  None sits at ``1/c0``, where the count is 0.
+    ``F(omega, 1/c_inf) = 0`` only at a cutoff, where the half-space
+    solution is constant and there is no guided mode: the count does not
+    include that point, so at a cutoff exactly the branches below it are
+    returned.
 
     Raises
     ------

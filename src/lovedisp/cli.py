@@ -216,7 +216,6 @@ def _cmd_mode(args) -> int:
     print(f"phi_jump {diag.phi_jump:.3e}")
     print(f"stress_jump {diag.stress_jump:.3e}")
     print(f"ode_residual {diag.ode_residual:.3e}")
-    print(f"decay_error {diag.decay_error:.3e}")
     print(f"square_integrable {'true' if shape.is_l2 else 'false'}")
     return 0
 

@@ -196,16 +196,20 @@ def _sturm_count(medium: Medium, omega, y):
         total += np.where(mono, flip, turns).astype(np.int64)
         s = np.maximum(np.abs(p2), np.abs(q2))
         p, q = p2 / s, q2 / s
-    f = float(medium.mu[-1]) * _halfspace_decay(medium, y) * p + q
+    f = _dispersion_from_state(medium, y, p, q)
     tail = (p != 0.0) & (np.sign(f) == -np.sign(p))
     return total + tail.astype(np.int64)
+
+
+def _dispersion_from_state(medium: Medium, y, p, q):
+    """The dispersion function from the state ``(p, q)`` at the last interface."""
+    return float(medium.mu[-1]) * _halfspace_decay(medium, y) * p + q
 
 
 def _dispersion_scaled(medium: Medium, omega, y):
     """Vectorized scaled dispersion value: returns ``(value, log_scale)``."""
     p, q, ls = _pq_scaled(medium, omega, y)
-    val = float(medium.mu[-1]) * _halfspace_decay(medium, y) * p + q
-    return val, ls
+    return _dispersion_from_state(medium, y, p, q), ls
 
 
 def _dispersion_scale_floor(medium: Medium) -> float:

@@ -122,7 +122,7 @@ class Medium:
 
     @property
     def slowness_domain(self) -> tuple[float, float]:
-        """Slowness interval ``[1/c_inf, 1/c0)`` hosting all dispersion roots."""
+        """Closed slowness interval ``[1/c_inf, 1/c0]``; every root lies inside."""
         return float(self.slowness[-1]), float(self.slowness.max())
 
     def describe(self) -> str:

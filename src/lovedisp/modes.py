@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import (
+    _dispersion_from_state,
     _dispersion_scale_floor,
-    _dispersion_scaled,
     _halfspace_decay,
     _layer,
     _layer_integrals,
@@ -111,7 +111,6 @@ class ModeDiagnostics:
     phi_jump: float
     stress_jump: float
     ode_residual: float
-    decay_error: float
     rayleigh_residual: float
     rayleigh_quotient: float
 
@@ -140,7 +139,9 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
     # below the global floor
     delta = max(1e-11 * y, 8.0 * np.spacing(y))
     probe = np.array([y - delta, y, y + delta])
-    vals, logs = _dispersion_scaled(medium, omega, probe)
+    # one downward shot gives the probe's values and the states at y
+    down = _shoot_down(medium, omega, probe)
+    vals = _dispersion_from_state(medium, probe, down[0, -1], down[1, -1])
     res = abs(float(vals[1])) / _dispersion_scale_floor(medium)
     brackets = vals[0] == 0.0 or vals[2] == 0.0 or np.sign(vals[0]) != np.sign(vals[2])
     if not brackets and res > _RESIDUAL_FLOOR:
@@ -149,7 +150,8 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
             f"residual {res:.3e} exceeds floor {_RESIDUAL_FLOOR:.1e} "
             f"at (omega={omega:g}, k={k:g})"
         )
-    p, q, ls, match = (a[..., 0] for a in _interface_states(medium, omega, np.array([y])))
+    states = _interface_states(medium, omega, probe[1:2], down[..., 1:2])
+    p, q, ls, match = (a[..., 0] for a in states)
     # every state has max(|p|, |q|) == 1: its size exp(ls) must be a normal double
     if np.max(np.abs(ls)) >= -np.log(np.finfo(float).tiny):
         raise ResultOutOfRange(
@@ -171,9 +173,9 @@ def mode_residuals(shape: ModeShape) -> ModeDiagnostics:
     """Verify a constructed mode against the equations that define it.
 
     Each finite layer is carried to the end it is not built from, where it
-    must match the stored state; the layer ODE is checked at 100 depths per
-    layer, the decay rate below the last interface, and the quotient
-    identity tying the three closed-form norms together.
+    must match the stored state, the tail's included; the layer ODE is
+    checked at 100 depths per layer, and the quotient identity tying the
+    three closed-form norms together.
     """
     m = shape.medium
     omega, k, y = shape.omega, shape.k, shape.y
@@ -200,12 +202,7 @@ def mode_residuals(shape: ModeShape) -> ModeDiagnostics:
     scale = np.max(np.abs(coef * phi), axis=1) + np.max(np.abs(d2), axis=1) + 1e-300
     ode_residual = np.max(np.max(np.abs(d2 - coef * phi), axis=1) / scale)
 
-    # exponential decay below the last interface
-    h_last = float(m.depths[-1])
     if shape.is_l2:
-        dz = min(1.0 / shape.decay_rate, h_last)
-        ratio = shape.evaluate(np.array([h_last + dz]))[0][0] / shape.a_inf
-        decay_error = abs(ratio - np.exp(-shape.decay_rate * dz)) / abs(ratio)
         # both figures are ratios of norms: take them from the scaled sums
         mu_dphi_sq, rho_phi_sq, mu_phi_sq = _scaled_norms(shape)[0]
         lhs = mu_dphi_sq - omega * omega * rho_phi_sq
@@ -213,15 +210,13 @@ def mode_residuals(shape: ModeShape) -> ModeDiagnostics:
         rayleigh_residual = abs(lhs - rhs) / abs(rhs)
         rayleigh_quotient = omega * omega * rho_phi_sq / (k * k * mu_phi_sq)
     else:
-        decay_error = np.inf  # constant tail: not square integrable
-        rayleigh_residual = np.inf
+        rayleigh_residual = np.inf  # constant tail: not square integrable
         rayleigh_quotient = np.nan
 
     return ModeDiagnostics(
         phi_jump=float(phi_jump),
         stress_jump=float(stress_jump),
         ode_residual=float(ode_residual),
-        decay_error=float(decay_error),
         rayleigh_residual=float(rayleigh_residual),
         rayleigh_quotient=float(rayleigh_quotient),
     )
@@ -260,7 +255,17 @@ def _scaled_norms(shape: ModeShape):
     return (m.mu @ dphi_sq, m.rho @ phi_sq, m.mu @ phi_sq), ref
 
 
-def _interface_states(medium: Medium, omega, y):
+def _shoot_down(medium: Medium, omega, y) -> np.ndarray:
+    """The downward shot from the surface state ``(1, 0)``, stacked.
+
+    Returns an array of shape ``(3, n + 1) + y.shape`` holding ``(p, q, ls)``
+    at every interface from the surface, as :func:`_propagate` scales them.
+    """
+    ones, zeros = np.ones_like(y), np.zeros_like(y)
+    return np.array(list(zip((ones, zeros, zeros), *_propagate(medium, omega, y))))
+
+
+def _interface_states(medium: Medium, omega, y, down):
     """The eigenfunction at every interface, shot from both ends.
 
     Shooting down from the surface loses a mode's decaying part below its
@@ -273,6 +278,7 @@ def _interface_states(medium: Medium, omega, y):
     the smaller of the two margins, and the upper side is taken from the
     downward shot, the lower side from the upward one.  Going up, a layer
     is the downward map applied to ``(p, -q)``: the reflection ``z -> -z``.
+    ``down`` is the downward shot as :func:`_shoot_down` returns it.
 
     Vectorized over roots; returns ``(p, q, ls, match)``.  The first three
     have shape ``(n + 1, len(y))`` and are indexed by interface from the
@@ -281,9 +287,9 @@ def _interface_states(medium: Medium, omega, y):
     root; the states below it come from the upward shot.
     """
     n = medium.n
-    ones, zeros = np.ones_like(y), np.zeros_like(y)
-    pd, qd, ld = map(np.array, zip((ones, zeros, zeros), *_propagate(medium, omega, y)))
-    p, q = ones, -float(medium.mu[-1]) * _halfspace_decay(medium, y)
+    pd, qd, ld = down
+    zeros = np.zeros_like(y)
+    p, q = np.ones_like(y), -float(medium.mu[-1]) * _halfspace_decay(medium, y)
     s = np.maximum(np.abs(p), np.abs(q))
     shot = [(p / s, q / s, zeros)]
     for j in range(n - 1, -1, -1):
@@ -358,7 +364,7 @@ def _wavenumber_sensitivities(medium: Medium, omega, y) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
-    p, q, ls, match = _interface_states(medium, omega, y)
+    p, q, ls, match = _interface_states(medium, omega, y, _shoot_down(medium, omega, y))
     phi_sq, dphi_sq, ref = _norm_terms(medium, omega, y, p, q, ls, match)
     k = omega * y
     mu, rho = medium.mu[:, None], medium.rho[:, None]

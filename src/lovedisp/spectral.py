@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .branch import BranchSet, _count_above
+from .branch import BranchSet
+from .dispersion import _sturm_count
 from .errors import InsufficientData, OutOfRange
 from .medium import Medium, ordered_profile
 
@@ -58,18 +59,18 @@ class LevelEstimate:
 
 
 def mode_count(medium: Medium, omega: float, y: float) -> int:
-    """Number of dispersion zeros with slowness >= ``y`` at ``omega``.
+    """Number of dispersion zeros with slowness above ``y`` at ``omega``.
 
-    Counted by the Sturm count over the same margin-trimmed domain that
-    :func:`~lovedisp.branch.roots_at_omega` covers, independent of any
-    stored branch data.
+    Counted by the exact Sturm count that also locates every root of
+    :func:`~lovedisp.branch.roots_at_omega`, independent of any stored
+    branch data.
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
     lo, hi = medium.slowness_domain
     if not lo < y < hi:
         raise OutOfRange(f"level {y!r} outside the open slowness domain ({lo}, {hi})")
-    return int(_count_above(medium, omega, y)[0])
+    return int(_sturm_count(medium, omega, y))
 
 
 def weyl_prediction(medium: Medium, omega: float, y: float) -> WeylPrediction:
@@ -87,35 +88,23 @@ def weyl_prediction(medium: Medium, omega: float, y: float) -> WeylPrediction:
     return WeylPrediction(value=float(value), proven=proven)
 
 
-def accumulation_statistic(
-    medium: Medium,
-    omega: float,
-    y: float,
-    strict: bool = False,
-) -> float:
+def accumulation_statistic(medium: Medium, omega: float, y: float) -> float:
     """Pile-up statistic ``pi * (N(omega, y - 1/omega) - N(omega, y)) / sqrt(2 omega)``.
 
     As ``omega`` grows this tends to ``T_j / sqrt(c_j)`` at ``y = 1/c_j``
     (summed thickness if several layers share the velocity) and to zero at
     any other level.
 
-    When the shifted level ``y - 1/omega`` falls at or below ``1/c_inf``
-    the count is taken over all existing branches, which is the natural
-    extension of the definition; pass ``strict=True`` to get an
-    :class:`OutOfRange` error instead.
+    When the shifted level ``y - 1/omega`` falls below ``1/c_inf`` it is
+    clamped there, so the count is taken over all existing branches, which
+    is the natural extension of the definition.
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
     lo, hi = medium.slowness_domain
     if not lo < y < hi:
         raise OutOfRange(f"level {y!r} outside the open slowness domain ({lo}, {hi})")
-    shifted = y - 1.0 / omega
-    if strict and shifted <= lo:
-        raise OutOfRange(
-            f"shifted level {shifted!r} at or below 1/c_inf = {lo!r}; "
-            f"needs omega > {1.0 / (y - lo):g}"
-        )
-    n_hi, n_lo = _count_above(medium, omega, [shifted, y])
+    n_hi, n_lo = _sturm_count(medium, omega, np.array([max(y - 1.0 / omega, lo), y]))
     return float(np.pi * (n_hi - n_lo) / np.sqrt(2.0 * omega))
 
 

@@ -46,11 +46,39 @@ def test_roots_satisfy_single_layer_transcendental(medium_a):
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
-def test_roots_stay_inside_margins(medium_a):
-    lo, hi = medium_a.slowness_domain
-    roots = roots_at_omega(medium_a, 1800.0)
-    assert np.all(roots >= lo * (1 + branch_mod._Y_MARGIN))
-    assert np.all(roots <= hi * (1 - branch_mod._Y_MARGIN))
+def test_roots_fill_the_closed_domain(medium_a, medium_b, medium_b_swapped):
+    # every root the count sees on [1/c_inf, 1/c0] is returned, strictly
+    # inside it; the last point is one relative 1e-8 past a cutoff
+    w2 = float(cutoff_frequencies(medium_a, 2)[1])
+    cases = [(medium_a, 1800.0), (medium_b, 300.0), (medium_b_swapped, 300.0)]
+    for medium, omega in cases + [(medium_a, w2 * (1 + 1e-8))]:
+        lo, hi = medium.slowness_domain
+        roots = roots_at_omega(medium, omega)
+        assert np.all((roots > lo) & (roots < hi))
+        assert len(roots) == branch_mod._sturm_count(medium, omega, lo)
+        assert branch_mod._sturm_count(medium, omega, hi) == 0
+
+
+def test_thick_layer_keeps_its_fundamental():
+    # c = (1000, 10000) m/s, H = 1000 m: at omega = 5e4 the fundamental lies
+    # within 1e-9 (relative) of 1/c0; every root solves the closed form
+    m = Medium(mu=[1e6, 1e8], rho=[1.0, 1.0], thickness=[1000.0])
+    omega, wh = 5e4, 5e4 * 1000.0
+    roots = roots_at_omega(m, omega)
+    mag = np.sqrt(1e-6 - 1e-8)  # |nu_1| at the half-space slowness
+    assert len(roots) == int(wh * mag / np.pi) + 1 == 15_836
+    # branch p has layer phase theta in (p pi, p pi + pi/2), solving
+    # theta = p pi + atan(mu2 nu2 / (mu1 nu1)); the right side minus the
+    # left increases with theta, so bisection converges to rounding
+    p = np.arange(len(roots))
+    a, b = p * np.pi, np.minimum(p * np.pi + 0.5 * np.pi, wh * mag)
+    for _ in range(60):
+        theta = 0.5 * (a + b)
+        nu1 = theta / wh
+        g = theta - p * np.pi - np.arctan(100.0 * np.sqrt(mag**2 - nu1**2) / nu1)
+        a, b = np.where(g < 0, theta, a), np.where(g < 0, b, theta)
+    expected = np.sqrt(1e-6 - (0.5 * (a + b) / wh) ** 2)
+    assert np.allclose(roots, expected, rtol=1e-12, atol=0.0)
 
 
 def _add_phantom_count_step(monkeypatch):
@@ -97,13 +125,21 @@ def test_cutoffs_match_closed_form(medium_a):
     assert np.allclose(cuts[1:], expected[1:], rtol=1e-10)
 
 
-def test_cutoffs_are_branch_start_roots(medium_a):
-    # past each cutoff one more root exists than before it; the offset must
-    # clear the scan margin, which censors a root within ~1e-2 of its start
-    cuts = cutoff_frequencies(medium_a, 4)
-    for ell, w in enumerate(cuts[1:], start=2):
-        assert len(roots_at_omega(medium_a, w + 0.1)) == ell
-        assert len(roots_at_omega(medium_a, w - 0.1)) == ell - 1
+def test_cutoffs_are_branch_start_roots(medium_a, medium_b, medium_b_swapped):
+    # one relative 1e-8 past each cutoff one more root exists than before it
+    for medium in (medium_a, medium_b, medium_b_swapped):
+        lo = medium.slowness_domain[0]
+        cuts = cutoff_frequencies(medium, 8)
+        for ell, w in enumerate(cuts[1:], start=2):
+            assert len(roots_at_omega(medium, w * (1 + 1e-8))) == ell
+            assert len(roots_at_omega(medium, w * (1 - 1e-8))) == ell - 1
+            # at the cutoff itself the roots below it are returned; the
+            # computed cutoff may sit a rounding above the true one, and then
+            # the new branch is there too, at its start 1/c_inf
+            roots = roots_at_omega(medium, w)
+            assert len(roots) in (ell - 1, ell)
+            assert np.all(roots[: ell - 1] > lo * (1 + 1e-6))
+            assert np.all(roots[ell - 1 :] - lo <= 1e-9 * lo)
 
 
 def test_single_layer_cutoffs_equal_pi_multiples(medium_a):

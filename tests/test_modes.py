@@ -44,11 +44,12 @@ def test_interface_continuity(medium_a, medium_b):
 def test_diagnostics_clean_on_branch(medium_a):
     for omega in (40.0, 100.0):
         for y in roots_at_omega(medium_a, omega):
-            d = mode_residuals(mode_shape(medium_a, omega, omega * y))
+            ms = mode_shape(medium_a, omega, omega * y)
+            assert ms.decay_rate == pytest.approx(omega * np.sqrt(y * y - 1e-8), rel=1e-12)
+            d = mode_residuals(ms)
             assert d.phi_jump < 1e-9
             assert d.stress_jump < 1e-9
             assert d.ode_residual < 1e-9
-            assert d.decay_error < 1e-9
             assert d.rayleigh_residual < 1e-6
             assert d.rayleigh_quotient > 1.0
 
@@ -68,7 +69,7 @@ def test_cutoff_point_flagged_non_l2(medium_a):
     assert ms.decay_rate == 0.0
     assert not ms.is_l2
     d = mode_residuals(ms)
-    assert np.isinf(d.decay_error)
+    assert np.isinf(d.rayleigh_residual)
 
 
 def test_perturbed_coefficients_detected(medium_b):
@@ -182,13 +183,15 @@ def test_deeply_decaying_mode_gives_clean_diagnostics():
     # the surface alone would lose that tail to the growing solution
     m = _seed_301_medium()
     omega = 541.9607729993972
-    ms = mode_shape(m, omega, omega * roots_at_omega(m, omega)[0])
+    y = roots_at_omega(m, omega)[0]
+    ms = mode_shape(m, omega, omega * y)
+    nu_inf = omega * np.sqrt(y * y - float(m.slowness_sq[-1]))
+    assert ms.decay_rate == pytest.approx(nu_inf, rel=1e-12)
     assert 0.0 < ms.a_inf < 1e-170
     assert all(np.isfinite(mode_norms(ms)))
     d = mode_residuals(ms)
     assert max(d.phi_jump, d.stress_jump) < 1e-9
     assert d.ode_residual < 1e-9
-    assert d.decay_error < 1e-9
     assert d.rayleigh_residual < 1e-12
 
 

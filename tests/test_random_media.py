@@ -15,6 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lovedisp import Medium, fd_eigen_oracle, mode_count, roots_at_omega
+from lovedisp.dispersion import _sturm_count
 from lovedisp.modes import _wavenumber_sensitivities
 
 
@@ -45,7 +46,9 @@ def test_counts_agree_with_fd_oracle(n, data):
     assume(not np.any(np.abs(fine - k_level) <= 1e-3 * fine))
     expected = int(np.sum(fine >= k_level))
     assert mode_count(medium, omega, y) == expected
-    assert int(np.sum(roots_at_omega(medium, omega) >= y)) == expected
+    roots = roots_at_omega(medium, omega)
+    assert int(np.sum(roots >= y)) == expected
+    assert len(roots) == _sturm_count(medium, omega, medium.slowness_domain[0])
 
 
 def _log_sensitivities_by_differences(medium, omega, count, h=1e-6):
