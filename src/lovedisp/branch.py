@@ -69,9 +69,7 @@ def _isolate(count, inside, outside, c_in, c_out, ranks, label):
     )
 
 
-def _bisect_zeros(
-    f, lo: np.ndarray, hi: np.ndarray, tol: float, label, max_iter: int = 80
-):
+def _bisect_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     """Vectorized bisection of sign-change brackets of ``f``; returns refined (lo, hi).
 
     Each bracket is halved until its width is at most ``tol`` times its
@@ -94,7 +92,7 @@ def _bisect_zeros(
             f"no sign change for {label(b)} on ({lo[b]}, {hi[b]}): "
             f"signs {int(s_lo[b])}, {int(s_hi[b])}"
         )
-    for _ in range(max_iter):
+    for _ in range(_MAX_HALVINGS):
         todo = np.flatnonzero(hi - lo > tol * 0.5 * (lo + hi))
         if len(todo) == 0:
             break
@@ -191,8 +189,10 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     function vanishes at ``y0`` (where it reduces to the propagated ``Q``
     component).  Each transition is isolated by bisection on that count,
     vectorized over ``ell``, and refined on the sign of ``F(omega, y0)``.
-    An exact ``0.0`` is emitted for a branch that exists at arbitrarily
-    small frequency.
+    The branch-free end of each final bracket is returned, so a reported
+    cutoff is the last frequency without its branch: :func:`roots_at_omega`
+    there returns ``ell - 1`` roots.  An exact ``0.0`` is emitted for a
+    branch that exists at arbitrarily small frequency.
 
     Raises
     ------
@@ -226,7 +226,7 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     lo, hi = _bisect_zeros(
         lambda k, w: _dispersion_scaled(medium, w, y0)[0], lo, hi, _OMEGA_TOL, label
     )
-    return np.concatenate([np.zeros(min(n_min, ell_max)), 0.5 * (lo + hi)])
+    return np.concatenate([np.zeros(min(n_min, ell_max)), lo])
 
 
 @dataclass(frozen=True)

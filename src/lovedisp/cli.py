@@ -20,6 +20,8 @@ from . import io as lio
 from .branch import trace_branches
 from .errors import DivergedOrInfeasible, LoveDispError, NonRealResult, ResultOutOfRange
 from .inversion import (
+    InversionReport,
+    ParameterEstimate,
     branchset_from_dataset,
     invert_double_layer,
     invert_single_layer,
@@ -167,18 +169,15 @@ def _cmd_invert(args) -> int:
             thickness="thickness" in names,
         )
         refined, residual = least_squares_refine(guess, dataset, mask)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["parameter    value                    rule"]
-        for name, vals in (("mu", refined.mu), ("rho", refined.rho),
-                           ("thickness", refined.thickness)):
-            for i, v in enumerate(vals):
-                lines.append(f"{name}{i + 1:<11} {v:<24.17g} least-squares-refine")
-        lines.append(f"residual     {residual:.17g}")
-        text = "\n".join(lines)
-        (out / "report.txt").write_text(text + "\n", encoding="utf-8")
-        print(text)
-        return 0
+        report = InversionReport(
+            parameters=tuple(
+                ParameterEstimate(f"{name}{i + 1}", float(v), "least-squares-refine")
+                for name in ("mu", "rho", "thickness")
+                for i, v in enumerate(getattr(refined, name))
+            ),
+            medium=refined,
+            residual=residual,
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(report.render() + "\n", encoding="utf-8")

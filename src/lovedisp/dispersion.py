@@ -1,18 +1,20 @@
 """Dispersion function of the layered half-space, via one scaled layer kernel.
 
 The pair ``(P, Q)`` proportional to ``(phi, mu phi'/omega)`` is carried
-from the surface down through the finite layers.  :func:`_layer` is the
-only code that knows the three forms of a layer's transfer map, chosen by
-the sign of ``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory
-layers (``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
+through the finite layers by :func:`_shoot`: down from the surface for the
+dispersion value and the mode shapes, or up from the half-space's
+decaying solution for the mode shapes.  :func:`_layer` is the only code
+that knows the three forms of a layer's transfer map, chosen by the sign
+of ``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory layers
+(``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
 (``d > 0``), and the linear limit only on an exact hit (``d == 0``).  The
-root count, the dispersion value, the public layer matrix and the mode
-shapes all call it.  :func:`_layer_integrals` holds the integrals of
-``phi^2`` and ``phi'^2`` over a layer in the same three forms; the mode
-norms and the root sensitivities call it.  The state is
-renormalized after every layer, so arbitrarily large frequency-thickness
-products stay inside double range; the accumulated positive factor is
-tracked as ``log_scale``.  The dispersion function
+shot, the root count and the public layer matrix call it.
+:func:`_layer_integrals` holds the integrals of ``phi^2`` and ``phi'^2``
+over a layer in the same three forms; the mode norms and the root
+sensitivities call it.  The state is renormalized after every layer, so
+arbitrarily large frequency-thickness products stay inside double range;
+the accumulated positive factor is tracked as ``log_scale``.  The
+dispersion function
 
     F(omega, y) = mu_inf * nu_inf(y) * P_n(omega, y) + Q_n(omega, y)
 
@@ -129,33 +131,34 @@ def _layer_integrals(medium: Medium, j, omega, y, p, q):
     return i_phi, i_dphi, np.where(osc, 0.0, 2.0 * x)
 
 
-def _propagate(medium: Medium, omega, y):
-    """Yield the scaled state ``(p, q, log_scale)`` at the bottom of each layer.
+def _shoot(medium: Medium, omega, y, up=False):
+    """Carry the eigenfunction's state through the layer stack, down or up.
 
-    Starts from the surface state ``(1, 0)``; ``omega`` and ``y`` must be
-    broadcast-compatible, ``omega >= 0``.  After every layer the state is
-    divided by ``max(|p|, |q|)``.
+    Returns a list of ``n + 1`` scaled states ``(p, q, ls)``, one per
+    interface and indexed from the surface either way: the true state is
+    ``exp(ls) * (p, q)`` with ``max(|p|, |q|) == 1``.  Going down the shot
+    starts from the surface state ``(1, 0)``; going up, from the
+    half-space's decaying state ``(1, -mu_inf nu_inf)``, and each layer is
+    the downward map applied to the reflected state ``(p, -q)`` (``z ->
+    -z``).  ``omega`` and ``y`` must be broadcast-compatible, ``omega >= 0``.
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(omega.shape, y.shape)
-    p, q, ls = np.ones(shape), np.zeros(shape), np.zeros(shape)
-    for j in range(medium.n):
+    zeros = np.zeros(np.broadcast_shapes(omega.shape, y.shape))
+    if up:  # the reflected tail: its stress is +mu_inf nu_inf going up
+        q = float(medium.mu[-1]) * _halfspace_decay(medium, y) + zeros
+        s = np.maximum(1.0, q)
+        states = [(1.0 / s, q / s, zeros)]
+    else:
+        states = [(zeros + 1.0, zeros, zeros)]
+    for j in range(medium.n - 1, -1, -1) if up else range(medium.n):
+        p, q, ls = states[-1]
         p, q, lf = _layer(medium, j, omega, y, medium.thickness[j], p, q)[:3]
         s = np.maximum(np.abs(p), np.abs(q))
-        p, q, ls = p / s, q / s, ls + np.log(s) + lf
-        yield p, q, ls
-
-
-def _pq_scaled(medium: Medium, omega, y):
-    """Vectorized scaled propagation: returns arrays ``(p, q, log_scale)``.
-
-    The true pair below the last finite layer is ``exp(log_scale) * (p, q)``,
-    with ``max(|p|, |q|) == 1``.
-    """
-    for state in _propagate(medium, omega, y):
-        pass
-    return state
+        states.append((p / s, q / s, ls + np.log(s) + lf))
+    if up:
+        return [(p, -q, ls) for p, q, ls in reversed(states)]
+    return states
 
 
 def _halfspace_decay(medium: Medium, y):
@@ -175,6 +178,11 @@ def _sturm_count(medium: Medium, omega, y):
     (or exactly degenerate) layers.  The tail contributes one more zero
     exactly when the dispersion value and the displacement at the last
     interface have opposite signs.
+
+    It carries the state down with its own loop rather than read
+    :func:`_shoot`: a count needs no log scale, and root isolation calls
+    it on every step, where carrying one (a ``log`` per layer) slows the
+    count by a few percent.
 
     Vectorized over broadcastable ``omega`` and ``y``; returns an int64
     array (0-d for scalars).
@@ -208,7 +216,7 @@ def _dispersion_from_state(medium: Medium, y, p, q):
 
 def _dispersion_scaled(medium: Medium, omega, y):
     """Vectorized scaled dispersion value: returns ``(value, log_scale)``."""
-    p, q, ls = _pq_scaled(medium, omega, y)
+    p, q, ls = _shoot(medium, omega, y)[-1]
     return _dispersion_from_state(medium, y, p, q), ls
 
 

@@ -39,6 +39,11 @@ from .spectral import detect_levels
 
 _log = logging.getLogger("lovedisp")
 
+_TAIL_FRACTION = 0.25  # share of branch 1's samples in the 1/c0 tail fit
+_SPACING_CV = 0.02  # largest variation and relative range of equidistant spacings
+_RHO_SAMPLES = 100  # best-conditioned branch samples the density rule averages
+_MAX_RESIDUAL_SAMPLES = 200  # branch samples in a model residual
+
 __all__ = [
     "DispersionDataset",
     "ParameterEstimate",
@@ -162,7 +167,7 @@ def branchset_from_dataset(dataset: DispersionDataset) -> BranchSet:
     return BranchSet(omega_grid=grid, y=y, cutoffs=cutoffs)
 
 
-def recover_extremes(branchset: BranchSet, tail_fraction: float = 0.25):
+def recover_extremes(branchset: BranchSet):
     """Estimate ``(c0, c_inf)`` from branch slowness limits.
 
     The half-space slowness is the infimum of each branch (attained at its
@@ -180,7 +185,7 @@ def recover_extremes(branchset: BranchSet, tail_fraction: float = 0.25):
     inv_cinf = float(np.median(np.nanmin(branchset.y, axis=0)))
 
     w, y = _first_branch(branchset)
-    n_tail = max(int(len(w) * tail_fraction), 8)
+    n_tail = max(int(len(w) * _TAIL_FRACTION), 8)
     w, y = w[-n_tail:], y[-n_tail:]
     design = np.column_stack([np.ones_like(w), -1.0 / w**2])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -218,7 +223,7 @@ def _branch_crossings(branchset: BranchSet, level: float) -> np.ndarray:
     return np.sort(w0 + (level - y0) / (y1 - y0) * (w1 - w0))
 
 
-def _spacing_verdict(spacings: np.ndarray, cv_threshold: float = 0.02):
+def _spacing_verdict(spacings: np.ndarray):
     """Classify level crossings as equidistant or not.
 
     Equidistant needs both a small coefficient of variation and a small
@@ -229,12 +234,10 @@ def _spacing_verdict(spacings: np.ndarray, cv_threshold: float = 0.02):
     mean = float(np.mean(spacings))
     cv = float(np.std(spacings) / mean)
     rng = float((spacings.max() - spacings.min()) / np.median(spacings))
-    return cv < cv_threshold and rng < cv_threshold, cv
+    return cv < _SPACING_CV and rng < _SPACING_CV, cv
 
 
-def invert_single_layer(
-    branchset: BranchSet, rho1: float, n_rho_samples: int = 25
-) -> InversionReport:
+def invert_single_layer(branchset: BranchSet, rho1: float) -> InversionReport:
     """Closed-form recovery of ``(c1, c2, H, rho2)`` for a 1-layer medium.
 
     Assumes (without verifying) that the data came from a single layer over
@@ -271,7 +274,7 @@ def invert_single_layer(
     h_est = ParameterEstimate("H", float(h), "cutoff-spacing", spread=spacing_spread)
 
     rho2_samples, rho2_weights = _rho2_from_identity(
-        *_first_branch(branchset), c1, c2, h, rho1, n_rho_samples
+        *_first_branch(branchset), c1, c2, h, rho1
     )
     rho2 = float(np.average(rho2_samples, weights=rho2_weights))
     spread = float(
@@ -300,9 +303,7 @@ def invert_single_layer(
     )
 
 
-def _rho2_from_identity(
-    omega, y, c1: float, c2: float, h: float, rho1: float, n_samples: int
-):
+def _rho2_from_identity(omega, y, c1: float, c2: float, h: float, rho1: float):
     """Substrate density from the identity rho2 = rho1 (c1/c2)^2 * ratio * tan.
 
     Excludes 5% of the slowness span at both branch ends, evaluates the
@@ -324,7 +325,7 @@ def _rho2_from_identity(
     idx = np.flatnonzero(keep)
     if len(idx) < 10:
         raise InsufficientData("fewer than 10 usable samples for the density rule")
-    pick = idx[np.argsort(amp[idx], kind="stable")][: max(4 * n_samples, 10)]
+    pick = idx[np.argsort(amp[idx], kind="stable")][:_RHO_SAMPLES]
     yy = y[pick]
     ww = omega[pick]
     num = inv1 - yy * yy
@@ -434,15 +435,15 @@ def invert_double_layer(branchset: BranchSet) -> InversionReport:
     )
 
 
-def _model_residual(medium: Medium, branchset: BranchSet, max_samples: int = 200) -> float:
+def _model_residual(medium: Medium, branchset: BranchSet) -> float:
     """RMS of the normalized dispersion values at the branch samples.
 
     Samples are taken branch by branch, each in ascending frequency.
     """
     rank, node = np.nonzero(~np.isnan(branchset.y.T))
     w, y = branchset.omega_grid[node], branchset.y[node, rank]
-    if len(w) > max_samples:
-        pick = np.unique(np.linspace(0, len(w) - 1, max_samples).astype(int))
+    if len(w) > _MAX_RESIDUAL_SAMPLES:
+        pick = np.unique(np.linspace(0, len(w) - 1, _MAX_RESIDUAL_SAMPLES).astype(int))
         w, y = w[pick], y[pick]
     lo, hi = medium.slowness_domain
     keep = (y > lo) & (y < hi)

@@ -2,10 +2,11 @@
 
 A mode at a dispersion root ``(omega, k)`` is normalized to ``phi(0) = 1``
 and ``phi'(0) = 0``.  Its displacement and scaled stress
-``(phi, mu phi'/omega)`` at every interface are shot from both ends of the
-stack (:func:`_interface_states`), and each finite layer is evaluated,
-integrated and checked from the end its shot is accurate at, with the
-same layer kernel as :mod:`lovedisp.dispersion`.  Below the last interface
+``(phi, mu phi'/omega)`` at every interface are shot down from the surface
+and up from the half-space by :func:`~lovedisp.dispersion._shoot`, and
+matched where both shots are accurate (:func:`_interface_states`).  Each
+finite layer is evaluated, integrated and checked from the end its shot
+is accurate at, with the same layer kernel.  Below the last interface
 the shape decays exponentially.  Norm integrals are closed-form per layer
 (:func:`_norm_terms`), which keeps the quotient identities accurate to
 rounding; the same terms give the Rayleigh-principle sensitivities of the
@@ -24,7 +25,7 @@ from .dispersion import (
     _halfspace_decay,
     _layer,
     _layer_integrals,
-    _propagate,
+    _shoot,
 )
 from .errors import NotOnBranch, ResultOutOfRange
 from .medium import Medium
@@ -140,8 +141,8 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
     delta = max(1e-11 * y, 8.0 * np.spacing(y))
     probe = np.array([y - delta, y, y + delta])
     # one downward shot gives the probe's values and the states at y
-    down = _shoot_down(medium, omega, probe)
-    vals = _dispersion_from_state(medium, probe, down[0, -1], down[1, -1])
+    down = np.array(_shoot(medium, omega, probe))
+    vals = _dispersion_from_state(medium, probe, down[-1, 0], down[-1, 1])
     res = abs(float(vals[1])) / _dispersion_scale_floor(medium)
     brackets = vals[0] == 0.0 or vals[2] == 0.0 or np.sign(vals[0]) != np.sign(vals[2])
     if not brackets and res > _RESIDUAL_FLOOR:
@@ -255,16 +256,6 @@ def _scaled_norms(shape: ModeShape):
     return (m.mu @ dphi_sq, m.rho @ phi_sq, m.mu @ phi_sq), ref
 
 
-def _shoot_down(medium: Medium, omega, y) -> np.ndarray:
-    """The downward shot from the surface state ``(1, 0)``, stacked.
-
-    Returns an array of shape ``(3, n + 1) + y.shape`` holding ``(p, q, ls)``
-    at every interface from the surface, as :func:`_propagate` scales them.
-    """
-    ones, zeros = np.ones_like(y), np.zeros_like(y)
-    return np.array(list(zip((ones, zeros, zeros), *_propagate(medium, omega, y))))
-
-
 def _interface_states(medium: Medium, omega, y, down):
     """The eigenfunction at every interface, shot from both ends.
 
@@ -276,9 +267,10 @@ def _interface_states(medium: Medium, omega, y, down):
     error could have had on the way (the evanescent phases ``x`` crossed);
     the two are matched in size and sign at the interface that maximizes
     the smaller of the two margins, and the upper side is taken from the
-    downward shot, the lower side from the upward one.  Going up, a layer
-    is the downward map applied to ``(p, -q)``: the reflection ``z -> -z``.
-    ``down`` is the downward shot as :func:`_shoot_down` returns it.
+    downward shot, the lower side from the upward one.  ``down`` is the
+    downward shot at ``y`` as :func:`~lovedisp.dispersion._shoot` returns
+    it, or stacked to shape ``(n + 1, 3) + y.shape``; the upward shot is
+    made here.
 
     Vectorized over roots; returns ``(p, q, ls, match)``.  The first three
     have shape ``(n + 1, len(y))`` and are indexed by interface from the
@@ -287,20 +279,11 @@ def _interface_states(medium: Medium, omega, y, down):
     root; the states below it come from the upward shot.
     """
     n = medium.n
-    pd, qd, ld = down
-    zeros = np.zeros_like(y)
-    p, q = np.ones_like(y), -float(medium.mu[-1]) * _halfspace_decay(medium, y)
-    s = np.maximum(np.abs(p), np.abs(q))
-    shot = [(p / s, q / s, zeros)]
-    for j in range(n - 1, -1, -1):
-        p, q, ls = shot[-1]
-        p2, q2, lf = _layer(medium, j, omega, y, medium.thickness[j], p, -q)[:3]
-        s = np.maximum(np.abs(p2), np.abs(q2))
-        shot.append((p2 / s, -q2 / s, ls + np.log(s) + lf))
-    pu, qu, lu = map(np.array, zip(*shot[::-1]))
+    pd, qd, ld = map(np.array, zip(*down))
+    pu, qu, lu = map(np.array, zip(*_shoot(medium, omega, y, up=True)))
     d = y * y - medium.slowness_sq[:-1, None]
     growth = np.sqrt(np.maximum(d, 0.0)) * omega * medium.thickness[:, None]
-    above = np.vstack([zeros, np.cumsum(growth, axis=0)])
+    above = np.vstack([np.zeros_like(y), np.cumsum(growth, axis=0)])
     margin = np.minimum(ld - above, lu - (above[-1] - above))
     match = np.argmax(margin, axis=0)
     at = match, np.arange(len(y))
@@ -364,7 +347,7 @@ def _wavenumber_sensitivities(medium: Medium, omega, y) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
-    p, q, ls, match = _interface_states(medium, omega, y, _shoot_down(medium, omega, y))
+    p, q, ls, match = _interface_states(medium, omega, y, _shoot(medium, omega, y))
     phi_sq, dphi_sq, ref = _norm_terms(medium, omega, y, p, q, ls, match)
     k = omega * y
     mu, rho = medium.mu[:, None], medium.rho[:, None]

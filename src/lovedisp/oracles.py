@@ -19,6 +19,11 @@ from .medium import Medium
 
 __all__ = ["determinant_oracle", "fd_eigen_oracle"]
 
+_NU_REL_TOL = 1e-9  # relative distance to a layer slowness refused by the determinant
+_IMAG_TOL = 1e-8  # relative imaginary residue that marks a wrong determinant assembly
+_CUTOFF_OFFSET = 0.05  # relative offset above 1/c_inf of the FD reference decay
+_Y_REL_MARGIN = 1e-9  # relative margin inside the slowness domain of FD eigenvalues
+
 
 def _complex_nus(medium: Medium, omega: float, y: float) -> np.ndarray:
     """Vertical wavenumbers ``nu_j = omega * sqrt(y^2 - 1/c_j^2)``, Im <= 0."""
@@ -26,13 +31,7 @@ def _complex_nus(medium: Medium, omega: float, y: float) -> np.ndarray:
     return omega * np.where(d >= 0, np.sqrt(d + 0j), -1j * np.sqrt(-d + 0j))
 
 
-def determinant_oracle(
-    medium: Medium,
-    omega: float,
-    k: float,
-    nu_rel_tol: float = 1e-9,
-    imag_tol: float = 1e-8,
-) -> float:
+def determinant_oracle(medium: Medium, omega: float, k: float) -> float:
     """Dispersion value from the explicit boundary-matching determinant.
 
     Builds the full interface-condition matrix in the exponential solution
@@ -45,11 +44,11 @@ def determinant_oracle(
     Raises
     ------
     DegeneratePoint
-        If the slowness sits within ``nu_rel_tol`` (relative) of any layer
+        If the slowness sits within 1e-9 (relative) of any layer
         slowness; the generic prefactor is invalid there.
     NonRealResult
-        If the assembled value keeps an imaginary residue above
-        ``imag_tol`` (relative), which would signal an assembly bug.
+        If the assembled value keeps an imaginary residue above 1e-8
+        (relative), which would signal an assembly bug.
     """
     if not omega > 0.0:
         raise ValueError("omega must be > 0")
@@ -58,9 +57,9 @@ def determinant_oracle(
     if not lo < y < hi:
         raise ValueError(f"slowness {y!r} outside the open domain ({lo}, {hi})")
     for inv in medium.slowness:
-        if abs(y - inv) <= nu_rel_tol * inv:
+        if abs(y - inv) <= _NU_REL_TOL * inv:
             raise DegeneratePoint(
-                f"slowness {y!r} within {nu_rel_tol:g} (relative) of layer "
+                f"slowness {y!r} within {_NU_REL_TOL:g} (relative) of layer "
                 f"slowness {inv!r}"
             )
 
@@ -99,7 +98,7 @@ def determinant_oracle(
     det = np.linalg.det(mat)
     denom = 2.0**n * np.prod(mu[1:n] * nus[1:n]) if n >= 2 else 2.0
     f = det / denom
-    if abs(f.imag) > imag_tol * max(abs(f.real), np.finfo(float).tiny):
+    if abs(f.imag) > _IMAG_TOL * max(abs(f.real), np.finfo(float).tiny):
         raise NonRealResult(
             f"imaginary residue {f.imag!r} vs real part {f.real!r} at "
             f"(omega={omega:g}, k={k:g})"
@@ -147,8 +146,6 @@ def fd_eigen_oracle(
     omega: float,
     depth_factor: float = 6.0,
     grid_points: int = 4000,
-    cutoff_offset: float = 0.05,
-    y_rel_margin: float = 1e-9,
 ) -> np.ndarray:
     """Guided wavenumbers from a finite-difference eigensolve, descending.
 
@@ -157,10 +154,9 @@ def fd_eigen_oracle(
     Neumann condition at the surface, and a Dirichlet condition at the
     truncation depth ``H_last + depth_factor / nu_ref``.  Interfaces are
     aligned with grid nodes, which keeps the scheme second order in the
-    cell size.  The reference decay ``nu_ref`` is evaluated at
-    ``(1 + cutoff_offset)`` times the half-space slowness; modes closer to
-    their cutoff than that carry an extra truncation bias of order
-    ``exp(-2 depth_factor)``.
+    cell size.  The reference decay ``nu_ref`` is evaluated at 1.05 times
+    the half-space slowness; modes closer to their cutoff than that carry
+    an extra truncation bias of order ``exp(-2 depth_factor)``.
 
     Returns all eigenvalue-derived ``k`` inside ``(omega/c_inf, omega/c0)``.
     """
@@ -171,7 +167,7 @@ def fd_eigen_oracle(
     if grid_points < 2000:
         raise ValueError("grid_points must be >= 2000")
     lo, hi = medium.slowness_domain
-    y_ref = lo * (1.0 + cutoff_offset)
+    y_ref = lo * (1.0 + _CUTOFF_OFFSET)
     nu_ref = omega * np.sqrt(y_ref * y_ref - lo * lo)
     z_max = float(medium.depths[-1]) + depth_factor / nu_ref
 
@@ -203,8 +199,8 @@ def fd_eigen_oracle(
     d = a_diag / mu_mass
     e = off / np.sqrt(mu_mass[:-1] * mu_mass[1:])
 
-    k_lo = omega * lo * (1.0 + y_rel_margin)
-    k_hi = omega * hi * (1.0 - y_rel_margin)
+    k_lo = omega * lo * (1.0 + _Y_REL_MARGIN)
+    k_hi = omega * hi * (1.0 - _Y_REL_MARGIN)
     vals = eigh_tridiagonal(
         d, e, eigvals_only=True, select="v", select_range=(-(k_hi**2), -(k_lo**2))
     )

@@ -31,6 +31,11 @@ __all__ = [
     "detect_levels",
 ]
 
+_MIN_CLUSTER = 3  # dense gaps a run needs to count as an accumulation level
+_GAP_FACTOR = 0.4  # a gap below this fraction of the median gap is dense
+_MAX_MEMBERS = 8  # top cluster members in the level extrapolation
+_FIT_NODES = 40  # grid nodes of the top decade in the joint weight fit
+
 @dataclass(frozen=True)
 class WeylPrediction:
     """Asymptotic mode-count estimate and whether it is a proven regime.
@@ -112,12 +117,7 @@ def accumulation_statistic(medium: Medium, omega: float, y: float) -> float:
 # level detection from traced branches
 
 
-def detect_levels(
-    branchset: BranchSet,
-    min_cluster: int = 3,
-    gap_factor: float = 0.4,
-    fit_nodes: int = 40,
-) -> list[LevelEstimate]:
+def detect_levels(branchset: BranchSet) -> list[LevelEstimate]:
     """Locate accumulation levels in traced branches and estimate weights.
 
     Levels are read off the branch slownesses at the largest traced
@@ -142,23 +142,23 @@ def detect_levels(
         )
 
     gaps = -np.diff(y_top)  # descending input -> positive gaps
-    thr = gap_factor * float(np.median(gaps))
+    thr = _GAP_FACTOR * float(np.median(gaps))
     # a run of dense gaps i..j-1 spans the slownesses i..j
     edges = np.flatnonzero(np.diff(np.concatenate([[0], gaps < thr, [0]])))
     levels = [
         _refine_level(y_top[i : j + 1])
         for i, j in zip(edges[::2], edges[1::2])
-        if j - i >= min_cluster
+        if j - i >= _MIN_CLUSTER
     ]
     if not levels:
         return []
     levels.sort(reverse=True)
 
-    weights = _level_weights(branchset, levels, fit_nodes)
+    weights = _level_weights(branchset, levels)
     return [LevelEstimate(slowness=lv, weight=w) for lv, w in zip(levels, weights)]
 
 
-def _refine_level(cluster_y: np.ndarray, max_members: int = 8) -> float:
+def _refine_level(cluster_y: np.ndarray) -> float:
     """Extrapolate the accumulation level from the top cluster members.
 
     Below a level ``L`` the member slownesses satisfy exactly
@@ -167,7 +167,7 @@ def _refine_level(cluster_y: np.ndarray, max_members: int = 8) -> float:
     member index has its apex at ``L^2``.  Falls back to the top member
     when the fit is degenerate.
     """
-    ys = np.asarray(cluster_y, dtype=float)[:max_members]
+    ys = np.asarray(cluster_y, dtype=float)[:_MAX_MEMBERS]
     top = float(ys[0])
     if len(ys) < 4:
         return top
@@ -185,9 +185,7 @@ def _refine_level(cluster_y: np.ndarray, max_members: int = 8) -> float:
     return level
 
 
-def _level_weights(
-    branchset: BranchSet, levels: list[float], fit_nodes: int
-) -> np.ndarray:
+def _level_weights(branchset: BranchSet, levels: list[float]) -> np.ndarray:
     """Joint least-squares thicknesses from shifted count differences.
 
     Each sample equation matches an observed count difference
@@ -199,7 +197,7 @@ def _level_weights(
     grid = branchset.omega_grid
     top = len(grid) - 1
     lo_idx = int(np.searchsorted(grid, grid[top] / 10.0))
-    idxs = np.unique(np.linspace(lo_idx, top, fit_nodes).astype(int))
+    idxs = np.unique(np.linspace(lo_idx, top, _FIT_NODES).astype(int))
     ys = branchset.y[idxs]
     keep = ~np.isnan(ys).all(axis=1)
     ys, w = ys[keep], grid[idxs[keep], None]

@@ -133,13 +133,10 @@ def test_cutoffs_are_branch_start_roots(medium_a, medium_b, medium_b_swapped):
         for ell, w in enumerate(cuts[1:], start=2):
             assert len(roots_at_omega(medium, w * (1 + 1e-8))) == ell
             assert len(roots_at_omega(medium, w * (1 - 1e-8))) == ell - 1
-            # at the cutoff itself the roots below it are returned; the
-            # computed cutoff may sit a rounding above the true one, and then
-            # the new branch is there too, at its start 1/c_inf
+            # a computed cutoff is the last frequency without its branch
             roots = roots_at_omega(medium, w)
-            assert len(roots) in (ell - 1, ell)
-            assert np.all(roots[: ell - 1] > lo * (1 + 1e-6))
-            assert np.all(roots[ell - 1 :] - lo <= 1e-9 * lo)
+            assert len(roots) == ell - 1
+            assert np.all(roots > lo * (1 + 1e-6))
 
 
 def test_single_layer_cutoffs_equal_pi_multiples(medium_a):

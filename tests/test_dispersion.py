@@ -9,7 +9,7 @@ from lovedisp import (
     dispersion_value,
     layer_matrix,
 )
-from lovedisp.dispersion import _dispersion_scaled, _pq_scaled, _sturm_count
+from lovedisp.dispersion import _dispersion_scaled, _shoot, _sturm_count
 
 
 def _random_valid_medium(rng, n):
@@ -24,7 +24,7 @@ def test_identity_at_zero_frequency(medium_a):
     for j in (1,):
         for y in (1.2e-4, 5e-4, 9e-4):
             assert np.array_equal(layer_matrix(medium_a, j, 0.0, y), np.eye(2))
-    p, q, ls = _pq_scaled(medium_a, 0.0, 5e-4)
+    p, q, ls = _shoot(medium_a, 0.0, 5e-4)[-1]
     assert (p, q, ls) == (1.0, 0.0, 0.0)
 
 
@@ -79,7 +79,7 @@ def test_pq_state_at_first_positive_cutoff(medium_a):
     # the closed-form cutoff makes the surface-layer phase exactly pi
     mag = np.sqrt(1e-6 - 1e-8)
     omega2 = np.pi / (mag * 100.0)
-    p, q, ls = _pq_scaled(medium_a, omega2, 1e-4)
+    p, q, ls = _shoot(medium_a, omega2, 1e-4)[-1]
     true_p = p * np.exp(ls)
     true_q = q * np.exp(ls)
     assert true_p == pytest.approx(-1.0, rel=1e-12)
@@ -97,7 +97,7 @@ def test_scaled_propagation_matches_unscaled_product():
         vec = np.array([1.0, 0.0])
         for j in range(1, m.n + 1):
             vec = layer_matrix(m, j, omega, y) @ vec
-        p, q, ls = _pq_scaled(m, omega, y)
+        p, q, ls = _shoot(m, omega, y)[-1]
         scale = np.exp(ls)
         assert p * scale == pytest.approx(vec[0], rel=1e-12)
         assert q * scale == pytest.approx(vec[1], rel=1e-12, abs=1e-12 * abs(vec[0]))

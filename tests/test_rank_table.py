@@ -91,7 +91,7 @@ def test_level_weights_match_loop(trace_b):
             nu_lo = np.sqrt(np.maximum(lv * lv - level * level, 0.0))
             rows.append(w / np.pi * (nu_hi - nu_lo))
     expected = spectral.nnls(np.asarray(rows), np.asarray(rhs))[0] * np.sqrt(lv)
-    assert np.array_equal(spectral._level_weights(trace_b, levels, 40), expected)
+    assert np.array_equal(spectral._level_weights(trace_b, levels), expected)
 
 
 def test_branches_csv_matches_loop(tmp_path, trace_b):
