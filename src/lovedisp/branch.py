@@ -5,12 +5,13 @@ Every root count goes through the exact Sturm count of
 Wittrick-Williams algorithm: the number of dispersion roots with slowness
 above any level.  Root ``ell`` (rank by descending slowness) is isolated by
 vectorized bisection on "count >= ell" until its bracket holds exactly that
-one root, then refined on the sign of the dispersion function by bisection
-and one secant step.  Roots are found for a block of frequencies in one
+one root, then refined on the sign change of the dispersion function by
+Illinois steps kept within bisection's worst case by a minmax window, and
+one secant step.  Roots are found for a block of frequencies in one
 vectorized pass: every step works on all (frequency, rank) pairs of the
-block at once, and a single frequency is a block of one.  Cutoffs are
-isolated the same way in frequency, from the count at the half-space
-slowness.
+block at once, a trace of up to ``_TRACE_BLOCK`` frequencies is one block,
+and a single frequency is a block of one.  Cutoffs are isolated and refined
+the same way in frequency, from the count at the half-space slowness.
 
 A traced :class:`BranchSet` stores one (node x rank) table of slownesses,
 NaN where a rank is absent; its :class:`Branch` objects are views of that
@@ -35,11 +36,12 @@ __all__ = [
     "trace_branches",
 ]
 
-_REFINE_TOL = 1e-12  # relative bracket width (in y) at which bisection stops
+_REFINE_TOL = 1e-12  # relative bracket width (in y) at which refinement stops
 _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
-_MAX_HALVINGS = 100  # more halvings than double precision can resolve
-_TRACE_BLOCK = 64  # frequencies per root search in a trace: bounds its memory
+_MAX_STEPS = 100  # more halvings or refine steps than double precision can resolve
+_SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
+_TRACE_BLOCK = 1024  # frequencies per root search in a trace: bounds its memory
 
 
 def _isolate(count, inside, outside, c_in, c_out, ranks, label):
@@ -53,7 +55,7 @@ def _isolate(count, inside, outside, c_in, c_out, ranks, label):
     Updates the given arrays in place and returns the ``(inside, outside)``
     ends.
     """
-    for _ in range(_MAX_HALVINGS):
+    for _ in range(_MAX_STEPS):
         todo = np.flatnonzero((c_in != ranks) | (c_out != ranks - 1))
         if len(todo) == 0:
             return inside, outside
@@ -69,22 +71,33 @@ def _isolate(count, inside, outside, c_in, c_out, ranks, label):
     )
 
 
-def _bisect_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
-    """Vectorized bisection of sign-change brackets of ``f``; returns refined (lo, hi).
+def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
+    """Shrink sign-change brackets of ``f`` by a guarded superlinear step.
 
-    Each bracket is halved until its width is at most ``tol`` times its
-    midpoint.  ``f(k, x)`` evaluates at points ``x`` of bracket indices
-    ``k``; ``label(k)`` names bracket ``k`` in errors.
+    ``f(k, x)`` returns ``(value, log_scale)`` at points ``x`` of bracket
+    indices ``k``, the true value being ``value * exp(log_scale)``;
+    ``label(k)`` names bracket ``k`` in errors.  Each step takes the Illinois
+    point (Dowell & Jarratt, BIT 1971): regula falsi on the true values, with
+    the value at an end halved each further step that end is kept.  The
+    point is then clipped to ITP's minmax window around the midpoint
+    (Oliveira & Takahashi, ACM TOMS 2020), so after ``j`` steps a bracket is
+    no wider than bisection leaves it after ``j - _SLACK_STEPS`` halvings.
+    A bracket is done once its width is at most ``tol`` times its midpoint.
+    Returns the refined ``(lo, hi)``.
 
     Raises
     ------
     BadBracket
-        Unless ``f`` has strictly opposite signs at the ends of every bracket.
+        Unless ``f`` has strictly opposite signs at the ends of every
+        bracket, or if a bracket is not done after ``_MAX_STEPS`` steps.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    k = np.arange(len(lo))
-    v = np.sign(f(np.concatenate([k, k]), np.concatenate([lo, hi])))
-    s_lo, s_hi = v[: len(lo)], v[len(lo) :]
+    n = len(lo)
+    k = np.arange(n)
+    v, ls = f(np.concatenate([k, k]), np.concatenate([lo, hi]))
+    # row 0 holds the lo ends, row 1 the hi ends
+    v, ls = np.reshape(v, (2, n)).astype(float), np.reshape(ls, (2, n)).astype(float)
+    s_lo, s_hi = np.sign(v)
     bad = np.flatnonzero((s_lo == 0) | (s_hi == 0) | (s_lo == s_hi))
     if len(bad):
         b = bad[0]
@@ -92,18 +105,40 @@ def _bisect_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
             f"no sign change for {label(b)} on ({lo[b]}, {hi[b]}): "
             f"signs {int(s_lo[b])}, {int(s_hi[b])}"
         )
-    for _ in range(_MAX_HALVINGS):
-        todo = np.flatnonzero(hi - lo > tol * 0.5 * (lo + hi))
-        if len(todo) == 0:
-            break
-        mid = 0.5 * (lo[todo] + hi[todo])
-        sm = np.sign(f(todo, mid))
-        right = sm == s_lo[todo]
-        lo[todo[right]] = mid[right]
-        hi[todo[~right]] = mid[~right]
-        # an exact zero at the midpoint collapses the bracket
-        hit = sm == 0
-        lo[todo[hit]] = mid[hit]
+    half0 = 0.5 * (hi - lo)
+    kept = np.full(n, -1)  # the end (0 lo, 1 hi) the last step kept
+    step = 0
+    while len(todo := np.flatnonzero(hi - lo > tol * 0.5 * (lo + hi))):
+        if step == _MAX_STEPS:
+            b = todo[0]
+            raise BadBracket(
+                f"could not refine {label(b)} to relative width {tol!r} "
+                f"between {float(lo[b])!r} and {float(hi[b])!r}"
+            )
+        a, c = lo[todo], hi[todo]
+        lt = ls[:, todo]
+        fa, fc = v[:, todo] * np.exp(lt - lt.max(axis=0))
+        mid = 0.5 * (a + c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (a * fc - c * fa) / (fc - fa)
+        r = half0[todo] * 2.0 ** (_SLACK_STEPS - step) - 0.5 * (c - a)
+        x = np.where((x > a) & (x < c), np.clip(x, mid - r, mid + r), mid)
+        vx, lx = f(todo, x)
+        sx = np.sign(vx)
+        # x replaces the end whose sign it shares; the other end is kept
+        end = (sx == s_hi[todo]).astype(int)
+        other = 1 - end
+        # Illinois: an end kept again has its value halved
+        again = kept[todo] == other
+        ls[other[again], todo[again]] -= np.log(2.0)
+        kept[todo] = other
+        v[end, todo], ls[end, todo] = vx, lx
+        lo[todo[end == 0]] = x[end == 0]
+        hi[todo[end == 1]] = x[end == 1]
+        # an exact zero collapses the bracket
+        hit = todo[sx == 0]
+        hi[hit] = lo[hit]
+        step += 1
     return lo, hi
 
 
@@ -119,14 +154,15 @@ def _secant_polish(
     mid = 0.5 * (lo + hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.where(denom != 0.0, (lo * f_hi - hi * f_lo) / denom, mid)
-    return np.where((y > lo) & (y < hi) | (lo == hi), np.clip(y, lo, hi), mid)
+    # a secant point that rounds onto an end, or just past it, is that end
+    return np.clip(y, lo, hi)
 
 
 def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
     """Roots at each frequency of ``omegas``, each strictly descending.
 
     One pass for the whole block: one seed count on the (frequency x node)
-    grid, then isolation, bisection and the secant step each vectorized
+    grid, then isolation, refinement and the secant step each vectorized
     over every (frequency, rank) pair.
     """
     nodes = np.linspace(*medium.slowness_domain, _SEED_NODES)
@@ -150,9 +186,8 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
         lambda k, y: _sturm_count(medium, omega[k], y),
         nodes[j], nodes[j + 1], c_in[cell], c_out[cell], ranks, label,
     )
-    lo, hi = _bisect_zeros(
-        lambda k, y: _dispersion_scaled(medium, omega[k], y)[0],
-        lo, hi, _REFINE_TOL, label,
+    lo, hi = _refine_zeros(
+        lambda k, y: _dispersion_scaled(medium, omega[k], y), lo, hi, _REFINE_TOL, label
     )
     roots = _secant_polish(medium, omega, lo, hi)
     # ranks run descending per frequency; reverse to descending slowness
@@ -223,8 +258,8 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     hi, lo = _isolate(
         count, w_max * ones, w_min * ones, n_max * ones, n_min * ones, ranks, label
     )
-    lo, hi = _bisect_zeros(
-        lambda k, w: _dispersion_scaled(medium, w, y0)[0], lo, hi, _OMEGA_TOL, label
+    lo, hi = _refine_zeros(
+        lambda k, w: _dispersion_scaled(medium, w, y0), lo, hi, _OMEGA_TOL, label
     )
     return np.concatenate([np.zeros(min(n_min, ell_max)), lo])
 

@@ -100,6 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _omega_grid(args) -> np.ndarray:
+    if not (np.isfinite(args.omega_step) and args.omega_step > 0.0):
+        raise ValueError(
+            f"--omega-step must be positive and finite, got {args.omega_step!r}"
+        )
     grid = np.arange(args.omega_min, args.omega_max + 0.5 * args.omega_step, args.omega_step)
     grid = grid[grid > 0.0]
     if len(grid) == 0:

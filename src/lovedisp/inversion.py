@@ -76,6 +76,12 @@ class DispersionDataset:
             raise ValueError("omega and k must be strictly positive")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
+        if self.noise_sigma is not None and not (
+            np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0
+        ):
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}"
+            )
         if self.ell is not None:
             raw = np.asarray(self.ell, dtype=float)
             if raw.shape != omega.shape:

@@ -14,6 +14,8 @@ from lovedisp import (
 
 MAG_A = np.sqrt(1e-6 - 1e-8)  # |nu_1| of the benchmark at the half-space slowness
 SPACING_A = np.pi / (MAG_A * 100.0)  # closed-form cutoff spacing
+# c = (1000, 10000) m/s, H = 1000 m: 15,836 roots at omega = 5e4
+THICK_LAYER = Medium(mu=[1e6, 1e8], rho=[1.0, 1.0], thickness=[1000.0])
 # seed-105 random medium: two roots 1.8% apart at omega = 60
 FOUR_LAYER = Medium(
     mu=[4612356.4957442675, 24043856.688325193, 1281914.2909105883,
@@ -62,9 +64,8 @@ def test_roots_fill_the_closed_domain(medium_a, medium_b, medium_b_swapped):
 def test_thick_layer_keeps_its_fundamental():
     # c = (1000, 10000) m/s, H = 1000 m: at omega = 5e4 the fundamental lies
     # within 1e-9 (relative) of 1/c0; every root solves the closed form
-    m = Medium(mu=[1e6, 1e8], rho=[1.0, 1.0], thickness=[1000.0])
     omega, wh = 5e4, 5e4 * 1000.0
-    roots = roots_at_omega(m, omega)
+    roots = roots_at_omega(THICK_LAYER, omega)
     mag = np.sqrt(1e-6 - 1e-8)  # |nu_1| at the half-space slowness
     assert len(roots) == int(wh * mag / np.pi) + 1 == 15_836
     # branch p has layer phase theta in (p pi, p pi + pi/2), solving
@@ -78,7 +79,8 @@ def test_thick_layer_keeps_its_fundamental():
         g = theta - p * np.pi - np.arctan(100.0 * np.sqrt(mag**2 - nu1**2) / nu1)
         a, b = np.where(g < 0, theta, a), np.where(g < 0, b, theta)
     expected = np.sqrt(1e-6 - (0.5 * (a + b) / wh) ** 2)
-    assert np.allclose(roots, expected, rtol=1e-12, atol=0.0)
+    # the secant step takes a bracket of relative width 1e-12 to rounding
+    assert np.allclose(roots, expected, rtol=1e-13, atol=0.0)
 
 
 def _add_phantom_count_step(monkeypatch):
@@ -215,7 +217,8 @@ def test_four_layer_medium_keeps_close_root_pair():
     assert np.max(np.abs(ks - 60.0 * roots) / ks) < 1e-3
 
 
-def _assert_trace_matches_pointwise(medium, grid):
+def _assert_trace_matches_pointwise(medium, grid, monkeypatch):
+    monkeypatch.setattr(branch_mod, "_TRACE_BLOCK", 64)
     assert len(grid) > branch_mod._TRACE_BLOCK  # spans more than one block
     bs = trace_branches(medium, grid)
     for node, w in enumerate(grid):
@@ -227,22 +230,22 @@ def _assert_trace_matches_pointwise(medium, grid):
 
 
 @pytest.mark.parametrize("name", ["medium_a", "medium_b", "medium_b_swapped"])
-def test_trace_matches_roots_at_omega(name, request):
+def test_trace_matches_roots_at_omega(name, request, monkeypatch):
     _assert_trace_matches_pointwise(
-        request.getfixturevalue(name), np.arange(1.0, 150.01, 1.5)
+        request.getfixturevalue(name), np.arange(1.0, 150.01, 1.5), monkeypatch
     )
 
 
-def test_trace_matches_roots_at_omega_four_layer():
-    _assert_trace_matches_pointwise(FOUR_LAYER, np.arange(1.0, 300.5, 3.0))
+def test_trace_matches_roots_at_omega_four_layer(monkeypatch):
+    _assert_trace_matches_pointwise(FOUR_LAYER, np.arange(1.0, 300.5, 3.0), monkeypatch)
 
 
-def test_trace_blocks_without_roots():
+def test_trace_blocks_without_roots(monkeypatch):
     # below the first cutoff of the faster-interior medium whole blocks of
     # the trace hold no root at all
     m = Medium(mu=[1e6, 4e8, 1e8], rho=[1.0, 1.0, 1.0], thickness=[100.0, 50.0])
     grid = np.arange(1, 241) * 0.05
-    bs = _assert_trace_matches_pointwise(m, grid)
+    bs = _assert_trace_matches_pointwise(m, grid, monkeypatch)
     first = int(np.argmax(grid > bs.cutoffs[0]))
     assert bs.cutoffs[0] == pytest.approx(9.8077, abs=1e-4)
     assert first >= 3 * branch_mod._TRACE_BLOCK  # three whole blocks
@@ -252,3 +255,74 @@ def test_trace_blocks_without_roots():
     roots = branch_mod._roots_on_grid(m, grid)
     traced = [len(bs.slownesses_at(i)) for i in range(len(grid))]
     assert [len(r) for r in roots] == traced
+
+
+def test_unconverged_bracket_raises(medium_a, monkeypatch):
+    # with tol = 0 no bracket of a root without an exact zero can finish:
+    # the refine names it instead of returning it as converged
+    monkeypatch.setattr(branch_mod, "_REFINE_TOL", 0.0)
+    with pytest.raises(BadBracket, match=r"could not refine rank 1 at omega=15\.0"):
+        roots_at_omega(medium_a, 15.0)
+
+
+def _bisection_steps(f, lo, hi, tol):
+    """Steps plain bisection takes on each bracket to the same stop rule."""
+    lo, hi = lo.copy(), hi.copy()
+    s_lo = np.sign(f(np.arange(len(lo)), lo)[0])
+    steps = np.zeros(len(lo), dtype=int)
+    while len(todo := np.flatnonzero(hi - lo > tol * 0.5 * (lo + hi))):
+        mid = 0.5 * (lo[todo] + hi[todo])
+        sm = np.sign(f(todo, mid)[0])
+        right = sm == s_lo[todo]
+        lo[todo[right]] = mid[right]
+        hi[todo[~right]] = mid[~right]
+        lo[todo[sm == 0]] = mid[sm == 0]
+        steps[todo] += 1
+    return steps
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["B at 12000", "swapped B at 12000", "thick layer at 5e4", "B cutoffs"],
+)
+def test_refine_steps_within_bisection_plus_slack(case, medium_b, medium_b_swapped,
+                                                  monkeypatch):
+    # the minmax window bounds every bracket, also where Illinois alone
+    # crawls: without it both B cases at omega = 12000 exceed the bound
+    real, seen = branch_mod._refine_zeros, []
+
+    def counted(f, lo, hi, tol, label):
+        evals = np.zeros(len(lo), dtype=int)
+
+        def g(k, x):
+            np.add.at(evals, k, 1)
+            return f(k, x)
+
+        out = real(g, lo, hi, tol, label)
+        seen.append((evals - 2, _bisection_steps(f, lo, hi, tol)))
+        return out
+
+    monkeypatch.setattr(branch_mod, "_refine_zeros", counted)
+    {
+        "B at 12000": lambda: roots_at_omega(medium_b, 12000.0),
+        "swapped B at 12000": lambda: roots_at_omega(medium_b_swapped, 12000.0),
+        "thick layer at 5e4": lambda: roots_at_omega(THICK_LAYER, 5e4),
+        "B cutoffs": lambda: cutoff_frequencies(medium_b, 40),
+    }[case]()
+    ((steps, halvings),) = seen
+    assert len(steps) > 20
+    assert np.all(steps <= halvings + branch_mod._SLACK_STEPS)
+
+
+def test_trace_dispersion_passes(medium_b, monkeypatch):
+    # tripwire: a trace of 300 nodes is one root search with a superlinear
+    # step (55 passes); bisection in 64-frequency blocks made 250
+    real, calls = branch_mod._dispersion_scaled, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(branch_mod, "_dispersion_scaled", counted)
+    trace_branches(medium_b, np.arange(0.5, 150.01, 0.5))
+    assert len(calls) <= 80

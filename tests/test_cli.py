@@ -177,6 +177,22 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, body, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trace", "weyl", "synth"])
+@pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+def test_bad_omega_step_is_data_error(tmp_path, medium_a_config, capsys, command, step):
+    extra = ["--y", "2e-4"] if command == "weyl" else []
+    assert run([command, "--medium", medium_a_config, "--omega-max", "10",
+                "--omega-step", step, "--out", str(tmp_path), *extra]) == 2
+    assert "error: --omega-step" in capsys.readouterr().err
+
+
+def test_synth_negative_noise_is_data_error(tmp_path, medium_a_config, capsys):
+    assert run(["synth", "--medium", medium_a_config, "--omega-max", "10",
+                "--noise", "-1", "--out", str(tmp_path)]) == 2
+    assert "error: noise_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.csv").exists()
+
+
 def test_synth_deterministic(tmp_path, medium_a_config):
     blobs = []
     for name in ("d1", "d2"):

@@ -52,6 +52,14 @@ def test_dataset_rejects_non_integer_labels():
                               ell=np.array([1.5, 2.0]), noise_sigma=sigma)
 
 
+def test_dataset_rejects_negative_or_nonfinite_noise():
+    # a negative sigma would also switch off the ordered-label check
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            DispersionDataset(omega=np.array([1.0, 1.0]), k=np.array([2.0, 1.0]),
+                              ell=np.array([2, 1]), noise_sigma=sigma)
+
+
 def test_noisy_dataset_rejects_duplicate_labels():
     # noise exempts the descending-k order, not the one sample per label
     omega, k = np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
