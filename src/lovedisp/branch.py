@@ -5,13 +5,15 @@ Every root count goes through the exact Sturm count of
 Wittrick-Williams algorithm: the number of dispersion roots with slowness
 above any level.  Root ``ell`` (rank by descending slowness) is isolated by
 vectorized bisection on "count >= ell" until its bracket holds exactly that
-one root, then refined on the sign change of the dispersion function by
-Illinois steps kept within bisection's worst case by a minmax window, and
-one secant step.  Roots are found for a block of frequencies in one
-vectorized pass: every step works on all (frequency, rank) pairs of the
-block at once, a trace of up to ``_TRACE_BLOCK`` frequencies is one block,
-and a single frequency is a block of one.  Cutoffs are isolated and refined
-the same way in frequency, from the count at the half-space slowness.
+one root, then refined on the sign change of the dispersion function by ITP
+steps (an Illinois point, truncated toward the midpoint and kept within
+bisection's worst case by a minmax window), and one secant step from the
+values the refinement already holds at the final ends.  Roots are found
+for a block of frequencies in one vectorized pass: every step works on all
+(frequency, rank) pairs of the block at once, a trace of up to
+``_TRACE_BLOCK`` frequencies is one block, and a single frequency is a
+block of one.  Cutoffs are isolated and refined the same way in
+frequency, from the count at the half-space slowness.
 
 A traced :class:`BranchSet` stores one (node x rank) table of slownesses,
 NaN where a rank is absent; its :class:`Branch` objects are views of that
@@ -41,6 +43,7 @@ _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
 _MAX_STEPS = 100  # more halvings or refine steps than double precision can resolve
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
+_ITP_KAPPA1 = 0.2  # ITP truncation gain times the initial bracket width
 _TRACE_BLOCK = 1024  # frequencies per root search in a trace: bounds its memory
 
 
@@ -72,18 +75,25 @@ def _isolate(count, inside, outside, c_in, c_out, ranks, label):
 
 
 def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
-    """Shrink sign-change brackets of ``f`` by a guarded superlinear step.
+    """Shrink sign-change brackets of ``f`` by ITP steps on the Illinois point.
 
     ``f(k, x)`` returns ``(value, log_scale)`` at points ``x`` of bracket
     indices ``k``, the true value being ``value * exp(log_scale)``;
-    ``label(k)`` names bracket ``k`` in errors.  Each step takes the Illinois
-    point (Dowell & Jarratt, BIT 1971): regula falsi on the true values, with
-    the value at an end halved each further step that end is kept.  The
-    point is then clipped to ITP's minmax window around the midpoint
-    (Oliveira & Takahashi, ACM TOMS 2020), so after ``j`` steps a bracket is
-    no wider than bisection leaves it after ``j - _SLACK_STEPS`` halvings.
-    A bracket is done once its width is at most ``tol`` times its midpoint.
-    Returns the refined ``(lo, hi)``.
+    ``label(k)`` names bracket ``k`` in errors.  Each step is one of ITP
+    (Oliveira & Takahashi, ACM TOMS 2020) with the Illinois point (Dowell &
+    Jarratt, BIT 1971) as its interpolation: regula falsi on the true
+    values, with the value at an end halved each further step that end is
+    kept.  Truncation moves that point toward the midpoint by
+    ``kappa1 * width**2``, ``kappa1 = _ITP_KAPPA1 / width0`` (the paper's
+    ``kappa2 = 2``), so a point stuck near the small end of an exponentially
+    growing bracket still gains ground; a point closer to the midpoint than
+    that is the midpoint.  Projection then clips it to the minmax window
+    around the midpoint, so after ``j`` steps a bracket is no wider than
+    bisection leaves it after ``j - _SLACK_STEPS`` halvings.  A bracket is
+    done once its width is at most ``tol`` times its midpoint.
+
+    Returns the refined ``(lo, hi, v, ls)``: ``v`` and ``ls`` are (2, n),
+    row 0 holding ``f`` at the ``lo`` ends, row 1 at the ``hi`` ends.
 
     Raises
     ------
@@ -106,6 +116,9 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
             f"signs {int(s_lo[b])}, {int(s_hi[b])}"
         )
     half0 = 0.5 * (hi - lo)
+    kappa1 = _ITP_KAPPA1 / (2.0 * half0)
+    # Illinois halvings as log weights, so v and ls stay f at the ends
+    weight = np.zeros((2, n))
     kept = np.full(n, -1)  # the end (0 lo, 1 hi) the last step kept
     step = 0
     while len(todo := np.flatnonzero(hi - lo > tol * 0.5 * (lo + hi))):
@@ -116,13 +129,18 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
                 f"between {float(lo[b])!r} and {float(hi[b])!r}"
             )
         a, c = lo[todo], hi[todo]
-        lt = ls[:, todo]
+        lt = ls[:, todo] + weight[:, todo]
         fa, fc = v[:, todo] * np.exp(lt - lt.max(axis=0))
         mid = 0.5 * (a + c)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = (a * fc - c * fa) / (fc - fa)
+        x = np.where((x > a) & (x < c), x, mid)
+        # truncation: toward the midpoint by delta, or onto it
+        delta, d = kappa1[todo] * (c - a) ** 2, mid - x
+        x = np.where(delta < np.abs(d), x + np.sign(d) * delta, mid)
+        # projection onto the minmax window
         r = half0[todo] * 2.0 ** (_SLACK_STEPS - step) - 0.5 * (c - a)
-        x = np.where((x > a) & (x < c), np.clip(x, mid - r, mid + r), mid)
+        x = np.clip(x, mid - r, mid + r)
         vx, lx = f(todo, x)
         sx = np.sign(vx)
         # x replaces the end whose sign it shares; the other end is kept
@@ -130,26 +148,21 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
         other = 1 - end
         # Illinois: an end kept again has its value halved
         again = kept[todo] == other
-        ls[other[again], todo[again]] -= np.log(2.0)
+        weight[other[again], todo[again]] -= np.log(2.0)
         kept[todo] = other
-        v[end, todo], ls[end, todo] = vx, lx
+        v[end, todo], ls[end, todo], weight[end, todo] = vx, lx, 0.0
         lo[todo[end == 0]] = x[end == 0]
         hi[todo[end == 1]] = x[end == 1]
-        # an exact zero collapses the bracket
+        # an exact zero collapses the bracket onto it
         hit = todo[sx == 0]
-        hi[hit] = lo[hit]
+        hi[hit], v[1, hit], ls[1, hit] = lo[hit], v[0, hit], ls[0, hit]
         step += 1
-    return lo, hi
+    return lo, hi, v, ls
 
 
-def _secant_polish(
-    medium: Medium, omega: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    v_lo, l_lo = _dispersion_scaled(medium, omega, lo)
-    v_hi, l_hi = _dispersion_scaled(medium, omega, hi)
-    ref = np.maximum(l_lo, l_hi)
-    f_lo = v_lo * np.exp(l_lo - ref)
-    f_hi = v_hi * np.exp(l_hi - ref)
+def _secant_polish(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, ls: np.ndarray):
+    """One secant step on each refined bracket from its end values ``v``, ``ls``."""
+    f_lo, f_hi = v * np.exp(ls - ls.max(axis=0))
     denom = f_hi - f_lo
     mid = 0.5 * (lo + hi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -186,10 +199,9 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
         lambda k, y: _sturm_count(medium, omega[k], y),
         nodes[j], nodes[j + 1], c_in[cell], c_out[cell], ranks, label,
     )
-    lo, hi = _refine_zeros(
+    roots = _secant_polish(*_refine_zeros(
         lambda k, y: _dispersion_scaled(medium, omega[k], y), lo, hi, _REFINE_TOL, label
-    )
-    roots = _secant_polish(medium, omega, lo, hi)
+    ))
     # ranks run descending per frequency; reverse to descending slowness
     splits = np.cumsum(counts[:, 0])[:-1]
     return [r[::-1] for r in np.split(roots, splits)]
@@ -258,9 +270,9 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     hi, lo = _isolate(
         count, w_max * ones, w_min * ones, n_max * ones, n_min * ones, ranks, label
     )
-    lo, hi = _refine_zeros(
+    lo = _refine_zeros(
         lambda k, w: _dispersion_scaled(medium, w, y0), lo, hi, _OMEGA_TOL, label
-    )
+    )[0]
     return np.concatenate([np.zeros(min(n_min, ell_max)), lo])
 
 

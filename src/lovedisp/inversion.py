@@ -58,6 +58,11 @@ __all__ = [
 ]
 
 
+def _check_noise_sigma(sigma) -> None:
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class DispersionDataset:
     """Observed frequency-wavenumber samples, optionally labeled by branch."""
@@ -76,12 +81,8 @@ class DispersionDataset:
             raise ValueError("omega and k must be strictly positive")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
-        if self.noise_sigma is not None and not (
-            np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0
-        ):
-            raise ValueError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}"
-            )
+        if self.noise_sigma is not None:
+            _check_noise_sigma(self.noise_sigma)
         if self.ell is not None:
             raw = np.asarray(self.ell, dtype=float)
             if raw.shape != omega.shape:
@@ -629,7 +630,13 @@ def synthesize_observations(
     The perturbation is ``k * (1 + eps)`` with ``eps ~ Normal(0, sigma)``
     drawn from a seeded generator, so a fixed seed reproduces the dataset
     bit for bit.  Pass an existing ``branchset`` to skip the trace.
+
+    Raises
+    ------
+    ValueError
+        If ``noise_sigma`` is negative or not finite; checked before the trace.
     """
+    _check_noise_sigma(noise_sigma)
     if branchset is None:
         branchset = trace_branches(medium, omega_grid)
     # row-major order of the filled cells: by omega, then by ell

@@ -74,7 +74,13 @@ class ModeShape:
         return self.decay_rate > 0.0
 
     def evaluate(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Displacement and stress ``mu phi'`` on depth array ``z``."""
+        """Displacement and stress ``mu phi'`` on depth array ``z``.
+
+        Raises
+        ------
+        ResultOutOfRange
+            If a value inside a finite layer leaves double range.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=float))
         m = self.medium
         h_last = float(m.depths[-1])
@@ -92,7 +98,10 @@ class ModeShape:
 
     def _in_layers(self, j, z):
         """Displacement and scaled stress in finite layers ``j`` at depths ``z``
-        (broadcast), each carried from the end its shot is accurate at."""
+        (broadcast), each carried from the end its shot is accurate at.
+
+        Raises :class:`ResultOutOfRange` if a value leaves double range.
+        """
         phi, q = self._states()
         up = j >= self.match
         start = j + up
@@ -101,8 +110,15 @@ class ModeShape:
         p2, q2, lf = _layer(
             self.medium, j, self.omega, self.y, dz, phi[start], sign * q[start]
         )[:3]
-        scale = np.exp(lf)
-        return p2 * scale, sign * q2 * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.exp(lf)
+            out = p2 * scale, sign * q2 * scale
+        if not np.all(np.isfinite(out)):
+            raise ResultOutOfRange(
+                f"mode shape leaves double range inside a layer at "
+                f"(omega={self.omega:g}, k={self.k:g})"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -177,6 +193,11 @@ def mode_residuals(shape: ModeShape) -> ModeDiagnostics:
     must match the stored state, the tail's included; the layer ODE is
     checked at 100 depths per layer, and the quotient identity tying the
     three closed-form norms together.
+
+    Raises
+    ------
+    ResultOutOfRange
+        If the shape inside a finite layer leaves double range.
     """
     m = shape.medium
     omega, k, y = shape.omega, shape.k, shape.y

@@ -25,6 +25,12 @@ FOUR_LAYER = Medium(
     thickness=[124.53003394766058, 154.7248812895132, 63.80876746410887,
                75.00988020061546],
 )
+# a random two-layer medium: at omega = 582.4 rank 22's bracket spans a
+# factor of about e^6 in |F|, where an untruncated Illinois point crawls
+STEEP = Medium(
+    mu=[9.1718e6, 1.86215e6, 4.50347e7], rho=[1.85828, 1.56913, 0.806314],
+    thickness=[194.191, 147.52],
+)
 
 
 @pytest.mark.parametrize("omega,expected", [(15.0, 1), (100.0, 4), (1000.0, 32)])
@@ -314,9 +320,7 @@ def test_refine_steps_within_bisection_plus_slack(case, medium_b, medium_b_swapp
     assert np.all(steps <= halvings + branch_mod._SLACK_STEPS)
 
 
-def test_trace_dispersion_passes(medium_b, monkeypatch):
-    # tripwire: a trace of 300 nodes is one root search with a superlinear
-    # step (55 passes); bisection in 64-frequency blocks made 250
+def _count_dispersion_calls(monkeypatch):
     real, calls = branch_mod._dispersion_scaled, []
 
     def counted(*args):
@@ -324,5 +328,49 @@ def test_trace_dispersion_passes(medium_b, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(branch_mod, "_dispersion_scaled", counted)
+    return calls
+
+
+def test_trace_dispersion_passes(medium_b, monkeypatch):
+    # tripwire: a trace of 300 nodes is one root search with ITP steps (34
+    # passes); the untruncated Illinois step made 55, bisection in
+    # 64-frequency blocks 250
+    calls = _count_dispersion_calls(monkeypatch)
     trace_branches(medium_b, np.arange(0.5, 150.01, 0.5))
-    assert len(calls) <= 80
+    assert len(calls) <= 45
+
+
+def test_single_query_dispersion_passes(monkeypatch):
+    # tripwire: the untruncated Illinois step crawled on STEEP's rank 22 and
+    # made 46 passes, with truncation it makes 15
+    calls = _count_dispersion_calls(monkeypatch)
+    assert len(roots_at_omega(STEEP, 582.4)) == 41
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("case", ["B at 12000", "steep at 582.4"])
+def test_refine_returns_true_end_values(case, medium_b, monkeypatch):
+    # the polish reads F at the final ends from the refine, so those values
+    # must be F there bit for bit, with no Illinois halving left in them;
+    # and the refine's evaluations are the search's only F passes
+    medium, omega = {"B at 12000": (medium_b, 12000.0), "steep at 582.4": (STEEP, 582.4)}[case]
+    real, seen, ends = branch_mod._refine_zeros, [], []
+
+    def recorded(f, lo, hi, tol, label):
+        def g(k, x):
+            seen.append(1)
+            return f(k, x)
+
+        ends.append(real(g, lo, hi, tol, label))
+        return ends[-1]
+
+    monkeypatch.setattr(branch_mod, "_refine_zeros", recorded)
+    calls = _count_dispersion_calls(monkeypatch)
+    roots_at_omega(medium, omega)
+    assert len(calls) == len(seen)
+    ((lo, hi, v, ls),) = ends
+    assert len(lo) > 20
+    for row, y in enumerate((lo, hi)):
+        fresh_v, fresh_ls = branch_mod._dispersion_scaled(medium, omega, y)
+        assert np.array_equal(v[row], fresh_v)
+        assert np.array_equal(ls[row], fresh_ls)

@@ -60,6 +60,19 @@ def test_dataset_rejects_negative_or_nonfinite_noise():
                               ell=np.array([2, 1]), noise_sigma=sigma)
 
 
+def test_synthesize_rejects_bad_noise_before_tracing(medium_a, monkeypatch):
+    # the sigma is checked by the dataset's rule before any root is searched
+    import lovedisp.inversion as inversion_mod
+
+    def no_trace(*args):
+        raise AssertionError("traced before checking noise_sigma")
+
+    monkeypatch.setattr(inversion_mod, "trace_branches", no_trace)
+    for sigma in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            synthesize_observations(medium_a, np.arange(1.0, 10.01, 1.0), noise_sigma=sigma)
+
+
 def test_noisy_dataset_rejects_duplicate_labels():
     # noise exempts the descending-k order, not the one sample per label
     omega, k = np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])

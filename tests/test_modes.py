@@ -6,6 +6,7 @@ from lovedisp import (
     Medium,
     NotOnBranch,
     OutOfRange,
+    ResultOutOfRange,
     cutoff_frequencies,
     layer_matrix,
     mode_norms,
@@ -202,6 +203,23 @@ def test_mode_shape_out_of_double_range(medium_b_swapped):
     y = roots_at_omega(medium_b_swapped, omega)[0]
     with pytest.raises(OutOfRange):
         mode_shape(medium_b_swapped, omega, omega * y)
+
+
+def test_mode_residuals_out_of_double_range():
+    # the shape builds, but its tail amplitude is subnormal: carrying the
+    # 10 m bottom layer up from it scales by exp(723), past double range
+    c = np.array([1088.146096, 397.495038, 2585.79963, 883.835904, 5501.278982])
+    rho = np.array([2.99005, 0.818725, 0.685846, 1.978559, 3.398566])
+    m = Medium(mu=rho * c**2, rho=rho, thickness=[0.291999, 0.323976, 0.055829, 10.37214])
+    omega = 37759.56934536499
+    y = roots_at_omega(m, omega)[4]
+    ms = mode_shape(m, omega, omega * y)
+    with pytest.raises(ResultOutOfRange):
+        mode_residuals(ms)
+    with pytest.raises(ResultOutOfRange):
+        ms.evaluate(m.depths[3])
+    phi, _ = ms.evaluate([0.0, 1e3])  # the surface and the tail stay in range
+    assert phi[0] == 1.0
 
 
 def test_mode_norms_in_range_where_the_shape_is(medium_b):
