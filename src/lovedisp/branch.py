@@ -6,14 +6,16 @@ Wittrick-Williams algorithm: the number of dispersion roots with slowness
 above any level.  Root ``ell`` (rank by descending slowness) is isolated by
 vectorized bisection on "count >= ell" until its bracket holds exactly that
 one root, then refined on the sign change of the dispersion function by ITP
-steps (an Illinois point, truncated toward the midpoint and kept within
-bisection's worst case by a minmax window), and one secant step from the
-values the refinement already holds at the final ends.  Roots are found
-for a block of frequencies in one vectorized pass: every step works on all
-(frequency, rank) pairs of the block at once, a trace of up to
-``_TRACE_BLOCK`` frequencies is one block, and a single frequency is a
-block of one.  Cutoffs are isolated and refined the same way in
-frequency, from the count at the half-space slowness.
+steps (an Illinois point, truncated toward the midpoint, kept within
+bisection's worst case by a minmax window and at least a quarter of the
+tolerance from either end, the minimum step of Dekker's and Brent's
+zeroin), and one secant step from the values the refinement already
+holds at the final ends.  Roots are found for a block of frequencies in
+one vectorized pass: every step works on all (frequency, rank) pairs of
+the block at once, a trace of up to ``_TRACE_BLOCK`` frequencies is one
+block, and a single frequency is a block of one.  Cutoffs are isolated
+and refined the same way in frequency, from the count at the half-space
+slowness.
 
 A traced :class:`BranchSet` stores one (node x rank) table of slownesses,
 NaN where a rank is absent; its :class:`Branch` objects are views of that
@@ -22,6 +24,7 @@ table's columns.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +92,14 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     growing bracket still gains ground; a point closer to the midpoint than
     that is the midpoint.  Projection then clips it to the minmax window
     around the midpoint, so after ``j`` steps a bracket is no wider than
-    bisection leaves it after ``j - _SLACK_STEPS`` halvings.  A bracket is
-    done once its width is at most ``tol`` times its midpoint.
+    bisection leaves it after ``j - _SLACK_STEPS`` halvings.  Last, the
+    point is kept ``h = tol * mid / 4`` inside each end, the minimum step
+    of Dekker's and Brent's zeroin (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4): once an end is within ``h`` of
+    the root, an Illinois point that rounds onto that end lands past the
+    root instead, and the bracket closes rather than its far end crawling
+    in.  Only a NaN point falls back to the midpoint.  A bracket is done
+    once its width is at most ``tol`` times its midpoint.
 
     Returns the refined ``(lo, hi, v, ls)``: ``v`` and ``ls`` are (2, n),
     row 0 holding ``f`` at the ``lo`` ends, row 1 at the ``hi`` ends.
@@ -134,13 +143,16 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
         mid = 0.5 * (a + c)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = (a * fc - c * fa) / (fc - fa)
-        x = np.where((x > a) & (x < c), x, mid)
+        x = np.where(np.isnan(x), mid, x)
         # truncation: toward the midpoint by delta, or onto it
         delta, d = kappa1[todo] * (c - a) ** 2, mid - x
         x = np.where(delta < np.abs(d), x + np.sign(d) * delta, mid)
         # projection onto the minmax window
         r = half0[todo] * 2.0 ** (_SLACK_STEPS - step) - 0.5 * (c - a)
         x = np.clip(x, mid - r, mid + r)
+        # minimum step: once an end is within h of the root, x lands past it
+        h = 0.25 * tol * mid
+        x = np.clip(x, a + h, c - h)
         vx, lx = f(todo, x)
         sx = np.sign(vx)
         # x replaces the end whose sign it shares; the other end is kept
@@ -223,8 +235,8 @@ def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
         If the count fails to isolate a root, or an isolated bracket shows
         no strict sign change of the dispersion function.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be finite and > 0")
     return _roots_on_grid(medium, np.array([float(omega)]))[0]
 
 
@@ -247,6 +259,7 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
         If an isolated frequency bracket shows no strict sign change of
         ``F(omega, y0)``.
     """
+    ell_max = operator.index(ell_max)
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     y0 = float(medium.slowness[-1])
@@ -343,8 +356,9 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or len(omega_grid) == 0:
         raise ValueError("omega_grid must be a non-empty 1-D array")
-    if not np.all(omega_grid > 0.0) or not np.all(np.diff(omega_grid) > 0.0):
-        raise ValueError("omega_grid must be positive and strictly increasing")
+    finite = np.all((0.0 < omega_grid) & (omega_grid < np.inf))
+    if not finite or not np.all(np.diff(omega_grid) > 0.0):
+        raise ValueError("omega_grid must be finite, positive and strictly increasing")
 
     roots = [
         r

@@ -232,8 +232,10 @@ def _dispersion_scale_floor(medium: Medium) -> float:
 
 
 def _check_point(medium: Medium, omega: float, y: float) -> None:
-    if not omega >= 0.0:
-        raise ValueError("omega must be >= 0")
+    if not 0.0 <= omega < np.inf:
+        raise ValueError("omega must be finite and >= 0")
+    if not np.isfinite(y):
+        raise ValueError(f"slowness {y!r} is not finite")
     lo = float(medium.slowness[-1])
     if y < lo * (1.0 - 1e-12):
         raise ValueError(

@@ -144,8 +144,8 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
         If the displacement and stress at an interface leave the normal
         double range, above or below.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be finite and > 0")
     y = k / omega
     lo, hi = medium.slowness_domain
     if not lo <= y < hi:

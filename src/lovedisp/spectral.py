@@ -70,8 +70,8 @@ def mode_count(medium: Medium, omega: float, y: float) -> int:
     :func:`~lovedisp.branch.roots_at_omega`, independent of any stored
     branch data.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be finite and > 0")
     lo, hi = medium.slowness_domain
     if not lo < y < hi:
         raise OutOfRange(f"level {y!r} outside the open slowness domain ({lo}, {hi})")
@@ -80,6 +80,8 @@ def mode_count(medium: Medium, omega: float, y: float) -> int:
 
 def weyl_prediction(medium: Medium, omega: float, y: float) -> WeylPrediction:
     """Asymptotic count of modes with slowness >= ``y``."""
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be finite and > 0")
     lo, hi = medium.slowness_domain
     if not lo <= y < hi:
         raise OutOfRange(f"level {y!r} outside [{lo}, {hi})")
@@ -104,8 +106,8 @@ def accumulation_statistic(medium: Medium, omega: float, y: float) -> float:
     clamped there, so the count is taken over all existing branches, which
     is the natural extension of the definition.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be finite and > 0")
     lo, hi = medium.slowness_domain
     if not lo < y < hi:
         raise OutOfRange(f"level {y!r} outside the open slowness domain ({lo}, {hi})")

@@ -178,6 +178,13 @@ def test_trace_rejects_bad_grids(medium_a):
         trace_branches(medium_a, [-1.0, 2.0])
 
 
+def test_cutoffs_take_an_integer_count(medium_a):
+    with pytest.raises(TypeError):
+        cutoff_frequencies(medium_a, 2.5)
+    assert np.array_equal(cutoff_frequencies(medium_a, np.int64(3)),
+                          cutoff_frequencies(medium_a, 3))
+
+
 def test_branch_k_property(medium_a):
     bs = trace_branches(medium_a, np.arange(10.0, 100.01, 10.0))
     b = bs.branches[0]
@@ -332,20 +339,57 @@ def _count_dispersion_calls(monkeypatch):
 
 
 def test_trace_dispersion_passes(medium_b, monkeypatch):
-    # tripwire: a trace of 300 nodes is one root search with ITP steps (34
-    # passes); the untruncated Illinois step made 55, bisection in
-    # 64-frequency blocks 250
+    # tripwire: a trace of 300 nodes is one root search with ITP steps and
+    # the minimum step (25 passes); without the minimum step it made 34, the
+    # untruncated Illinois step 55, bisection in 64-frequency blocks 250
     calls = _count_dispersion_calls(monkeypatch)
     trace_branches(medium_b, np.arange(0.5, 150.01, 0.5))
-    assert len(calls) <= 45
+    assert len(calls) <= 30
 
 
 def test_single_query_dispersion_passes(monkeypatch):
     # tripwire: the untruncated Illinois step crawled on STEEP's rank 22 and
-    # made 46 passes, with truncation it makes 15
+    # made 46 passes, with truncation 15, with the minimum step 12
     calls = _count_dispersion_calls(monkeypatch)
     assert len(roots_at_omega(STEEP, 582.4)) == 41
-    assert len(calls) <= 20
+    assert len(calls) <= 14
+
+
+def test_cutoff_dispersion_passes(medium_b, monkeypatch):
+    # tripwire: with the minimum step 40 cutoffs of B take 12 passes; without
+    # it the far end of some bracket bisected down to the tolerance in 24
+    calls = _count_dispersion_calls(monkeypatch)
+    assert len(cutoff_frequencies(medium_b, 40)) == 40
+    assert len(calls) <= 15
+
+
+def test_refine_closes_once_a_point_lands_by_the_root():
+    # a linear f with its root tol*mid/8 above lo, so lo starts within
+    # h = tol*mid/4 of it.  The first steps' truncation keeps the point off
+    # the root; the minimum step then puts the first point that lands within
+    # h of the root past it, which closes the bracket on that step.  Without
+    # it the point could land between lo and the root, and the far end
+    # bisected on from there.
+    tol, n = branch_mod._REFINE_TOL, 400
+    lo, hi = np.ones(n), 1.0 + np.logspace(-11.9, 0.0, n)
+    mid = 0.5 * (lo + hi)
+    root, h = lo + tol * mid / 8, tol * mid / 4
+    steps, reached = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+
+    def f(k, x):
+        if len(k) <= n:  # not the initial pass over both ends
+            steps[k] += 1
+            near = (np.abs(x - root[k]) <= h[k]) & (reached[k] == 0)
+            reached[k[near]] = steps[k[near]]
+        return x - root[k], np.zeros(len(x))
+
+    lo_out, hi_out, _, _ = branch_mod._refine_zeros(f, lo, hi, tol, str)
+    assert np.all(hi_out - lo_out <= tol * 0.5 * (lo_out + hi_out))
+    assert np.all((lo_out <= root) & (root <= hi_out))
+    landed = reached > 0
+    assert landed.sum() > n // 2
+    assert np.array_equal(steps[landed], reached[landed])
+    assert steps.max() <= 5
 
 
 @pytest.mark.parametrize("case", ["B at 12000", "steep at 582.4"])

@@ -5,9 +5,16 @@ import pytest
 
 from lovedisp import (
     Medium,
+    OutOfRange,
+    accumulation_statistic,
     determinant_oracle,
     dispersion_value,
     layer_matrix,
+    mode_count,
+    mode_shape,
+    roots_at_omega,
+    trace_branches,
+    weyl_prediction,
 )
 from lovedisp.dispersion import _dispersion_scaled, _shoot, _sturm_count
 
@@ -161,6 +168,42 @@ def test_sign_agrees_with_determinant_oracle():
 def test_rejects_slowness_below_halfspace(medium_a):
     with pytest.raises(ValueError):
         dispersion_value(medium_a, 1.0, 0.9e-4)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        pytest.param(lambda m: roots_at_omega(m, INF), ValueError, id="roots-inf"),
+        pytest.param(lambda m: roots_at_omega(m, NAN), ValueError, id="roots-nan"),
+        pytest.param(lambda m: trace_branches(m, [1.0, INF]), ValueError, id="trace-inf"),
+        pytest.param(lambda m: trace_branches(m, [1.0, NAN]), ValueError, id="trace-nan"),
+        pytest.param(lambda m: mode_count(m, INF, 5e-4), ValueError, id="count-inf"),
+        pytest.param(lambda m: mode_count(m, 10.0, NAN), OutOfRange, id="count-y-nan"),
+        pytest.param(lambda m: accumulation_statistic(m, INF, 5e-4), ValueError,
+                     id="accumulation-inf"),
+        pytest.param(lambda m: accumulation_statistic(m, 10.0, NAN), OutOfRange,
+                     id="accumulation-y-nan"),
+        pytest.param(lambda m: weyl_prediction(m, INF, 5e-4), ValueError, id="weyl-inf"),
+        pytest.param(lambda m: weyl_prediction(m, NAN, 5e-4), ValueError, id="weyl-nan"),
+        pytest.param(lambda m: weyl_prediction(m, 10.0, NAN), OutOfRange, id="weyl-y-nan"),
+        pytest.param(lambda m: mode_shape(m, INF, 1.0), ValueError, id="shape-inf"),
+        pytest.param(lambda m: mode_shape(m, 10.0, NAN), ValueError, id="shape-k-nan"),
+        pytest.param(lambda m: layer_matrix(m, 1, INF, 5e-4), ValueError, id="layer-inf"),
+        pytest.param(lambda m: layer_matrix(m, 1, 10.0, NAN), ValueError, id="layer-y-nan"),
+        pytest.param(lambda m: dispersion_value(m, INF, 5e-4), ValueError, id="value-inf"),
+        pytest.param(lambda m: dispersion_value(m, 10.0, INF), ValueError, id="value-y-inf"),
+        pytest.param(lambda m: dispersion_value(m, 10.0, NAN), ValueError, id="value-y-nan"),
+    ],
+)
+def test_non_finite_inputs_raise(medium_a, call, error):
+    # a typed error, never a wrong number or a warning from inside numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            call(medium_a)
 
 
 def test_dispersion_vanishes_at_closed_form_cutoff(medium_a):
