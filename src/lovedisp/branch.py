@@ -17,6 +17,12 @@ block, and a single frequency is a block of one.  Cutoffs are isolated
 and refined the same way in frequency, from the count at the half-space
 slowness.
 
+On a single query the searches hold a few dozen brackets, where numpy's
+cost per call outweighs the arithmetic.  So the refinement keeps every
+per-bracket quantity as a row of one state table (``_ROWS``): a step
+reads and writes whole rows of the open brackets' columns, and the
+columns are gathered and written back only when some bracket finishes.
+
 A traced :class:`BranchSet` stores one (node x rank) table of slownesses,
 NaN where a rank is absent; its :class:`Branch` objects are views of that
 table's columns.
@@ -48,6 +54,18 @@ _MAX_STEPS = 100  # more halvings or refine steps than double precision can reso
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
 _ITP_KAPPA1 = 0.2  # ITP truncation gain times the initial bracket width
 _TRACE_BLOCK = 1024  # frequencies per root search in a trace: bounds its memory
+# rows of the refine's state table, one column per bracket
+_ROWS = (
+    "lo", "hi",  # the ends
+    "v_lo", "v_hi", "ls_lo", "ls_hi",  # f at the ends: v * exp(ls)
+    "w_lo", "w_hi",  # Illinois log weights of the end values
+    "moved",  # the end the last step replaced: 0 lo, 1 hi, -1 none yet
+    "s_hi",  # the sign of f at the hi end
+    "kappa1", "half0",  # ITP's truncation gain and half the initial width
+)
+# rows 0 lo, 1 hi: ("x replaces hi" == _ENDS) marks the end a step moves
+_ENDS = np.array([[False], [True]])
+_LOG2 = float(np.log(2.0))
 
 
 def _isolate(count, inside, outside, c_in, c_out, ranks, label):
@@ -90,16 +108,24 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     ``kappa1 * width**2``, ``kappa1 = _ITP_KAPPA1 / width0`` (the paper's
     ``kappa2 = 2``), so a point stuck near the small end of an exponentially
     growing bracket still gains ground; a point closer to the midpoint than
-    that is the midpoint.  Projection then clips it to the minmax window
-    around the midpoint, so after ``j`` steps a bracket is no wider than
-    bisection leaves it after ``j - _SLACK_STEPS`` halvings.  Last, the
-    point is kept ``h = tol * mid / 4`` inside each end, the minimum step
-    of Dekker's and Brent's zeroin (Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 4): once an end is within ``h`` of
-    the root, an Illinois point that rounds onto that end lands past the
-    root instead, and the bracket closes rather than its far end crawling
-    in.  Only a NaN point falls back to the midpoint.  A bracket is done
-    once its width is at most ``tol`` times its midpoint.
+    that, or a NaN point, is the midpoint.  Projection then clips it to the
+    minmax window around the midpoint, so after ``j`` steps a bracket is no
+    wider than bisection leaves it after ``j - _SLACK_STEPS`` halvings.
+    Last, the point is kept ``h = tol * mid / 4`` inside each end, the
+    minimum step of Dekker's and Brent's zeroin (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4): once an end is within
+    ``h`` of the root, an Illinois point that rounds onto that end lands
+    past the root instead, and the bracket closes rather than its far end
+    crawling in.  A bracket is done once its width is at most ``tol``
+    times its midpoint.
+
+    Every per-bracket quantity is a row of one state table (see
+    ``_ROWS``), one column per bracket; the Illinois halvings are log
+    weights of their own, so the value rows stay ``f`` at the ends.  The
+    brackets still open are a compact copy of their columns: a step works
+    on that copy alone, and only when some bracket finishes is the copy
+    written back and its open columns gathered again.  A bracket's path
+    depends on nothing but itself and the step number.
 
     Returns the refined ``(lo, hi, v, ls)``: ``v`` and ``ls`` are (2, n),
     row 0 holding ``f`` at the ``lo`` ends, row 1 at the ``hi`` ends.
@@ -115,7 +141,7 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     k = np.arange(n)
     v, ls = f(np.concatenate([k, k]), np.concatenate([lo, hi]))
     # row 0 holds the lo ends, row 1 the hi ends
-    v, ls = np.reshape(v, (2, n)).astype(float), np.reshape(ls, (2, n)).astype(float)
+    v, ls = np.reshape(v, (2, n)), np.reshape(ls, (2, n))
     s_lo, s_hi = np.sign(v)
     bad = np.flatnonzero((s_lo == 0) | (s_hi == 0) | (s_lo == s_hi))
     if len(bad):
@@ -125,51 +151,56 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
             f"signs {int(s_lo[b])}, {int(s_hi[b])}"
         )
     half0 = 0.5 * (hi - lo)
-    kappa1 = _ITP_KAPPA1 / (2.0 * half0)
-    # Illinois halvings as log weights, so v and ls stay f at the ends
-    weight = np.zeros((2, n))
-    kept = np.full(n, -1)  # the end (0 lo, 1 hi) the last step kept
+    state = np.empty((len(_ROWS), n))
+    state[0], state[1], state[2:4], state[4:6] = lo, hi, v, ls
+    state[6:8], state[8], state[9] = 0.0, -1.0, s_hi
+    state[10], state[11] = _ITP_KAPPA1 / (2.0 * half0), half0
+    t, todo = state, k
     step = 0
-    while len(todo := np.flatnonzero(hi - lo > tol * 0.5 * (lo + hi))):
+    while len(todo):
+        a, c = t[0], t[1]
+        width, mid = c - a, 0.5 * (a + c)
+        live = width > tol * mid
+        if np.count_nonzero(live) < len(live):
+            # write the table back, then go on with the brackets still open
+            state[:, todo] = t
+            t, todo = t[:, live], todo[live]
+            continue
         if step == _MAX_STEPS:
-            b = todo[0]
             raise BadBracket(
-                f"could not refine {label(b)} to relative width {tol!r} "
-                f"between {float(lo[b])!r} and {float(hi[b])!r}"
+                f"could not refine {label(todo[0])} to relative width {tol!r} "
+                f"between {float(a[0])!r} and {float(c[0])!r}"
             )
-        a, c = lo[todo], hi[todo]
-        lt = ls[:, todo] + weight[:, todo]
-        fa, fc = v[:, todo] * np.exp(lt - lt.max(axis=0))
-        mid = 0.5 * (a + c)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (a * fc - c * fa) / (fc - fa)
-        x = np.where(np.isnan(x), mid, x)
-        # truncation: toward the midpoint by delta, or onto it
-        delta, d = kappa1[todo] * (c - a) ** 2, mid - x
+        lt = t[4:6] + t[6:8]
+        fa, fc = t[2:4] * np.exp(lt - np.maximum(lt[0], lt[1]))
+        # the denominator is never 0: both values are nonzero, of opposite
+        # signs, and the larger-scaled one has weight exp(0) = 1
+        x = (a * fc - c * fa) / (fc - fa)
+        # truncation: toward the midpoint by delta, or onto it (NaN included)
+        delta, d = t[10] * width**2, mid - x
         x = np.where(delta < np.abs(d), x + np.sign(d) * delta, mid)
         # projection onto the minmax window
-        r = half0[todo] * 2.0 ** (_SLACK_STEPS - step) - 0.5 * (c - a)
-        x = np.clip(x, mid - r, mid + r)
+        r = t[11] * 2.0 ** (_SLACK_STEPS - step) - 0.5 * width
+        x = np.minimum(np.maximum(x, mid - r), mid + r)
         # minimum step: once an end is within h of the root, x lands past it
         h = 0.25 * tol * mid
-        x = np.clip(x, a + h, c - h)
+        x = np.minimum(np.maximum(x, a + h), c - h)
         vx, lx = f(todo, x)
-        sx = np.sign(vx)
         # x replaces the end whose sign it shares; the other end is kept
-        end = (sx == s_hi[todo]).astype(int)
-        other = 1 - end
+        up = np.sign(vx) == t[9]
+        moved = up == _ENDS
         # Illinois: an end kept again has its value halved
-        again = kept[todo] == other
-        weight[other[again], todo[again]] -= np.log(2.0)
-        kept[todo] = other
-        v[end, todo], ls[end, todo], weight[end, todo] = vx, lx, 0.0
-        lo[todo[end == 0]] = x[end == 0]
-        hi[todo[end == 1]] = x[end == 1]
+        t[6:8] -= _LOG2 * (t[8] == up)
+        t[8] = up
+        np.copyto(t[0:2], x, where=moved)
+        np.copyto(t[2:4], vx, where=moved)
+        np.copyto(t[4:6], lx, where=moved)
+        np.copyto(t[6:8], 0.0, where=moved)
         # an exact zero collapses the bracket onto it
-        hit = todo[sx == 0]
-        hi[hit], v[1, hit], ls[1, hit] = lo[hit], v[0, hit], ls[0, hit]
+        if np.count_nonzero(vx) < len(vx):
+            np.copyto(t[1:6:2], t[0:6:2], where=vx == 0.0)
         step += 1
-    return lo, hi, v, ls
+    return state[0], state[1], state[2:4], state[4:6]
 
 
 def _secant_polish(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, ls: np.ndarray):
@@ -234,6 +265,8 @@ def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
     BadBracket
         If the count fails to isolate a root, or an isolated bracket shows
         no strict sign change of the dispersion function.
+    ResultOutOfRange
+        If the root count reaches ``2**53``, which a double cannot hold.
     """
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be finite and > 0")

@@ -24,10 +24,12 @@ at the guided-wave slownesses.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResultOutOfRange
 from .medium import Medium
 
 __all__ = ["DispersionValue", "layer_matrix", "dispersion_value"]
@@ -58,9 +60,14 @@ def _layer(medium: Medium, j, omega, y, depth, p, q):
     to zero, so it is kept as the decaying solution it is, scaled by
     ``exp(-x)``.
 
-    Returns ``(p2, q2, lf, x, a, mono)``: the true state below is
-    ``exp(lf) * (p2, q2)``, and ``mono`` marks the evanescent and
-    degenerate points, where the displacement changes sign at most once.
+    Returns ``(p2, q2, lf, x, a, osc)``: the true state below is
+    ``exp(lf) * (p2, q2)``, and ``osc`` marks the oscillatory points; at
+    the others the displacement changes sign at most once.
+
+    Every pass of the root search runs this kernel once per layer on a
+    few points, where numpy's per-call cost outweighs the arithmetic: each
+    rare case (a zero divisor, a lost state) is found by one
+    ``np.count_nonzero`` and handled only when present.
     """
     mu = medium.mu[j]
     d = y * y - medium.slowness_sq[j]
@@ -71,18 +78,18 @@ def _layer(medium: Medium, j, omega, y, depth, p, q):
     em = np.expm1(-2.0 * x)
     c = np.where(osc, np.cos(x), 1.0 + 0.5 * em)
     s = np.where(osc, np.sin(x), -0.5 * em)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if np.count_nonzero(a) < a.size:  # an exact hit y^2 == 1/c_j^2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_a = np.where(d == 0.0, omega * depth / mu, s / a)
+    else:
         s_a = s / a
-    hit = d == 0.0
-    if np.any(hit):
-        s_a = np.where(hit, omega * depth / mu, s_a)
     p2 = c * p + s_a * q
     q2 = c * q + np.sign(d) * a * s * p
     lf = np.where(osc, 0.0, x)
-    lost = (p2 == 0.0) & (q2 == 0.0)
-    if np.any(lost):
-        p2, q2, lf = np.where(lost, p, p2), np.where(lost, q, q2), np.where(lost, -x, lf)
-    return p2, q2, lf, x, a, ~osc
+    kept = np.logical_or(p2, q2)
+    if np.count_nonzero(kept) < kept.size:
+        p2, q2, lf = np.where(kept, p2, p), np.where(kept, q2, q), np.where(kept, lf, -x)
+    return p2, q2, lf, x, a, osc
 
 
 def _layer_integrals(medium: Medium, j, omega, y, p, q):
@@ -144,7 +151,7 @@ def _shoot(medium: Medium, omega, y, up=False):
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
-    zeros = np.zeros(np.broadcast_shapes(omega.shape, y.shape))
+    zeros = np.zeros(np.broadcast(omega, y).shape)
     if up:  # the reflected tail: its stress is +mu_inf nu_inf going up
         q = float(medium.mu[-1]) * _halfspace_decay(medium, y) + zeros
         s = np.maximum(1.0, q)
@@ -182,31 +189,47 @@ def _sturm_count(medium: Medium, omega, y):
     It carries the state down with its own loop rather than read
     :func:`_shoot`: a count needs no log scale, and root isolation calls
     it on every step, where carrying one (a ``log`` per layer) slows the
-    count by a few percent.
+    count by a few percent.  The turns are summed in doubles, which hold
+    every count below ``2**53`` exactly.
 
     Vectorized over broadcastable ``omega`` and ``y``; returns an int64
     array (0-d for scalars).
+
+    Raises
+    ------
+    ResultOutOfRange
+        If a count reaches ``2**53``, where a double no longer holds it
+        exactly: a phase ``x`` of about ``2.8e16`` summed over the layers.
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(omega.shape, y.shape)
-    p, q = np.ones(shape), np.zeros(shape)
-    total = np.zeros(shape, dtype=np.int64)
+    shape = np.broadcast(omega, y).shape
+    q = np.zeros(shape)
+    p = q + 1.0
+    total = np.zeros(shape)
     half_pi = 0.5 * np.pi
     for j in range(medium.n):
-        p2, q2, _, x, a, mono = _layer(medium, j, omega, y, medium.thickness[j], p, q)
+        p2, q2, _, x, a, osc = _layer(medium, j, omega, y, medium.thickness[j], p, q)
         # monotone-type layer: at most one interior sign change
-        flip = (p != 0.0) & ((p2 == 0.0) | (np.sign(p2) == -np.sign(p)))
-        # oscillatory layer: zeros of R cos(t - delta) for the rotation angle t in (0, x]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        flip = (np.sign(p2) * np.sign(p) <= 0.0) & (p != 0.0)
+        # oscillatory layer: zeros of R cos(t - delta) for the rotation angle
+        # t in (0, x], floor((x - e) / pi) + ceil(e / pi) with e = delta + pi/2
+        degenerate = np.count_nonzero(a) < a.size  # a == 0: q / a is not used
+        with np.errstate(divide="ignore", invalid="ignore") if degenerate else nullcontext():
             delta = np.arctan2(q / a, p)
-        turns = np.floor((x - delta - half_pi) / np.pi) - np.floor((-delta - half_pi) / np.pi)
-        total += np.where(mono, flip, turns).astype(np.int64)
+        turns = np.floor((x - delta - half_pi) / np.pi) + np.ceil((delta + half_pi) / np.pi)
+        total += np.where(osc, turns, flip)
         s = np.maximum(np.abs(p2), np.abs(q2))
         p, q = p2 / s, q2 / s
-    f = _dispersion_from_state(medium, y, p, q)
-    tail = (p != 0.0) & (np.sign(f) == -np.sign(p))
-    return total + tail.astype(np.int64)
+    # the tail adds a zero where F and the displacement have opposite signs
+    total += np.sign(_dispersion_from_state(medium, y, p, q)) * np.sign(p) < 0.0
+    if not total.max() < 2.0**53:
+        at = np.flatnonzero(~(total < 2.0**53))[0]
+        raise ResultOutOfRange(
+            f"root count at omega={float(np.broadcast_to(omega, shape).flat[at])!r} "
+            "is beyond 2**53, where a double no longer holds it exactly"
+        )
+    return total.astype(np.int64)
 
 
 def _dispersion_from_state(medium: Medium, y, p, q):

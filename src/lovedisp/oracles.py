@@ -160,8 +160,8 @@ def fd_eigen_oracle(
 
     Returns all eigenvalue-derived ``k`` inside ``(omega/c_inf, omega/c0)``.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be finite and > 0")
     if depth_factor < 3.0:
         raise ValueError("depth_factor must be >= 3")
     if grid_points < 2000:

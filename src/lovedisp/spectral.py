@@ -68,7 +68,8 @@ def mode_count(medium: Medium, omega: float, y: float) -> int:
 
     Counted by the exact Sturm count that also locates every root of
     :func:`~lovedisp.branch.roots_at_omega`, independent of any stored
-    branch data.
+    branch data.  Raises :class:`ResultOutOfRange` if the count reaches
+    ``2**53``, which a double cannot hold.
     """
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be finite and > 0")

@@ -418,3 +418,42 @@ def test_refine_returns_true_end_values(case, medium_b, monkeypatch):
         fresh_v, fresh_ls = branch_mod._dispersion_scaled(medium, omega, y)
         assert np.array_equal(v[row], fresh_v)
         assert np.array_equal(ls[row], fresh_ls)
+
+
+@pytest.mark.parametrize("case", ["B at 12000", "steep at 582.4"])
+def test_refine_bracket_alone_matches_joint(case, medium_b, monkeypatch):
+    # every quantity of a bracket lives in its own column of the state table,
+    # so a bracket refined alone takes the same path, bit for bit, as it does
+    # among all the others: only the shared step number couples them
+    medium, omega = {"B at 12000": (medium_b, 12000.0), "steep at 582.4": (STEEP, 582.4)}[case]
+    real, calls = branch_mod._refine_zeros, []
+
+    def recorded(f, lo, hi, tol, label):
+        calls.append((f, lo.copy(), hi.copy(), tol))
+        return real(f, lo, hi, tol, label)
+
+    monkeypatch.setattr(branch_mod, "_refine_zeros", recorded)
+    roots_at_omega(medium, omega)
+    ((f, lo, hi, tol),) = calls
+    assert len(lo) > 40
+    joint = real(f, lo, hi, tol, str)
+    for b in range(len(lo)):
+        alone = real(lambda k, x: f(k + b, x), lo[b : b + 1], hi[b : b + 1], tol, str)
+        for got, want in zip(alone, joint):
+            assert np.array_equal(got, want[..., b : b + 1])
+
+
+def test_refine_collapses_onto_an_exact_zero():
+    # the first Illinois point of x - 1.5 on [1, 2] is the midpoint, an exact
+    # zero: the bracket closes onto it with both end values 0, while a
+    # bracket without an exact zero refines on beside it
+    root = np.array([1.5, 1.7])
+
+    def f(k, x):
+        return x - root[k], np.zeros(len(x))
+
+    lo, hi, v, ls = branch_mod._refine_zeros(f, np.ones(2), np.full(2, 2.0), 1e-12, str)
+    assert lo[0] == hi[0] == 1.5
+    assert np.array_equal(v[:, 0], [0.0, 0.0])
+    assert np.array_equal(ls[:, 0], [0.0, 0.0])
+    assert lo[1] <= 1.7 <= hi[1] and hi[1] - lo[1] <= 1e-12 * 1.7

@@ -6,9 +6,11 @@ import pytest
 from lovedisp import (
     Medium,
     OutOfRange,
+    ResultOutOfRange,
     accumulation_statistic,
     determinant_oracle,
     dispersion_value,
+    fd_eigen_oracle,
     layer_matrix,
     mode_count,
     mode_shape,
@@ -196,6 +198,8 @@ INF, NAN = float("inf"), float("nan")
         pytest.param(lambda m: dispersion_value(m, INF, 5e-4), ValueError, id="value-inf"),
         pytest.param(lambda m: dispersion_value(m, 10.0, INF), ValueError, id="value-y-inf"),
         pytest.param(lambda m: dispersion_value(m, 10.0, NAN), ValueError, id="value-y-nan"),
+        pytest.param(lambda m: fd_eigen_oracle(m, INF), ValueError, id="fd-inf"),
+        pytest.param(lambda m: fd_eigen_oracle(m, NAN), ValueError, id="fd-nan"),
     ],
 )
 def test_non_finite_inputs_raise(medium_a, call, error):
@@ -204,6 +208,28 @@ def test_non_finite_inputs_raise(medium_a, call, error):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error):
             call(medium_a)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m: mode_count(m, 1e100, 5e-4), id="count"),
+        pytest.param(lambda m: roots_at_omega(m, 1e300), id="roots"),
+    ],
+)
+def test_count_beyond_double_precision_raises(medium_a, call):
+    # about 3e98 turns in the layer: no double holds that count exactly, and
+    # a cast to int64 would have returned -2**63 with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResultOutOfRange, match=r"omega=1e\+(100|300)"):
+            call(medium_a)
+
+
+def test_large_counts_below_the_range_limit(medium_a):
+    # counts summed in doubles: the values the int64 sum gave, up to 2.8e13
+    counts = [mode_count(medium_a, w, 5e-4) for w in (1e13, 1e14, 1e15)]
+    assert counts == [275664447711, 2756644477109, 27566444771090]
 
 
 def test_dispersion_vanishes_at_closed_form_cutoff(medium_a):
