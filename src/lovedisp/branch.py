@@ -204,12 +204,18 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
 
 
 def _secant_polish(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, ls: np.ndarray):
-    """One secant step on each refined bracket from its end values ``v``, ``ls``."""
+    """One secant step on each refined bracket from its end values ``v``, ``ls``.
+
+    The step is taken from ``lo`` as an offset, ``lo - f_lo (hi - lo) /
+    (f_hi - f_lo)``: the form ``(lo f_hi - hi f_lo) / (f_hi - f_lo)``
+    cancels two products of the size of the root and loses the last bits
+    of a bracket only ``tol`` wide.
+    """
     f_lo, f_hi = v * np.exp(ls - ls.max(axis=0))
     denom = f_hi - f_lo
     mid = 0.5 * (lo + hi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.where(denom != 0.0, (lo * f_hi - hi * f_lo) / denom, mid)
+        y = np.where(denom != 0.0, lo - f_lo * (hi - lo) / denom, mid)
     # a secant point that rounds onto an end, or just past it, is that end
     return np.clip(y, lo, hi)
 
