@@ -84,7 +84,7 @@ def _layer(medium: Medium, j, omega, y, depth, p, q):
     else:
         s_a = s / a
     p2 = c * p + s_a * q
-    q2 = c * q + np.sign(d) * a * s * p
+    q2 = c * q + np.copysign(a, d) * s * p
     lf = np.where(osc, 0.0, x)
     kept = np.logical_or(p2, q2)
     if np.count_nonzero(kept) < kept.size:
