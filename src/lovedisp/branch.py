@@ -189,7 +189,8 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
         # x replaces the end whose sign it shares; the other end is kept
         up = np.sign(vx) == t[9]
         moved = up == _ENDS
-        # Illinois: an end kept again has its value halved
+        # Illinois: an end kept again has its value halved (the moved end's
+        # weight is reset to 0 below)
         t[6:8] -= _LOG2 * (t[8] == up)
         t[8] = up
         np.copyto(t[0:2], x, where=moved)
