@@ -202,6 +202,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_mode(args) -> int:
+    if args.z_max is not None and not (np.isfinite(args.z_max) and args.z_max > 0.0):
+        raise ValueError(f"--z-max must be positive and finite, got {args.z_max!r}")
+    if args.z_points < 2:
+        raise ValueError(f"--z-points must be >= 2, got {args.z_points!r}")
     medium = load_medium(args.medium)
     shape = mode_shape(medium, args.omega, args.k)
     if args.z_max is not None:

@@ -4,13 +4,17 @@ A mode at a dispersion root ``(omega, k)`` is normalized to ``phi(0) = 1``
 and ``phi'(0) = 0``.  Its displacement and scaled stress
 ``(phi, mu phi'/omega)`` at every interface are shot down from the surface
 and up from the half-space by :func:`~lovedisp.dispersion._shoot`, and
-matched where both shots are accurate (:func:`_interface_states`).  Each
-finite layer is evaluated, integrated and checked from the end its shot
-is accurate at, with the same layer kernel.  Below the last interface
-the shape decays exponentially.  Norm integrals are closed-form per layer
-(:func:`_norm_terms`), which keeps the quotient identities accurate to
-rounding; the same terms give the Rayleigh-principle sensitivities of the
-root wavenumbers to every modulus, density and thickness.
+matched where both shots are accurate (:func:`_interface_states`).  They
+are stored with their log scale, as the shots return them; only
+:meth:`ModeShape.evaluate` and :func:`mode_norms` form true values, and
+raise :class:`~lovedisp.errors.ResultOutOfRange` where one leaves double
+range.  Each finite layer is evaluated, integrated and checked from the
+end its shot is accurate at, with the same layer kernel.  Below the last
+interface the shape decays exponentially.  Norm integrals are
+closed-form per layer (:func:`_norm_terms`), which keeps the quotient
+identities accurate to rounding; the same terms give the
+Rayleigh-principle sensitivities of the root wavenumbers to every
+modulus, density and thickness.
 """
 
 from __future__ import annotations
@@ -37,31 +41,29 @@ _N_DEPTHS = 100  # sample depths per layer of the pointwise ODE check
 
 
 @dataclass(frozen=True)
-class LayerCoefficients:
-    """Values at a layer top: displacement and scaled stress ``mu phi'/omega``."""
-
-    phi: float
-    q: float
-
-
-@dataclass(frozen=True)
 class ModeShape:
     """Eigenfunction at a dispersion root, normalized to ``phi(0) = 1``.
 
-    ``tops[j]`` holds the displacement and scaled stress at interface j,
-    i.e. the top of finite layer j+1.  Below the last interface the shape
-    is ``a_inf * exp(-decay_rate * (z - H_last))``; a zero decay rate means
-    the point sits on the half-space slowness and the shape is not square
-    integrable (no guided mode there).  ``match`` is the interface where
-    the downward and upward shots meet: a finite layer above it is carried
-    down from its top state, a layer below it up from its bottom state.
+    ``p``, ``q`` and ``ls`` hold the state at every interface from the
+    surface down, the last interface included, as
+    :func:`_interface_states` returns it: the displacement and scaled
+    stress ``mu phi'/omega`` at interface j are ``exp(ls[j]) * (p[j],
+    q[j])``, so a mode whose amplitudes leave double range is still
+    stored.  The last row's stress is the tail's own, ``-mu_inf nu p``.
+    Below the last interface the shape is ``exp(ls[-1] - decay_rate * (z -
+    H_last)) * p[-1]``; a zero decay rate means the point sits on the
+    half-space slowness and the shape is not square integrable (no guided
+    mode there).  ``match`` is the interface where the downward and upward
+    shots meet: a finite layer above it is carried down from its top
+    state, a layer below it up from its bottom state.
     """
 
     medium: Medium
     omega: float
     k: float
-    tops: tuple[LayerCoefficients, ...]
-    a_inf: float
+    p: np.ndarray
+    q: np.ndarray
+    ls: np.ndarray
     decay_rate: float
     match: int
 
@@ -78,47 +80,45 @@ class ModeShape:
 
         Raises
         ------
+        ValueError
+            If a depth is negative or not finite.
         ResultOutOfRange
-            If a value inside a finite layer leaves double range.
+            If a value leaves double range.
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
+        if not np.all((z >= 0.0) & (z < np.inf)):
+            raise ValueError("depths must be finite and >= 0")
         m = self.medium
         h_last = float(m.depths[-1])
         layer = np.searchsorted(m.depths[1:], z, side="right")
         deep = layer == m.n
-        phi, q = self._in_layers(np.minimum(layer, m.n - 1), np.minimum(z, h_last))
-        tail = self.a_inf * np.exp(-self.decay_rate * np.maximum(z - h_last, 0.0))
-        tail_stress = -float(m.mu[-1]) * self.decay_rate * tail
-        return np.where(deep, tail, phi), np.where(deep, tail_stress, self.omega * q)
-
-    def _states(self) -> np.ndarray:
-        """Rows ``(phi, mu phi'/omega)`` at every interface, the last included."""
-        q_inf = -float(self.medium.mu[-1]) * self.decay_rate / self.omega * self.a_inf
-        return np.array([[t.phi, t.q] for t in self.tops] + [[self.a_inf, q_inf]]).T
+        p, q, lg = self._in_layers(np.minimum(layer, m.n - 1), np.minimum(z, h_last))
+        p, q = np.where(deep, self.p[-1], p), np.where(deep, self.q[-1], q)
+        lg = np.where(deep, self.ls[-1] - self.decay_rate * (z - h_last), lg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.exp(lg)
+            phi, stress = p * scale, self.omega * q * scale
+        bad = ~(np.isfinite(phi) & np.isfinite(stress))
+        if np.any(bad):
+            raise ResultOutOfRange(
+                f"mode shape leaves double range at depth {z[bad][0]:g} "
+                f"(omega={self.omega:g}, k={self.k:g})"
+            )
+        return phi, stress
 
     def _in_layers(self, j, z):
-        """Displacement and scaled stress in finite layers ``j`` at depths ``z``
-        (broadcast), each carried from the end its shot is accurate at.
-
-        Raises :class:`ResultOutOfRange` if a value leaves double range.
+        """Scaled displacement and stress ``exp(lg) * (p, q)`` in finite
+        layers ``j`` at depths ``z`` (broadcast), each carried from the end
+        its shot is accurate at; returns ``(p, q, lg)``.
         """
-        phi, q = self._states()
         up = j >= self.match
         start = j + up
         sign = np.where(up, -1.0, 1.0)
         dz = sign * (z - self.medium.depths[start])
-        p2, q2, lf = _layer(
-            self.medium, j, self.omega, self.y, dz, phi[start], sign * q[start]
+        p, q, lf = _layer(
+            self.medium, j, self.omega, self.y, dz, self.p[start], sign * self.q[start]
         )[:3]
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.exp(lf)
-            out = p2 * scale, sign * q2 * scale
-        if not np.all(np.isfinite(out)):
-            raise ResultOutOfRange(
-                f"mode shape leaves double range inside a layer at "
-                f"(omega={self.omega:g}, k={self.k:g})"
-            )
-        return out
+        return p, sign * q, lf + self.ls[start]
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,6 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
     NotOnBranch
         If the normalized dispersion residual at ``(omega, k/omega)``
         exceeds ``1e-8``.
-    ResultOutOfRange
-        If the displacement and stress at an interface leave the normal
-        double range, above or below.
     """
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be finite and > 0")
@@ -169,19 +166,16 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
         )
     states = _interface_states(medium, omega, probe[1:2], down[..., 1:2])
     p, q, ls, match = (a[..., 0] for a in states)
-    # every state has max(|p|, |q|) == 1: its size exp(ls) must be a normal double
-    if np.max(np.abs(ls)) >= -np.log(np.finfo(float).tiny):
-        raise ResultOutOfRange(
-            f"mode amplitude leaves double range at (omega={omega:g}, k={k:g})"
-        )
-    phi, q = p * np.exp(ls), q * np.exp(ls)
+    nu_inf = float(_halfspace_decay(medium, y))
+    q[-1] = -float(medium.mu[-1]) * nu_inf * p[-1]
     return ModeShape(
         medium=medium,
         omega=float(omega),
         k=float(k),
-        tops=tuple(LayerCoefficients(float(a), float(b)) for a, b in zip(phi[:-1], q[:-1])),
-        a_inf=float(phi[-1]),
-        decay_rate=omega * float(_halfspace_decay(medium, y)),
+        p=p,
+        q=q,
+        ls=ls,
+        decay_rate=omega * nu_inf,
         match=int(match),
     )
 
@@ -192,12 +186,8 @@ def mode_residuals(shape: ModeShape) -> ModeDiagnostics:
     Each finite layer is carried to the end it is not built from, where it
     must match the stored state, the tail's included; the layer ODE is
     checked at 100 depths per layer, and the quotient identity tying the
-    three closed-form norms together.
-
-    Raises
-    ------
-    ResultOutOfRange
-        If the shape inside a finite layer leaves double range.
+    three closed-form norms together.  Every comparison is made on the
+    scaled states, so no diagnostic leaves double range.
     """
     m = shape.medium
     omega, k, y = shape.omega, shape.k, shape.y
@@ -206,18 +196,22 @@ def mode_residuals(shape: ModeShape) -> ModeDiagnostics:
     far = layers + (layers < shape.match)
     frac = np.linspace(0.0, 1.0, _N_DEPTHS + 2)[1:-1]
     z = np.column_stack([m.depths[far], m.depths[:-1, None] + np.outer(m.thickness, frac)])
-    phi, q = shape._in_layers(layers[:, None], z)
+    p, q, lg = shape._in_layers(layers[:, None], z)
 
-    # displacement and stress jumps, each relative to its size or a floor
-    ends = np.array([phi[:, 0], q[:, 0]])
-    stored = shape._states()[:, far]
-    floor = np.array([[1e-300], [_dispersion_scale_floor(m)]])
-    size = np.maximum(np.maximum(np.abs(ends), np.abs(stored)), floor)
-    phi_jump, stress_jump = np.max(np.abs(ends - stored) / size, axis=1)
+    # displacement and stress jumps, each relative to its size or a floor,
+    # all over the stored state's scale exp(ls)
+    stored = np.array([shape.p[far], shape.q[far]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.array([p[:, 0], q[:, 0]]) * np.exp(lg[:, 0] - shape.ls[far])
+        floor = np.array([[1e-300], [_dispersion_scale_floor(m)]]) * np.exp(-shape.ls[far])
+        size = np.maximum(np.maximum(np.abs(ends), np.abs(stored)), floor)
+        phi_jump, stress_jump = np.max(np.abs(ends - stored) / size, axis=1)
 
     # pointwise ODE residual: every layer form has phi'' = omega^2 (y^2 -
-    # 1/c_j^2) phi, checked against the coefficient built from mu and rho
-    phi = phi[:, 1:]
+    # 1/c_j^2) phi, checked against the coefficient built from mu and rho;
+    # each layer over its own largest scale
+    lg = lg[:, 1:]
+    phi = p[:, 1:] * np.exp(lg - lg.max(axis=1, keepdims=True))
     mu, rho = m.mu[:-1, None], m.rho[:-1, None]
     coef = (mu * k * k - rho * omega * omega) / mu
     d2 = omega * omega * (y * y - m.slowness_sq[:-1, None]) * phi
@@ -272,7 +266,7 @@ def _scaled_norms(shape: ModeShape):
     """The three norms of :func:`mode_norms` over ``exp(ref)``, and ``ref``."""
     m = shape.medium
     phi_sq, dphi_sq, ref = _norm_terms(
-        m, shape.omega, shape.y, *shape._states(), np.zeros(m.n + 1), shape.match
+        m, shape.omega, shape.y, shape.p, shape.q, shape.ls, shape.match
     )
     return (m.mu @ dphi_sq, m.rho @ phi_sq, m.mu @ phi_sq), ref
 
@@ -321,16 +315,14 @@ def _norm_terms(medium: Medium, omega, y, p, q, ls, match):
 
     Takes interface states ``exp(ls) * (p, q)`` and the matching interface
     as :func:`_interface_states` returns them, for one root (a scalar
-    ``match``) or many.  Each state is first divided by its largest entry,
-    so that no amplitude is squared in doubles.  A layer above the matching
-    interface is integrated down from its top state, a layer below it up
-    from its bottom state (the reflected shape has the same integrals), so
-    each runs in the direction its shot is accurate.  Returns ``(phi_sq,
+    ``match``) or many; only the mantissas are squared in doubles.  A layer
+    above the matching interface is integrated down from its top state, a
+    layer below it up from its bottom state (the reflected shape has the
+    same integrals), so each runs in the direction its shot is accurate.
+    Returns ``(phi_sq,
     dphi_sq, ref)``: rows ``0..n-1`` hold the layers, row ``n`` the
     half-space, all over ``exp(ref)``; ``ref`` is at least ``2 max(ls)``.
     """
-    s = np.maximum(np.abs(p), np.abs(q))
-    p, q, ls = p / s, q / s, ls + np.log(s)
     n = medium.n
     layers = np.arange(n).reshape((n,) + (1,) * np.ndim(match))
     up = layers >= match

@@ -11,6 +11,8 @@ Two cross-checks that share no code with the transfer-matrix recursion:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
@@ -162,8 +164,9 @@ def fd_eigen_oracle(
     """
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be finite and > 0")
-    if depth_factor < 3.0:
-        raise ValueError("depth_factor must be >= 3")
+    if not 3.0 <= depth_factor < np.inf:
+        raise ValueError("depth_factor must be finite and >= 3")
+    grid_points = operator.index(grid_points)
     if grid_points < 2000:
         raise ValueError("grid_points must be >= 2000")
     lo, hi = medium.slowness_domain

@@ -224,6 +224,20 @@ def test_mode_command(tmp_path, medium_a_config, capsys):
     assert "square_integrable true" in text
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--z-max", "-50"), ("--z-max", "nan"), ("--z-max", "inf"),
+                    ("--z-points", "0"), ("--z-points", "1")]
+)
+def test_mode_bad_depth_grid_is_data_error(tmp_path, medium_a_config, capsys, flag, value):
+    k = 100.0 * float(roots_at_omega(load_medium(medium_a_config), 100.0)[0])
+    out = tmp_path / "m"
+    code = run(["mode", "--medium", medium_a_config, "--omega", "100", "--k", repr(k),
+                flag, value, "--out", str(out)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_command(medium_a_config, capsys):
     code = run(["oracle", "--medium", medium_a_config, "--samples", "20", "--seed", "2"])
     assert code == 0

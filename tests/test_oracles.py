@@ -95,3 +95,8 @@ def test_fd_parameter_validation(medium_a):
         fd_eigen_oracle(medium_a, 100.0, depth_factor=2.0)
     with pytest.raises(ValueError):
         fd_eigen_oracle(medium_a, 100.0, grid_points=500)
+    for depth_factor in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="depth_factor"):
+            fd_eigen_oracle(medium_a, 100.0, depth_factor=depth_factor)
+    with pytest.raises(TypeError):
+        fd_eigen_oracle(medium_a, 100.0, grid_points=2500.5)
