@@ -319,9 +319,9 @@ def _norm_terms(medium: Medium, omega, y, p, q, ls, match):
     above the matching interface is integrated down from its top state, a
     layer below it up from its bottom state (the reflected shape has the
     same integrals), so each runs in the direction its shot is accurate.
-    Returns ``(phi_sq,
-    dphi_sq, ref)``: rows ``0..n-1`` hold the layers, row ``n`` the
-    half-space, all over ``exp(ref)``; ``ref`` is at least ``2 max(ls)``.
+    Returns ``(phi_sq, dphi_sq, ref)``: rows ``0..n-1`` hold the layers,
+    row ``n`` the half-space, all over ``exp(ref)``; ``ref`` is at least
+    ``2 max(ls)``.
     """
     n = medium.n
     layers = np.arange(n).reshape((n,) + (1,) * np.ndim(match))
