@@ -3,19 +3,34 @@
 Every root count goes through the exact Sturm count of
 :func:`~lovedisp.dispersion._sturm_count`, the Love-wave form of the
 Wittrick-Williams algorithm: the number of dispersion roots with slowness
-above any level.  Root ``ell`` (rank by descending slowness) is isolated by
-vectorized bisection on "count >= ell" until its bracket holds exactly that
-one root, then refined on the sign change of the dispersion function by ITP
-steps (an Illinois point, truncated toward the midpoint, kept within
-bisection's worst case by a minmax window and at least a quarter of the
-tolerance from either end, the minimum step of Dekker's and Brent's
-zeroin), and one secant step from the values the refinement already
-holds at the final ends.  Roots are found for a block of frequencies in
-one vectorized pass: every step works on all (frequency, rank) pairs of
-the block at once, a trace of up to ``_TRACE_BLOCK`` frequencies is one
-block, and a single frequency is a block of one.  Cutoffs are isolated
-and refined the same way in frequency, from the count at the half-space
-slowness.
+above any level.  One count on a seed grid of ``_SEED_NODES`` points lists
+the ranks (by descending slowness) each grid cell holds; root ``ell`` is
+then isolated by vectorized bisection on "count >= ell" until its bracket
+holds exactly that one root, and refined on the sign change of the
+dispersion function by ITP steps (an Illinois point, truncated toward the
+midpoint, kept within bisection's worst case by a minmax window and at
+least a quarter of the tolerance from either end, the minimum step of
+Dekker's and Brent's zeroin), and one secant step from the values the
+refinement already holds at the final ends.  Roots are found for a block
+of frequencies in one vectorized pass: every step works on all (frequency,
+rank) pairs of the block at once, a trace of up to ``_TRACE_BLOCK``
+frequencies is one block, and a single frequency is a block of one.
+Cutoffs are found the same way in frequency: one count at the half-space
+slowness on a seed grid of frequencies, then the same isolation and
+refinement.
+
+Each call's size is bounded before anything is allocated per root: a root
+search holds at most ``_ROOT_BUDGET`` (2**22) roots over its frequencies,
+a cutoff search at most that many cutoffs, and a trace's (node x rank)
+table at most that many entries.  A larger request raises
+:class:`~lovedisp.errors.ResultOutOfRange` naming its size.  Within the
+budget a search makes one seed count (a cutoff search doubles its
+frequency range and counts again while the range holds too few
+branches), at most ``_MAX_STEPS`` isolation counts, and at most the
+bisection count plus ``_SLACK_STEPS`` dispersion passes in the refinement;
+a trace adds one count at its top frequency for the budget, and a cutoff
+search one more pass per step off an exact zero (one step on every case
+seen).
 
 On a single query the searches hold a few dozen brackets, where numpy's
 cost per call outweighs the arithmetic.  So the refinement keeps every
@@ -36,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import _dispersion_scaled, _sturm_count
-from .errors import BadBracket
+from .errors import BadBracket, ResultOutOfRange
 from .medium import Medium
 
 __all__ = [
@@ -54,6 +69,7 @@ _MAX_STEPS = 100  # more halvings or refine steps than double precision can reso
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
 _ITP_KAPPA1 = 0.2  # ITP truncation gain times the initial bracket width
 _TRACE_BLOCK = 1024  # frequencies per root search in a trace: bounds its memory
+_ROOT_BUDGET = 2**22  # roots, cutoffs or table entries one call may return
 # rows of the refine's state table, one column per bracket
 _ROWS = (
     "lo", "hi",  # the ends
@@ -221,6 +237,23 @@ def _secant_polish(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, ls: np.ndarray
     return np.clip(y, lo, hi)
 
 
+def _over_budget(what: str, size: int) -> ResultOutOfRange:
+    """The error for a call whose ``size`` is over ``_ROOT_BUDGET``."""
+    return ResultOutOfRange(f"{what} is {size}, over the per-call budget of {_ROOT_BUDGET}")
+
+
+def _list_ranks(c_in: np.ndarray, c_out: np.ndarray):
+    """The ranks each seed cell holds, listed cell by cell.
+
+    Cell ``i`` holds the ranks ``c_out[i] + 1 .. c_in[i]``, listed
+    descending.  Returns the cell of each listed rank and the rank.
+    """
+    per_cell = c_in - c_out
+    cell = np.repeat(np.arange(len(per_cell)), per_cell)
+    first = np.cumsum(per_cell) - per_cell
+    return cell, c_in[cell] - (np.arange(len(cell)) - first[cell])
+
+
 def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
     """Roots at each frequency of ``omegas``, each strictly descending.
 
@@ -232,13 +265,13 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
     # at 1/c0 every layer is evanescent or degenerate, so the shot from (1, 0)
     # never changes sign there: the last node counts exactly 0 roots
     counts = _sturm_count(medium, omegas[:, None], nodes)
+    if (total := int(counts[:, 0].sum())) > _ROOT_BUDGET:
+        at = f"omega={float(omegas[0])!r}" if len(omegas) == 1 else f"{len(omegas)} frequencies"
+        raise _over_budget(f"the root count at {at}", total)
     # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j];
     # listing them cell by cell orders each frequency's ranks descending
     c_in, c_out = counts[:, :-1].ravel(), counts[:, 1:].ravel()
-    per_cell = c_in - c_out
-    cell = np.repeat(np.arange(len(per_cell)), per_cell)
-    first = np.cumsum(per_cell) - per_cell
-    ranks = c_in[cell] - (np.arange(len(cell)) - first[cell])
+    cell, ranks = _list_ranks(c_in, c_out)
     row, j = np.divmod(cell, _SEED_NODES - 1)
     omega = omegas[row]
 
@@ -273,7 +306,8 @@ def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
         If the count fails to isolate a root, or an isolated bracket shows
         no strict sign change of the dispersion function.
     ResultOutOfRange
-        If the root count reaches ``2**53``, which a double cannot hold.
+        If the root count is over the per-call budget ``2**22``, or reaches
+        ``2**53``, which a double cannot hold.
     """
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be finite and > 0")
@@ -286,22 +320,33 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     Branch ``ell`` appears where the count of roots above the half-space
     slowness ``y0 = 1/c_inf`` first reaches ``ell``; there the dispersion
     function vanishes at ``y0`` (where it reduces to the propagated ``Q``
-    component).  Each transition is isolated by bisection on that count,
-    vectorized over ``ell``, and refined on the sign of ``F(omega, y0)``.
-    The branch-free end of each final bracket is returned, so a reported
-    cutoff is the last frequency without its branch: :func:`roots_at_omega`
-    there returns ``ell - 1`` roots.  An exact ``0.0`` is emitted for a
-    branch that exists at arbitrarily small frequency.
+    component).  The count grows with frequency, so one count at ``y0`` on
+    a seed grid of frequencies lists the ranks each grid cell holds, as
+    the root search lists them in slowness; the grid's top is doubled
+    until it counts ``ell_max``.  Each transition is then isolated on that
+    count, vectorized over ``ell``, and refined on the sign of
+    ``F(omega, y0)``.  The branch-free end of each final bracket is
+    returned, so a reported cutoff is the last frequency without its
+    branch: :func:`roots_at_omega` there returns ``ell - 1`` roots.  Where
+    a bracket closed onto an exact zero of ``F(omega, y0)``, the returned
+    end is the nearest double below it that has a nonzero ``F`` and counts
+    ``ell - 1``.  An exact ``0.0`` is emitted for a branch that exists at
+    arbitrarily small frequency.
 
     Raises
     ------
     BadBracket
         If an isolated frequency bracket shows no strict sign change of
-        ``F(omega, y0)``.
+        ``F(omega, y0)``, or no double within ``_MAX_STEPS`` below an
+        exact zero is branch-free.
+    ResultOutOfRange
+        If ``ell_max`` is over the per-call budget ``2**22``.
     """
     ell_max = operator.index(ell_max)
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
+    if ell_max > _ROOT_BUDGET:
+        raise _over_budget("ell_max", ell_max)
     y0 = float(medium.slowness[-1])
 
     def count(k, w):
@@ -311,22 +356,38 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     nu = np.sqrt(np.maximum(medium.slowness_sq[:-1] - y0 * y0, 0.0))
     scale = np.pi / float(np.sum(nu * medium.thickness))
     w_min, w_max = 1e-3 * scale, (ell_max + 1) * scale
-    n_min = int(count(None, w_min))
-    while (n_max := int(count(None, w_max))) < ell_max:
+    while True:
+        # descending, so that the count falls along the grid as in slowness
+        w = np.linspace(w_max, w_min, _SEED_NODES)
+        counts = count(None, w)
+        if counts[0] >= ell_max:
+            break
         w_max *= 2.0
-    ranks = np.arange(n_min + 1, ell_max + 1)
-    ones = np.ones(len(ranks), dtype=np.int64)
+    # only the ranks up to ell_max are listed; the ends keep their true counts
+    capped = np.minimum(counts, ell_max)
+    cell, ranks = _list_ranks(capped[:-1], capped[1:])
 
     def label(k):
         return f"cutoff {ranks[k]}"
 
     hi, lo = _isolate(
-        count, w_max * ones, w_min * ones, n_max * ones, n_min * ones, ranks, label
+        count, w[cell], w[cell + 1], counts[cell], counts[cell + 1], ranks, label
     )
-    lo = _refine_zeros(
+    lo, _, v, _ = _refine_zeros(
         lambda k, w: _dispersion_scaled(medium, w, y0), lo, hi, _OMEGA_TOL, label
-    )[0]
-    return np.concatenate([np.zeros(min(n_min, ell_max)), lo])
+    )
+    # a bracket closed onto an exact zero returns the zero, where the root
+    # search's bracket of rank ell - 1 would end on F(omega, y0) = 0
+    zero, steps = np.flatnonzero(v[0] == 0.0), 0
+    while len(zero):
+        if steps == _MAX_STEPS:
+            raise BadBracket(f"no branch-free frequency below {label(zero[0])}")
+        lo[zero] = np.nextafter(lo[zero], 0.0)
+        free = _dispersion_scaled(medium, lo[zero], y0)[0] != 0.0
+        free &= count(None, lo[zero]) == ranks[zero] - 1
+        zero, steps = zero[~free], steps + 1
+    # ranks run descending; reverse to ascending frequency
+    return np.concatenate([np.zeros(min(int(counts[-1]), ell_max)), lo[::-1]])
 
 
 @dataclass(frozen=True)
@@ -392,6 +453,12 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     Branch identity across frequencies is by rank in descending slowness,
     which is exact because branches never cross.  Cutoffs come from
     :func:`cutoff_frequencies`.
+
+    Raises
+    ------
+    ResultOutOfRange
+        If the (node x rank) table would hold more than ``2**22`` entries,
+        checked from one count at the top frequency before any root search.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or len(omega_grid) == 0:
@@ -400,6 +467,10 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     if not finite or not np.all(np.diff(omega_grid) > 0.0):
         raise ValueError("omega_grid must be finite, positive and strictly increasing")
 
+    # no branch ends as omega grows: the top node holds the most roots
+    size = len(omega_grid) * int(_sturm_count(medium, omega_grid[-1], medium.slowness[-1]))
+    if size > _ROOT_BUDGET:
+        raise _over_budget("the branch table's size", size)
     roots = [
         r
         for s in range(0, len(omega_grid), _TRACE_BLOCK)

@@ -37,7 +37,8 @@ class OutOfRange(LoveDispError, ValueError):
 
 
 class ResultOutOfRange(OutOfRange):
-    """A computed result (a mode amplitude or norm) lies outside double range.
+    """A computed result (a mode amplitude or norm) lies outside double range,
+    or a root search's result is over its per-call size budget.
 
     A numerical failure rather than an input error; it stays an
     :class:`OutOfRange`, so callers that catch that also catch this.

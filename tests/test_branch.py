@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from test_modes import _stress_medium
 
 import lovedisp.branch as branch_mod
 from lovedisp import (
     BadBracket,
     Medium,
+    ResultOutOfRange,
     cutoff_frequencies,
     dispersion_value,
     mode_count,
@@ -361,6 +368,99 @@ def test_cutoff_dispersion_passes(medium_b, monkeypatch):
     calls = _count_dispersion_calls(monkeypatch)
     assert len(cutoff_frequencies(medium_b, 40)) == 40
     assert len(calls) <= 15
+
+
+def test_cutoff_count_passes(medium_b, monkeypatch):
+    # tripwire: 40 cutoffs of B take one count on a seed grid of frequencies;
+    # bisecting every rank from the whole frequency range took 8
+    real, calls = branch_mod._sturm_count, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(branch_mod, "_sturm_count", counted)
+    assert len(cutoff_frequencies(medium_b, 40)) == 40
+    assert len(calls) <= 2
+
+
+def _assert_cutoffs_start_branches(medium, cuts, ells):
+    for ell in ells:
+        w = float(cuts[ell - 1])
+        assert len(roots_at_omega(medium, w)) == ell - 1
+        assert len(roots_at_omega(medium, w * (1 + 1e-8))) >= ell
+
+
+@pytest.mark.parametrize("draw,ell,omega", [
+    (13, 9, 348.51938625431967), (152, 21, 28.888319348096303), (286, 7, 44.5958568167183),
+])
+def test_cutoff_near_an_exact_zero(draw, ell, omega):
+    # draws of the seed-31337 stress stream whose cutoff refinement, bisecting
+    # from the whole frequency range, closed onto an exact zero of
+    # F(omega, 1/c_inf); roots_at_omega raised BadBracket at that cutoff.
+    # Draw 13's bracket still closes onto its zero from the seed grid.
+    rng = np.random.default_rng(31337)
+    for _ in range(draw + 1):
+        m, w = _stress_medium(rng)
+    cuts = cutoff_frequencies(m, min(len(roots_at_omega(m, w)) + 2, 40))
+    assert cuts[ell - 1] == pytest.approx(omega, rel=1e-12)
+    _assert_cutoffs_start_branches(m, cuts, [ell])
+
+
+def test_stress_cutoffs_start_branches():
+    # every positive cutoff of 20 stress media (n = 1..20, layer phases up
+    # to 3000 rad): ell - 1 roots at it and at least ell just above it
+    rng = np.random.default_rng(2027)
+    checked = 0
+    for _ in range(20):
+        m, omega = _stress_medium(rng)
+        cuts = cutoff_frequencies(m, min(len(roots_at_omega(m, omega)) + 2, 40))
+        ells = np.flatnonzero(cuts > 0) + 1
+        _assert_cutoffs_start_branches(m, cuts, ells)
+        checked += len(ells)
+    assert checked == 434
+
+
+# c = (1000, 2000) m/s, H = 100 m holds 2.76e8 roots at omega = 1e10 and
+# 2.76e10 at 1e12: without a budget the root search asks numpy for 2 GiB and
+# 205 GiB.  The child runs under a 1 GiB address-space limit.
+_BUDGET_CHILD = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from lovedisp import Medium, ResultOutOfRange, roots_at_omega
+m = Medium(mu=[1e6, 4e6], rho=[1.0, 1.0], thickness=[100.0])
+for omega in (1e10, 1e12):
+    t = time.perf_counter()
+    try:
+        roots_at_omega(m, omega)
+    except ResultOutOfRange as exc:
+        print(time.perf_counter() - t, exc)
+"""
+
+
+def test_root_budget_raises_before_allocating():
+    import lovedisp
+
+    src = str(Path(lovedisp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _BUDGET_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line, count in zip(lines, ("275664448", "27566444772")):
+        seconds, message = line.split(" ", 1)
+        assert float(seconds) < 1.0
+        assert f"is {count}, over the per-call budget of 4194304" in message
+
+
+def test_budget_bounds_cutoffs_and_trace_table(medium_a):
+    with pytest.raises(ResultOutOfRange, match="ell_max is 4194305"):
+        cutoff_frequencies(medium_a, 2**22 + 1)
+    # A holds 317 roots at omega = 1e4: a table of 100,000 x 317 entries
+    grid = np.linspace(0.1, 1e4, 100_000)
+    with pytest.raises(ResultOutOfRange, match="is 31700000, over"):
+        trace_branches(medium_a, grid)
 
 
 def test_refine_closes_once_a_point_lands_by_the_root():
