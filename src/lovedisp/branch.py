@@ -20,9 +20,9 @@ slowness on a seed grid of frequencies, then the same isolation and
 refinement.
 
 Each call's size is bounded before anything is allocated per root: a root
-search holds at most ``_ROOT_BUDGET`` (2**22) roots over its frequencies,
-a cutoff search at most that many cutoffs, and a trace's (node x rank)
-table at most that many entries.  A larger request raises
+search's (frequency x rank) table holds at most ``_ROOT_BUDGET`` (2**22)
+entries, a cutoff search at most that many cutoffs, and a trace's (node x
+rank) table at most that many entries.  A larger request raises
 :class:`~lovedisp.errors.ResultOutOfRange` naming its size.  Within the
 budget a search makes one seed count (a cutoff search doubles its
 frequency range and counts again while the range holds too few
@@ -38,9 +38,9 @@ per-bracket quantity as a row of one state table (``_ROWS``): a step
 reads and writes whole rows of the open brackets' columns, and the
 columns are gathered and written back only when some bracket finishes.
 
-A traced :class:`BranchSet` stores one (node x rank) table of slownesses,
-NaN where a rank is absent; its :class:`Branch` objects are views of that
-table's columns.
+The root search returns a (frequency x rank) table of slownesses, NaN
+where a rank is absent, which is what a :class:`BranchSet` stores; its
+:class:`Branch` objects are copies of the table's columns, NaNs dropped.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ _MAX_STEPS = 100  # more halvings or refine steps than double precision can reso
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
 _ITP_KAPPA1 = 0.2  # ITP truncation gain times the initial bracket width
 _TRACE_BLOCK = 1024  # frequencies per root search in a trace: bounds its memory
-_ROOT_BUDGET = 2**22  # roots, cutoffs or table entries one call may return
+_ROOT_BUDGET = 2**22  # table entries or cutoffs one call may return
 # rows of the refine's state table, one column per bracket
 _ROWS = (
     "lo", "hi",  # the ends
@@ -254,22 +254,24 @@ def _list_ranks(c_in: np.ndarray, c_out: np.ndarray):
     return cell, c_in[cell] - (np.arange(len(cell)) - first[cell])
 
 
-def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
-    """Roots at each frequency of ``omegas``, each strictly descending.
+def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> np.ndarray:
+    """The (frequency x rank) table of roots at ``omegas``, as BranchSet stores it.
 
-    One pass for the whole block: one seed count on the (frequency x node)
-    grid, then isolation, refinement and the secant step each vectorized
-    over every (frequency, rank) pair.
+    Row ``i`` holds the roots at ``omegas[i]`` by rank, strictly descending,
+    NaN past its last one.  One pass for the whole block: one seed count on
+    the (frequency x node) grid, then isolation, refinement and the secant
+    step each vectorized over every (frequency, rank) pair.
     """
     nodes = np.linspace(*medium.slowness_domain, _SEED_NODES)
     # at 1/c0 every layer is evanescent or degenerate, so the shot from (1, 0)
     # never changes sign there: the last node counts exactly 0 roots
     counts = _sturm_count(medium, omegas[:, None], nodes)
-    if (total := int(counts[:, 0].sum())) > _ROOT_BUDGET:
-        at = f"omega={float(omegas[0])!r}" if len(omegas) == 1 else f"{len(omegas)} frequencies"
-        raise _over_budget(f"the root count at {at}", total)
-    # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j];
-    # listing them cell by cell orders each frequency's ranks descending
+    width = int(counts[:, 0].max())
+    if (size := len(omegas) * width) > _ROOT_BUDGET:
+        what = (f"the root count at omega={float(omegas[0])!r}" if len(omegas) == 1
+                else f"the root table's size at {len(omegas)} frequencies")
+        raise _over_budget(what, size)
+    # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j]
     c_in, c_out = counts[:, :-1].ravel(), counts[:, 1:].ravel()
     cell, ranks = _list_ranks(c_in, c_out)
     row, j = np.divmod(cell, _SEED_NODES - 1)
@@ -282,12 +284,11 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> list[np.ndarray]:
         lambda k, y: _sturm_count(medium, omega[k], y),
         nodes[j], nodes[j + 1], c_in[cell], c_out[cell], ranks, label,
     )
-    roots = _secant_polish(*_refine_zeros(
+    table = np.full((len(omegas), width), np.nan)
+    table[row, ranks - 1] = _secant_polish(*_refine_zeros(
         lambda k, y: _dispersion_scaled(medium, omega[k], y), lo, hi, _REFINE_TOL, label
     ))
-    # ranks run descending per frequency; reverse to descending slowness
-    splits = np.cumsum(counts[:, 0])[:-1]
-    return [r[::-1] for r in np.split(roots, splits)]
+    return table
 
 
 def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
@@ -471,16 +472,13 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     size = len(omega_grid) * int(_sturm_count(medium, omega_grid[-1], medium.slowness[-1]))
     if size > _ROOT_BUDGET:
         raise _over_budget("the branch table's size", size)
-    roots = [
-        r
-        for s in range(0, len(omega_grid), _TRACE_BLOCK)
-        for r in _roots_on_grid(medium, omega_grid[s : s + _TRACE_BLOCK])
-    ]
-    counts = np.fromiter(map(len, roots), dtype=np.int64, count=len(roots))
-    n_branches = int(counts.max())
-    # row i: the roots at node i by rank, padded after its last one
-    table = np.full((len(roots), n_branches), np.nan)
-    table[np.arange(n_branches) < counts[:, None]] = np.concatenate(roots)
+    starts = range(0, len(omega_grid), _TRACE_BLOCK)
+    blocks = [_roots_on_grid(medium, omega_grid[s : s + _TRACE_BLOCK]) for s in starts]
+    n_branches = max(b.shape[1] for b in blocks)
+    # row i: the roots at node i by rank, NaN past its last one
+    table = np.full((len(omega_grid), n_branches), np.nan)
+    for s, b in zip(starts, blocks):
+        table[s : s + len(b), : b.shape[1]] = b
     return BranchSet(
         omega_grid=omega_grid.copy(),
         y=table,

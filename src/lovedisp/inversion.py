@@ -77,8 +77,9 @@ class DispersionDataset:
         k = np.asarray(self.k, dtype=float)
         if omega.shape != k.shape or omega.ndim != 1:
             raise ValueError("omega and k must be 1-D arrays of equal length")
-        if not np.all(omega > 0.0) or not np.all(k > 0.0):
-            raise ValueError("omega and k must be strictly positive")
+        for name, v in (("omega", omega), ("k", k)):
+            if (bad := v[~((0.0 < v) & (v < np.inf))]).size:
+                raise ValueError(f"{name} must be finite and > 0, got {float(bad[0])!r}")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "k", k)
         if self.noise_sigma is not None:
@@ -499,10 +500,10 @@ def least_squares_refine(
     The misfit is ``sum_i (k_model(omega_i) - k_i)^2`` with the model
     wavenumber read from the root of matching rank at each sample
     frequency; the roots at all sample frequencies are found in one
-    vectorized pass per trial medium.  A rank the trial medium lacks at a
-    sample frequency is filled with the half-space edge value
-    ``omega_i / c_inf`` of the guess, where that branch starts, and gets a
-    zero Jacobian row.
+    vectorized pass per trial medium, as one (frequency x rank) table.  A
+    rank the trial medium lacks at a sample frequency is filled with the
+    half-space edge value ``omega_i / c_inf`` of the guess, where that
+    branch starts, and gets a zero Jacobian row.
 
     The free parameters are refined in logarithms, which keeps them
     positive.  The Jacobian is analytic: Rayleigh-principle sensitivities
@@ -527,6 +528,8 @@ def least_squares_refine(
     ------
     DivergedOrInfeasible
         If the initial guess is infeasible.
+    ResultOutOfRange
+        If a trial's root table (frequencies x most roots) is over ``2**22``.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -546,13 +549,13 @@ def least_squares_refine(
 
     def model(medium: Medium):
         """Residuals, and the model slowness and a found flag per sample."""
-        roots = _roots_on_grid(medium, uniq_w)
-        counts = np.fromiter(map(len, roots), dtype=np.int64, count=len(roots))
-        first = np.cumsum(counts) - counts
-        found = ranks < counts[inverse]
-        # the edge value sits last, where every missing rank points
-        ys = np.append(np.concatenate(roots), edge)
-        y = ys[np.where(found, first[inverse] + ranks, len(ys) - 1)]
+        table = _roots_on_grid(medium, uniq_w)
+        # a missing rank is NaN in the table or lies past its width
+        inside = ranks < table.shape[1]
+        y = np.full(len(data), np.nan)
+        y[inside] = table[inverse[inside], ranks[inside]]
+        found = ~np.isnan(y)
+        y[~found] = edge
         return data.omega * y - data.k, y, found
 
     def jacobian(medium: Medium, theta, y, found):

@@ -88,14 +88,14 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
     """Read a file written by :func:`write_dataset_csv`.
 
     The header is checked and the body read in one numpy call; blank lines
-    are skipped and columns the header does not name are ignored.
+    are skipped, and columns are found by name, any others ignored.
 
     Raises
     ------
     ValueError
-        If the header is not ``omega, k[, ell][, noise_sigma]``, a row lacks
-        one of its columns, a value does not parse (``ell`` must be an
-        integer), or the noise level differs between rows.
+        If the header does not begin ``omega, k``, a row lacks one of its
+        columns, a value does not parse (``ell`` must be an integer), or the
+        noise level differs between rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cols = [h.strip() for h in fh.readline().split(",")]
@@ -103,9 +103,7 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
             raise ValueError(
                 f"expected columns omega,k[,ell][,noise_sigma]; got {cols}"
             )
-        names = ["omega", "k"] + (["ell"] if cols[2:3] == ["ell"] else [])
-        if "noise_sigma" in cols:
-            names.append("noise_sigma")
+        names = ["omega", "k"] + [n for n in ("ell", "noise_sigma") if n in cols]
         dtype = [(n, int if n == "ell" else float) for n in names]
         with warnings.catch_warnings():
             # a header with no rows is an empty dataset, not a mistake

@@ -274,7 +274,7 @@ def test_trace_blocks_without_roots(monkeypatch):
     # one block mixing empty and nonempty frequencies keeps them in place
     roots = branch_mod._roots_on_grid(m, grid)
     traced = [len(bs.slownesses_at(i)) for i in range(len(grid))]
-    assert [len(r) for r in roots] == traced
+    assert np.count_nonzero(~np.isnan(roots), axis=1).tolist() == traced
 
 
 def test_unconverged_bracket_raises(medium_a, monkeypatch):

@@ -167,6 +167,7 @@ def test_dataset_noise_sigma_must_be_constant(tmp_path):
         ("1.0,0.5,1\n2.0\n", "column"),  # a row with too few columns
         ("1.0,0.5,1.5\n", "1.5"),  # a label that is not an integer
         ("100,0.095,0\n100,0.09,1\n", ">= 1"),  # a label below 1
+        ("inf,2.0,1\n", "got inf"),  # a non-finite frequency
     ],
 )
 def test_malformed_dataset_is_data_error(tmp_path, capsys, body, message):

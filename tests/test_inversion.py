@@ -30,6 +30,9 @@ def test_dataset_validation():
             k=np.array([2.0, 1.0]),
             ell=np.array([2, 1]),  # bigger k must carry the smaller rank
         )
+    for omega, k in (([np.inf, 1.0], [2.0, 1.0]), ([1.0, 1.0], [2.0, np.inf])):
+        with pytest.raises(ValueError, match="finite and > 0, got inf"):
+            DispersionDataset(omega=np.array(omega), k=np.array(k))
     ds = DispersionDataset(
         omega=np.array([1.0, 1.0]), k=np.array([2.0, 1.0]), ell=np.array([1, 2])
     )
@@ -296,7 +299,7 @@ def test_least_squares_monotone_residual(medium_a, monkeypatch):
 
     def misfit(omegas, roots):
         # the misfit of this trial: the labelled rank's root, else the edge
-        by_omega = dict(zip(omegas.tolist(), roots))
+        by_omega = {w: r[~np.isnan(r)] for w, r in zip(omegas.tolist(), roots)}
         y = np.array([
             by_omega[w][ell - 1] if ell <= len(by_omega[w]) else edge
             for w, ell in zip(data.omega.tolist(), data.ell)
@@ -311,6 +314,21 @@ def test_least_squares_monotone_residual(medium_a, monkeypatch):
     # equal up to the order in which the squares are summed
     assert resid == pytest.approx(min(seen), rel=1e-12)
     assert resid <= seen[0]
+
+
+def test_least_squares_edge_value_for_missing_ranks(medium_a):
+    # at H = 90 m the guess lacks the rank of 6 of the 67 samples; each of
+    # those reads the guess's 1/c_inf, the start of the missing branch
+    data = synthesize_observations(medium_a, np.linspace(20.0, 300.0, 12))
+    guess = Medium(mu=medium_a.mu, rho=medium_a.rho, thickness=[90.0])
+    _, misfit = least_squares_refine(
+        guess, data, parameter_mask(guess, thickness=True), max_iter=0
+    )
+    roots = {w: roots_at_omega(guess, w) for w in np.unique(data.omega).tolist()}
+    pairs = [(roots[w], ell) for w, ell in zip(data.omega.tolist(), data.ell)]
+    y = np.array([r[ell - 1] if ell <= len(r) else guess.slowness[-1] for r, ell in pairs])
+    assert len(data) == 67 and sum(ell > len(r) for r, ell in pairs) == 6
+    assert misfit == pytest.approx(np.sum((data.omega * y - data.k) ** 2), rel=1e-12)
 
 
 def test_least_squares_logs_its_work(medium_a, caplog):

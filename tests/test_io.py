@@ -60,3 +60,12 @@ def test_header_only_dataset_is_empty(tmp_path):
     path.write_text("omega,k,ell\n")
     data = lio.read_dataset_csv(path)
     assert len(data) == 0 and data.ell is not None
+
+
+def test_dataset_columns_found_by_name(tmp_path):
+    # labels after the noise column are read, not dropped
+    path = tmp_path / "reordered.csv"
+    path.write_text("omega,k,noise_sigma,ell\n100,0.095,0.001,1\n100,0.09,0.001,2\n")
+    data = lio.read_dataset_csv(path)
+    assert data.ell.tolist() == [1, 2]
+    assert data.noise_sigma == 0.001
