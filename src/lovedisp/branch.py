@@ -28,9 +28,7 @@ budget a search makes one seed count (a cutoff search doubles its
 frequency range and counts again while the range holds too few
 branches), at most ``_MAX_STEPS`` isolation counts, and at most the
 bisection count plus ``_SLACK_STEPS`` dispersion passes in the refinement;
-a trace adds one count at its top frequency for the budget, and a cutoff
-search one more pass per step off an exact zero (one step on every case
-seen).
+a trace adds one count at its top frequency for the budget.
 
 On a single query the searches hold a few dozen brackets, where numpy's
 cost per call outweighs the arithmetic.  So the refinement keeps every
@@ -76,7 +74,7 @@ _ROWS = (
     "v_lo", "v_hi", "ls_lo", "ls_hi",  # f at the ends: v * exp(ls)
     "w_lo", "w_hi",  # Illinois log weights of the end values
     "moved",  # the end the last step replaced: 0 lo, 1 hi, -1 none yet
-    "s_hi",  # the sign of f at the hi end
+    "s_lo",  # the sign of f at the lo end
     "kappa1", "half0",  # ITP's truncation gain and half the initial width
 )
 # rows 0 lo, 1 hi: ("x replaces hi" == _ENDS) marks the end a step moves
@@ -135,6 +133,11 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     crawling in.  A bracket is done once its width is at most ``tol``
     times its midpoint.
 
+    A point replaces the end whose sign it shares, and a point where ``f``
+    is exactly 0 replaces the ``hi`` end: ``lo`` never holds a zero.  An
+    exact zero stays the ``hi`` end while ``lo`` closes in, and a secant
+    step from such ends returns it exactly.
+
     Every per-bracket quantity is a row of one state table (see
     ``_ROWS``), one column per bracket; the Illinois halvings are log
     weights of their own, so the value rows stay ``f`` at the ends.  The
@@ -169,7 +172,7 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     half0 = 0.5 * (hi - lo)
     state = np.empty((len(_ROWS), n))
     state[0], state[1], state[2:4], state[4:6] = lo, hi, v, ls
-    state[6:8], state[8], state[9] = 0.0, -1.0, s_hi
+    state[6:8], state[8], state[9] = 0.0, -1.0, s_lo
     state[10], state[11] = _ITP_KAPPA1 / (2.0 * half0), half0
     t, todo = state, k
     step = 0
@@ -189,8 +192,9 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
             )
         lt = t[4:6] + t[6:8]
         fa, fc = t[2:4] * np.exp(lt - np.maximum(lt[0], lt[1]))
-        # the denominator is never 0: both values are nonzero, of opposite
-        # signs, and the larger-scaled one has weight exp(0) = 1
+        # the denominator is not 0: fc is 0 or of the other sign than fa, and
+        # fa is nonzero unless it underflows, a log-scale gap of about 745
+        # below an exact zero at hi (the larger-scaled end has weight 1)
         x = (a * fc - c * fa) / (fc - fa)
         # truncation: toward the midpoint by delta, or onto it (NaN included)
         delta, d = t[10] * width**2, mid - x
@@ -202,8 +206,9 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
         h = 0.25 * tol * mid
         x = np.minimum(np.maximum(x, a + h), c - h)
         vx, lx = f(todo, x)
-        # x replaces the end whose sign it shares; the other end is kept
-        up = np.sign(vx) == t[9]
+        # x replaces the end whose sign it shares, an exact zero the hi end;
+        # the other end is kept
+        up = np.sign(vx) != t[9]
         moved = up == _ENDS
         # Illinois: an end kept again has its value halved (the moved end's
         # weight is reset to 0 below)
@@ -213,9 +218,6 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
         np.copyto(t[2:4], vx, where=moved)
         np.copyto(t[4:6], lx, where=moved)
         np.copyto(t[6:8], 0.0, where=moved)
-        # an exact zero collapses the bracket onto it
-        if np.count_nonzero(vx) < len(vx):
-            np.copyto(t[1:6:2], t[0:6:2], where=vx == 0.0)
         step += 1
     return state[0], state[1], state[2:4], state[4:6]
 
@@ -328,18 +330,16 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     count, vectorized over ``ell``, and refined on the sign of
     ``F(omega, y0)``.  The branch-free end of each final bracket is
     returned, so a reported cutoff is the last frequency without its
-    branch: :func:`roots_at_omega` there returns ``ell - 1`` roots.  Where
-    a bracket closed onto an exact zero of ``F(omega, y0)``, the returned
-    end is the nearest double below it that has a nonzero ``F`` and counts
-    ``ell - 1``.  An exact ``0.0`` is emitted for a branch that exists at
-    arbitrarily small frequency.
+    branch: :func:`roots_at_omega` there returns ``ell - 1`` roots.  That
+    end never holds an exact zero of ``F(omega, y0)``, which the refinement
+    keeps at the other end.  An exact ``0.0`` is emitted for a branch that
+    exists at arbitrarily small frequency.
 
     Raises
     ------
     BadBracket
         If an isolated frequency bracket shows no strict sign change of
-        ``F(omega, y0)``, or no double within ``_MAX_STEPS`` below an
-        exact zero is branch-free.
+        ``F(omega, y0)``.
     ResultOutOfRange
         If ``ell_max`` is over the per-call budget ``2**22``.
     """
@@ -374,19 +374,9 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     hi, lo = _isolate(
         count, w[cell], w[cell + 1], counts[cell], counts[cell + 1], ranks, label
     )
-    lo, _, v, _ = _refine_zeros(
+    lo = _refine_zeros(
         lambda k, w: _dispersion_scaled(medium, w, y0), lo, hi, _OMEGA_TOL, label
-    )
-    # a bracket closed onto an exact zero returns the zero, where the root
-    # search's bracket of rank ell - 1 would end on F(omega, y0) = 0
-    zero, steps = np.flatnonzero(v[0] == 0.0), 0
-    while len(zero):
-        if steps == _MAX_STEPS:
-            raise BadBracket(f"no branch-free frequency below {label(zero[0])}")
-        lo[zero] = np.nextafter(lo[zero], 0.0)
-        free = _dispersion_scaled(medium, lo[zero], y0)[0] != 0.0
-        free &= count(None, lo[zero]) == ranks[zero] - 1
-        zero, steps = zero[~free], steps + 1
+    )[0]
     # ranks run descending; reverse to ascending frequency
     return np.concatenate([np.zeros(min(int(counts[-1]), ell_max)), lo[::-1]])
 
@@ -410,9 +400,10 @@ class BranchSet:
 
     ``y[i, ell-1]`` is the slowness of branch ``ell`` at ``omega_grid[i]``,
     NaN where that branch has no sample; every branch has at least one.
-    ``cutoffs[ell-1]`` is where branch ``ell`` appears; the start point
-    itself (slowness exactly ``1/c_inf``) is not a guided mode and is never
-    included among the branch samples.
+    ``cutoffs[ell-1]`` is where branch ``ell`` appears, NaN where that is
+    unknown (a branch set read from data whose branch started before its
+    first sample); the start point itself (slowness exactly ``1/c_inf``) is
+    not a guided mode and is never included among the branch samples.
     """
 
     omega_grid: np.ndarray

@@ -20,6 +20,7 @@ else descending wavenumber at each frequency.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,9 +159,12 @@ def branchset_from_dataset(dataset: DispersionDataset) -> BranchSet:
 
     The grid is the set of sample frequencies, and sample ``i`` fills the
     cell of its frequency and rank (:func:`_sample_ranks`) with
-    ``k_i / omega_i``.  Cutoffs are approximated by each branch's smallest
+    ``k_i / omega_i``.  A branch's cutoff is approximated by its smallest
     observed frequency, which overshoots the true cutoff by at most one grid
-    step; spacing-based rules are insensitive to that shared bias.
+    step; spacing-based rules are insensitive to that shared bias.  Branch 1
+    exists at every frequency above 0, so its cutoff is 0.0.  A later branch
+    already present at the first sample frequency started before the data,
+    so its cutoff is NaN.
 
     Raises
     ------
@@ -171,7 +175,10 @@ def branchset_from_dataset(dataset: DispersionDataset) -> BranchSet:
     ranks = _sample_ranks(dataset, inverse)
     y = np.full((len(grid), ranks.max(initial=-1) + 1), np.nan)
     y[inverse, ranks] = dataset.k / dataset.omega
-    cutoffs = grid[np.argmax(~np.isnan(y), axis=0)] if len(grid) else grid
+    # the row of each branch's first sample
+    first = np.argmax(~np.isnan(y), axis=0) if len(grid) else np.zeros(0, int)
+    cutoffs = np.where(first > 0, grid[first], np.nan)
+    cutoffs[:1] = 0.0
     return BranchSet(omega_grid=grid, y=y, cutoffs=cutoffs)
 
 
@@ -257,10 +264,13 @@ def invert_single_layer(branchset: BranchSet, rho1: float) -> InversionReport:
     Raises
     ------
     InsufficientData
-        With fewer than 2 cutoffs, or no branch with >= 20 samples.
+        With fewer than 2 finite cutoffs, or no branch with >= 20 samples.
     """
-    if len(branchset.cutoffs) < 2:
-        raise InsufficientData("need at least 2 cutoffs to read the spacing")
+    cuts = np.asarray(branchset.cutoffs, dtype=float)
+    ells = np.flatnonzero(np.isfinite(cuts)) + 1
+    if len(ells) < 2:
+        raise InsufficientData("need at least 2 finite cutoffs to read the spacing")
+    cuts = cuts[ells - 1]
     c1, c2 = recover_extremes(branchset)
     c1_est = ParameterEstimate("c1", c1, "branch-slowness-supremum-tail-fit")
     c2_est = ParameterEstimate(
@@ -270,14 +280,10 @@ def invert_single_layer(branchset: BranchSet, rho1: float) -> InversionReport:
         spread=float(np.std(np.nanmin(branchset.y, axis=0))),
     )
 
-    cuts = np.sort(np.asarray(branchset.cutoffs, dtype=float))
-    if len(cuts) >= 3:
-        ells = np.arange(len(cuts))
-        spacing = float(np.polyfit(ells, cuts, 1)[0])
-        spacing_spread = float(np.std(np.diff(cuts)))
-    else:
-        spacing = float(cuts[1] - cuts[0])
-        spacing_spread = float("nan")
+    # cutoff ell sits (ell - 1) spacings above 0
+    spacing = float(np.polyfit(ells, cuts, 1)[0])
+    gaps = np.diff(cuts) / np.diff(ells)
+    spacing_spread = float(np.std(gaps)) if len(gaps) >= 2 else float("nan")
     h = c1 * c2 / np.sqrt(c2 * c2 - c1 * c1) * np.pi / spacing
     h_est = ParameterEstimate("H", float(h), "cutoff-spacing", spread=spacing_spread)
 
@@ -518,7 +524,7 @@ def least_squares_refine(
     is infeasible or its misfit is not lower, so accepted iterates never
     raise the misfit.  The iteration stops when the largest relative step
     is below 1e-10, when the misfit is below 1e-14 of the initial misfit,
-    or after ``max_iter`` trials.
+    or after ``max_iter`` trials, an integer >= 0.
 
     A debug line on the ``lovedisp`` logger reports the iterations, root
     searches, rejected steps, samples at the edge value and the final
@@ -531,6 +537,9 @@ def least_squares_refine(
     ResultOutOfRange
         If a trial's root table (frequencies x most roots) is over ``2**22``.
     """
+    max_iter = operator.index(max_iter)
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     if len(data) == 0:
         raise ValueError("dataset is empty")
     free = np.asarray(free, dtype=bool)

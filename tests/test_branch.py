@@ -392,18 +392,25 @@ def _assert_cutoffs_start_branches(medium, cuts, ells):
 
 
 @pytest.mark.parametrize("draw,ell,omega", [
-    (13, 9, 348.51938625431967), (152, 21, 28.888319348096303), (286, 7, 44.5958568167183),
+    (5, 10, 577.8428429591656), (13, 9, 348.51938625431967), (30, 2, 101104.1834860921),
+    (54, 11, 10604.472326810715), (106, 16, 87.64982806287448),
+    (152, 21, 28.888319348096303), (185, 2, 779.656495197856),
+    (212, 2, 11.135735870828132), (240, 7, 113.35217218813108),
+    (262, 6, 27.652818432605134), (286, 7, 44.5958568167183),
 ])
 def test_cutoff_near_an_exact_zero(draw, ell, omega):
-    # draws of the seed-31337 stress stream whose cutoff refinement, bisecting
-    # from the whole frequency range, closed onto an exact zero of
-    # F(omega, 1/c_inf); roots_at_omega raised BadBracket at that cutoff.
-    # Draw 13's bracket still closes onto its zero from the seed grid.
+    # draws of the seed-31337 stress stream whose cutoff refinement lands on
+    # an exact zero of F(omega, 1/c_inf), and draws 152 and 286, whose
+    # refinement from the whole frequency range did: the zero stays the
+    # bracket's hi end, so the returned lo end has a nonzero F and the
+    # branches below it.  Draw 13's value is one ulp below its zero, 2.5e-14
+    # relative above the cutoff returned.
     rng = np.random.default_rng(31337)
     for _ in range(draw + 1):
         m, w = _stress_medium(rng)
     cuts = cutoff_frequencies(m, min(len(roots_at_omega(m, w)) + 2, 40))
     assert cuts[ell - 1] == pytest.approx(omega, rel=1e-12)
+    assert branch_mod._dispersion_scaled(m, cuts[ell - 1], m.slowness[-1])[0] != 0.0
     _assert_cutoffs_start_branches(m, cuts, [ell])
 
 
@@ -543,17 +550,19 @@ def test_refine_bracket_alone_matches_joint(case, medium_b, monkeypatch):
             assert np.array_equal(got, want[..., b : b + 1])
 
 
-def test_refine_collapses_onto_an_exact_zero():
+def test_refine_keeps_an_exact_zero_as_hi():
     # the first Illinois point of x - 1.5 on [1, 2] is the midpoint, an exact
-    # zero: the bracket closes onto it with both end values 0, while a
-    # bracket without an exact zero refines on beside it
+    # zero: it becomes the hi end, lo closes in below it with the sign lo
+    # had, and the secant step from those ends returns the zero exactly;
+    # a bracket without an exact zero refines on beside it
     root = np.array([1.5, 1.7])
 
     def f(k, x):
         return x - root[k], np.zeros(len(x))
 
     lo, hi, v, ls = branch_mod._refine_zeros(f, np.ones(2), np.full(2, 2.0), 1e-12, str)
-    assert lo[0] == hi[0] == 1.5
-    assert np.array_equal(v[:, 0], [0.0, 0.0])
-    assert np.array_equal(ls[:, 0], [0.0, 0.0])
+    assert hi[0] == 1.5 and v[1, 0] == 0.0
+    assert lo[0] < 1.5 and v[0, 0] < 0.0
+    assert 1.5 - lo[0] <= 1e-12 * 1.5
+    assert branch_mod._secant_polish(lo, hi, v, ls)[0] == 1.5
     assert lo[1] <= 1.7 <= hi[1] and hi[1] - lo[1] <= 1e-12 * 1.7

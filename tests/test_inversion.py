@@ -189,6 +189,33 @@ def test_invert_single_layer_needs_two_cutoffs(medium_a):
         invert_single_layer(bs, rho1=1.0)
 
 
+@pytest.mark.parametrize("start,h,rho2", [(20.0, 99.967, 0.998), (60.0, 99.941, 0.984)])
+def test_invert_single_layer_fits_only_observed_cutoffs(start, h, rho2):
+    # c = (1000, 1818) m/s, H = 100 m: branch 2 starts near omega = 37.6.
+    # Branch 1's cutoff is 0, not its first sample; from omega = 60 branch 2
+    # started before the data, so its cutoff is unknown and left out of the
+    # spacing fit
+    medium = Medium(mu=[1e6, 1818.0**2], rho=[1.0, 1.0], thickness=[100.0])
+    grid = np.arange(start, 400.01, 0.5)
+    bs = branchset_from_dataset(synthesize_observations(medium, grid))
+    assert bs.cutoffs[0] == 0.0
+    assert np.isnan(bs.cutoffs[1]) == (start > 38.0)
+    assert np.all(bs.cutoffs[2:] > start)
+    rep = invert_single_layer(bs, rho1=1.0)
+    assert rep["H"].value == pytest.approx(h, abs=1e-3)
+    assert rep["rho2"].value == pytest.approx(rho2, abs=1e-3)
+
+
+def test_invert_single_layer_needs_two_finite_cutoffs():
+    bs = BranchSet(
+        omega_grid=np.array([10.0, 20.0]),
+        y=np.array([[5e-4, 4e-4], [6e-4, 5e-4]]),
+        cutoffs=np.array([0.0, np.nan]),
+    )
+    with pytest.raises(InsufficientData, match="2 finite cutoffs"):
+        invert_single_layer(bs, rho1=1.0)
+
+
 def test_scale_covariance(medium_a):
     # scaling mu and rho together leaves all branch data invariant and the
     # density rule recovers the ratio rho2/rho1 unchanged
@@ -287,6 +314,18 @@ def test_least_squares_moduli_and_densities_together(medium_b):
     refined, resid = least_squares_refine(guess, data, mask)
     assert resid <= start
     assert refined.c == pytest.approx(medium_b.c, rel=1e-6)
+
+
+def test_least_squares_takes_an_integer_max_iter(medium_a):
+    data = synthesize_observations(medium_a, np.linspace(20.0, 300.0, 12))
+    guess = Medium(mu=medium_a.mu, rho=medium_a.rho, thickness=[103.0])
+    mask = parameter_mask(guess, thickness=True)
+    for bad, err in ((-1, ValueError), (np.nan, TypeError), (2.5, TypeError)):
+        with pytest.raises(err):
+            least_squares_refine(guess, data, mask, max_iter=bad)
+    one, misfit = least_squares_refine(guess, data, mask, max_iter=np.int64(1))
+    again, misfit_again = least_squares_refine(guess, data, mask, max_iter=1)
+    assert np.array_equal(one.thickness, again.thickness) and misfit == misfit_again
 
 
 def test_least_squares_monotone_residual(medium_a, monkeypatch):
