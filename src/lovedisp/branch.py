@@ -14,7 +14,11 @@ Dekker's and Brent's zeroin), and one secant step from the values the
 refinement already holds at the final ends.  Roots are found for a block
 of frequencies in one vectorized pass: every step works on all (frequency,
 rank) pairs of the block at once, a trace of up to ``_TRACE_BLOCK``
-frequencies is one block, and a single frequency is a block of one.
+frequencies is one block, and a single frequency is a block of one.  Over
+many frequencies the seed count would dominate, so a trace block seeds on
+about two nodes per root at the trace's top frequency (16 to
+``_SEED_NODES``, and at least ``_SEED_POINTS`` points in all); single
+queries and cutoff searches keep ``_SEED_NODES``.
 Cutoffs are found the same way in frequency: one count at the half-space
 slowness on a seed grid of frequencies, then the same isolation and
 refinement.
@@ -63,6 +67,8 @@ __all__ = [
 _REFINE_TOL = 1e-12  # relative bracket width (in y) at which refinement stops
 _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
+_MIN_SEED_NODES = 16  # the fewest seed nodes a trace block uses
+_SEED_POINTS = 4096  # seed points below which a count costs its call, not its points
 _MAX_STEPS = 100  # more halvings or refine steps than double precision can resolve
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
 _ITP_KAPPA1 = 0.2  # ITP truncation gain times the initial bracket width
@@ -256,15 +262,20 @@ def _list_ranks(c_in: np.ndarray, c_out: np.ndarray):
     return cell, c_in[cell] - (np.arange(len(cell)) - first[cell])
 
 
-def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> np.ndarray:
+def _roots_on_grid(
+    medium: Medium, omegas: np.ndarray, seed_nodes: int = _SEED_NODES
+) -> np.ndarray:
     """The (frequency x rank) table of roots at ``omegas``, as BranchSet stores it.
 
     Row ``i`` holds the roots at ``omegas[i]`` by rank, strictly descending,
     NaN past its last one.  One pass for the whole block: one seed count on
-    the (frequency x node) grid, then isolation, refinement and the secant
-    step each vectorized over every (frequency, rank) pair.
+    the (frequency x node) grid of ``seed_nodes`` uniform slowness nodes,
+    then isolation, refinement and the secant step each vectorized over
+    every (frequency, rank) pair.  The count is exact, so any number of
+    nodes finds every root; fewer nodes leave more ranks per cell for the
+    isolation to split.
     """
-    nodes = np.linspace(*medium.slowness_domain, _SEED_NODES)
+    nodes = np.linspace(*medium.slowness_domain, seed_nodes)
     # at 1/c0 every layer is evanescent or degenerate, so the shot from (1, 0)
     # never changes sign there: the last node counts exactly 0 roots
     counts = _sturm_count(medium, omegas[:, None], nodes)
@@ -276,7 +287,7 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> np.ndarray:
     # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j]
     c_in, c_out = counts[:, :-1].ravel(), counts[:, 1:].ravel()
     cell, ranks = _list_ranks(c_in, c_out)
-    row, j = np.divmod(cell, _SEED_NODES - 1)
+    row, j = np.divmod(cell, seed_nodes - 1)
     omega = omegas[row]
 
     def label(k):
@@ -446,6 +457,15 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     which is exact because branches never cross.  Cutoffs come from
     :func:`cutoff_frequencies`.
 
+    Each block of up to ``_TRACE_BLOCK`` frequencies is one root search,
+    seeded on ``min(64, max(16, 2 * top, 4096 // len(block)))`` slowness
+    nodes, ``top`` being the root count at the grid's top frequency: about
+    two nodes per root, since a seed count over a block of many
+    frequencies costs more than the isolation steps that fewer nodes add,
+    and at least 4096 seed points, under which the count's cost is its
+    numpy calls and nodes are free.  The roots match those of
+    :func:`roots_at_omega` to within the refinement's tolerance.
+
     Raises
     ------
     ResultOutOfRange
@@ -460,11 +480,15 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
         raise ValueError("omega_grid must be finite, positive and strictly increasing")
 
     # no branch ends as omega grows: the top node holds the most roots
-    size = len(omega_grid) * int(_sturm_count(medium, omega_grid[-1], medium.slowness[-1]))
-    if size > _ROOT_BUDGET:
+    top = int(_sturm_count(medium, omega_grid[-1], medium.slowness[-1]))
+    if (size := len(omega_grid) * top) > _ROOT_BUDGET:
         raise _over_budget("the branch table's size", size)
     starts = range(0, len(omega_grid), _TRACE_BLOCK)
-    blocks = [_roots_on_grid(medium, omega_grid[s : s + _TRACE_BLOCK]) for s in starts]
+    blocks = []
+    for s in starts:
+        block = omega_grid[s : s + _TRACE_BLOCK]
+        nodes = min(_SEED_NODES, max(_MIN_SEED_NODES, 2 * top, _SEED_POINTS // len(block)))
+        blocks.append(_roots_on_grid(medium, block, nodes))
     n_branches = max(b.shape[1] for b in blocks)
     # row i: the roots at node i by rank, NaN past its last one
     table = np.full((len(omega_grid), n_branches), np.nan)

@@ -11,13 +11,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io as lio
-from .branch import trace_branches
+from .branch import _ROOT_BUDGET, _over_budget, trace_branches
 from .errors import DivergedOrInfeasible, LoveDispError, NonRealResult, ResultOutOfRange
 from .inversion import (
     InversionReport,
@@ -100,11 +101,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _omega_grid(args) -> np.ndarray:
+    """The --omega-min..--omega-max grid, step --omega-step, nodes > 0 only.
+
+    The bounds and step are checked, and the node count ``np.arange`` would
+    make is checked against the per-call budget, before anything is
+    allocated.
+    """
+    for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     if not (np.isfinite(args.omega_step) and args.omega_step > 0.0):
         raise ValueError(
             f"--omega-step must be positive and finite, got {args.omega_step!r}"
         )
-    grid = np.arange(args.omega_min, args.omega_max + 0.5 * args.omega_step, args.omega_step)
+    stop = args.omega_max + 0.5 * args.omega_step
+    # np.arange makes ceil(span) nodes, over the budget exactly when span is
+    span = (stop - args.omega_min) / args.omega_step
+    if span > _ROOT_BUDGET:
+        raise _over_budget("the frequency grid's node count",
+                           math.ceil(span) if math.isfinite(span) else span)
+    grid = np.arange(args.omega_min, stop, args.omega_step)
     grid = grid[grid > 0.0]
     if len(grid) == 0:
         raise ValueError("empty frequency grid")

@@ -3,7 +3,10 @@
 All floats are written with 17 significant digits so files round-trip
 bit-exactly; non-finite values are refused.  Branch rows come from the
 columns of a :class:`~lovedisp.branch.BranchSet` table, by (ell, omega),
-and the dataset body is read in one numpy call.
+and the dataset body is read in one numpy call.  Numeric tables are
+written ``_CHUNK_ROWS`` rows at a time, each chunk formatted with one
+``%`` per row and written in one call: the same bytes ``np.savetxt``
+writes, without its call per row, and the text held at once stays bounded.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ __all__ = [
 ]
 
 
+_CHUNK_ROWS = 4096  # rows of a numeric table formatted per write
+
+
 def _fmt(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError(f"refusing to write non-finite value {x!r}")
@@ -41,13 +47,21 @@ def _write_rows(path, header, rows) -> None:
 
 
 def _write_columns(path, header, columns, fmt) -> None:
-    """One row per entry of the equal-length ``columns``, formatted by ``fmt``."""
+    """One row per entry of the equal-length ``columns``, formatted by ``fmt``.
+
+    ``fmt`` is one ``%`` format for every column or one per column.
+    """
     table = np.column_stack(columns)
     bad = ~np.isfinite(table)
     if bad.any():
         raise ValueError(f"refusing to write non-finite value {table[bad][0]!r}")
+    if isinstance(fmt, str):
+        fmt = [fmt] * table.shape[1]
+    row = ",".join(fmt) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+        fh.write(",".join(header) + "\n")
+        for s in range(0, len(table), _CHUNK_ROWS):
+            fh.write("".join([row % tuple(r) for r in table[s : s + _CHUNK_ROWS].tolist()]))
 
 
 def write_branches_csv(path: str | Path, branchset: BranchSet) -> None:

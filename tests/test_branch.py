@@ -260,6 +260,56 @@ def test_trace_matches_roots_at_omega_four_layer(monkeypatch):
     _assert_trace_matches_pointwise(FOUR_LAYER, np.arange(1.0, 300.5, 3.0), monkeypatch)
 
 
+def _random_four_layer(rng):
+    c = np.concatenate([rng.uniform(600.0, 3000.0, 4), [rng.uniform(5000.0, 12000.0)]])
+    rho = rng.uniform(0.5, 3.0, 5)
+    return Medium(mu=rho * c * c, rho=rho, thickness=rng.uniform(30.0, 200.0, 4))
+
+
+@pytest.mark.parametrize("case", ["A", "B", "swapped B", "R4-0", "R4-1", "R4-2"])
+def test_trace_seed_grid_matches_roots_at_omega(case, medium_a, medium_b, medium_b_swapped):
+    # a whole trace block seeds on fewer slowness nodes than a single query
+    # (16 on B up to omega = 150): the same ranks everywhere, the same roots
+    # to within the refinement's tolerance
+    rng = np.random.default_rng(5)
+    four = [_random_four_layer(rng) for _ in range(3)]
+    medium, grid = {
+        "A": (medium_a, np.arange(0.5, 150.01, 0.5)),
+        "B": (medium_b, np.arange(0.5, 150.01, 0.5)),
+        "swapped B": (medium_b_swapped, np.arange(0.5, 150.01, 0.5)),
+        "R4-0": (four[0], np.arange(1.0, 300.5, 1.0)),
+        "R4-1": (four[1], np.arange(1.0, 300.5, 1.0)),
+        "R4-2": (four[2], np.arange(1.0, 300.5, 1.0)),
+    }[case]
+    traced = trace_branches(medium, grid).y
+    single = np.full_like(traced, np.nan)
+    for i, w in enumerate(grid):
+        roots = roots_at_omega(medium, w)
+        single[i, : len(roots)] = roots
+    assert np.array_equal(np.isnan(traced), np.isnan(single))
+    ok = ~np.isnan(single)
+    assert np.all(np.abs(traced[ok] - single[ok]) <= 1e-13 * single[ok])
+
+
+def test_trace_seed_points(medium_b, monkeypatch):
+    # tripwire: a 300-node trace of B seeds on 16 slowness nodes per
+    # frequency (4,800 points) where 64 took 19,200; a 5-node trace keeps
+    # its 5 x 64 seed points, under which the count's cost is its calls
+    real, points = branch_mod._sturm_count, []
+
+    def counted(medium, omega, y):
+        points.append(np.broadcast(omega, y).size)
+        return real(medium, omega, y)
+
+    monkeypatch.setattr(branch_mod, "_sturm_count", counted)
+    trace_branches(medium_b, np.arange(0.5, 150.01, 0.5))
+    assert sum(points) <= 6000
+    points.clear()
+    monkeypatch.setattr(branch_mod, "cutoff_frequencies", lambda m, n: np.zeros(n))
+    trace_branches(medium_b, np.arange(30.0, 150.01, 30.0))
+    assert points[1] == 5 * 64
+
+
 def test_trace_blocks_without_roots(monkeypatch):
     # below the first cutoff of the faster-interior medium whole blocks of
     # the trace hold no root at all

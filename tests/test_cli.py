@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +188,44 @@ def test_bad_omega_step_is_data_error(tmp_path, medium_a_config, capsys, command
     assert run([command, "--medium", medium_a_config, "--omega-max", "10",
                 "--omega-step", step, "--out", str(tmp_path), *extra]) == 2
     assert "error: --omega-step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trace", "weyl", "synth"])
+@pytest.mark.parametrize("bound", ["--omega-min=nan", "--omega-max=nan",
+                                   "--omega-min=-inf", "--omega-max=inf"])
+def test_non_finite_omega_bound_is_data_error(tmp_path, medium_a_config, capsys,
+                                              command, bound):
+    extra = ["--y", "2e-4"] if command == "weyl" else []
+    assert run([command, "--medium", medium_a_config, "--omega-max", "10", bound,
+                "--out", str(tmp_path), *extra]) == 2
+    flag = bound.split("=")[0]
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
+
+
+# without the check, np.arange asks for 7.45 GiB and 7.11 PiB: the child runs
+# under a 1 GiB address-space limit
+_GRID_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from lovedisp.cli import run
+for step in ("1", "1e-3"):
+    omega_max = "1e9" if step == "1" else "1e12"
+    print(run(["trace", "--medium", sys.argv[1], "--omega-max", omega_max,
+               "--omega-step", step, "--out", sys.argv[2]]))
+"""
+
+
+def test_huge_omega_grid_is_refused_before_allocating(tmp_path, medium_a_config):
+    import lovedisp
+
+    src = str(Path(lovedisp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _GRID_CHILD, medium_a_config, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["3", "3"], done.stderr
+    assert "node count is 1000000001, over the per-call budget" in done.stderr
+    assert "node count is 999999999999751, over" in done.stderr
+    assert not (tmp_path / "branches.csv").exists()
 
 
 def test_synth_negative_noise_is_data_error(tmp_path, medium_a_config, capsys):

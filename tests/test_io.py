@@ -55,6 +55,20 @@ def test_write_refuses_non_finite(tmp_path):
         lio.write_mode_csv(tmp_path / "m.csv", [0.0, 1.0], [1.0, np.inf], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 20_000])
+@pytest.mark.parametrize("fmt", [["%d", "%.17g", "%.17g"], "%.17g"])
+def test_write_columns_matches_savetxt(tmp_path, rows, fmt):
+    # chunk edges included: the same bytes as np.savetxt on the same table
+    rng = np.random.default_rng(rows)
+    columns = (np.arange(1, rows + 1), rng.normal(size=rows) * 1e3,
+               np.exp(rng.normal(size=rows) * 20.0))
+    lio._write_columns(tmp_path / "got.csv", ("ell", "x", "y"), columns, fmt)
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",",
+                   header="ell,x,y", comments="")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_header_only_dataset_is_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("omega,k,ell\n")
