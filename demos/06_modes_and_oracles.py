@@ -1,9 +1,9 @@
 """Eigenfunctions and the two independent verification paths.
 
 A guided mode is reconstructed at a dispersion root, checked against the
-equations that define it (interface continuity, the layer ODE, and the
-quotient identity tying its three norms together), and exported on a
-depth grid.  The dispersion values themselves are then cross-checked
+equations that define it (interface continuity, the layer ODE's first
+integral, and the quotient identity tying its three norms together), and
+exported on a depth grid.  The dispersion values themselves are then cross-checked
 against the explicit boundary-matching determinant, and the root set
 against a finite-difference eigensolver that never touches the
 transfer-matrix code.
@@ -32,7 +32,7 @@ shape = mode_shape(medium, omega, omega * roots[0])
 diag = mode_residuals(shape)
 print("fundamental mode diagnostics:")
 print(f"  interface jumps     {max(diag.phi_jump, diag.stress_jump):.2e}")
-print(f"  layer ODE residual  {diag.ode_residual:.2e}")
+print(f"  ODE first integral  {diag.ode_residual:.2e}")
 print(f"  quotient identity   {diag.rayleigh_residual:.2e} "
       f"(quotient {diag.rayleigh_quotient:.4f} > 1)")
 mu_dphi_sq, rho_phi_sq, mu_phi_sq = mode_norms(shape)

@@ -483,19 +483,16 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     top = int(_sturm_count(medium, omega_grid[-1], medium.slowness[-1]))
     if (size := len(omega_grid) * top) > _ROOT_BUDGET:
         raise _over_budget("the branch table's size", size)
-    starts = range(0, len(omega_grid), _TRACE_BLOCK)
-    blocks = []
-    for s in starts:
+    # row i: the roots at node i by rank, NaN past its last one; the last
+    # block's widest row is the top node's, so the table is ``top`` wide
+    table = np.full((len(omega_grid), top), np.nan)
+    for s in range(0, len(omega_grid), _TRACE_BLOCK):
         block = omega_grid[s : s + _TRACE_BLOCK]
         nodes = min(_SEED_NODES, max(_MIN_SEED_NODES, 2 * top, _SEED_POINTS // len(block)))
-        blocks.append(_roots_on_grid(medium, block, nodes))
-    n_branches = max(b.shape[1] for b in blocks)
-    # row i: the roots at node i by rank, NaN past its last one
-    table = np.full((len(omega_grid), n_branches), np.nan)
-    for s, b in zip(starts, blocks):
-        table[s : s + len(b), : b.shape[1]] = b
+        roots = _roots_on_grid(medium, block, nodes)
+        table[s : s + len(block), : roots.shape[1]] = roots
     return BranchSet(
         omega_grid=omega_grid.copy(),
         y=table,
-        cutoffs=cutoff_frequencies(medium, n_branches) if n_branches else np.empty(0),
+        cutoffs=cutoff_frequencies(medium, top) if top else np.empty(0),
     )

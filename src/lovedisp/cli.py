@@ -158,7 +158,7 @@ def _cmd_weyl(args) -> int:
         rows.append((float(w), args.y, n, pred.value, pred.proven, rel))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lio.write_weyl_csv(out / "weyl.csv", rows)
+    lio.write_weyl_csv(out / "weyl.csv", *zip(*rows))
     print(f"wrote {len(rows)} rows -> {out / 'weyl.csv'}")
     return 0
 

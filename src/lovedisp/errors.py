@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LoveDispError",
+    "NonPositiveParameter",
+    "NoLoveWaves",
+    "BadBracket",
+    "InsufficientData",
+    "UnresolvedLevels",
+    "AmbiguousOrdering",
+    "OutOfRange",
+    "ResultOutOfRange",
+    "DivergedOrInfeasible",
+    "DegeneratePoint",
+    "NonRealResult",
+    "NotOnBranch",
+]
+
 
 class LoveDispError(Exception):
     """Base class for all package-specific errors."""

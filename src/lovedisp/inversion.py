@@ -56,6 +56,7 @@ __all__ = [
     "synthesize_observations",
     "alt_thickness_estimate",
     "branchset_from_dataset",
+    "parameter_mask",
 ]
 
 
@@ -382,70 +383,59 @@ def invert_double_layer(branchset: BranchSet) -> InversionReport:
         )
 
     c3_est = ParameterEstimate("c3", c_inf, "cutoff-slowness-level")
+    notes = ("densities assumed equal (not identified by these rules)",)
     if len(levels) == 1:
-        c0 = 1.0 / levels[0].slowness
-        t_sum = levels[0].weight * np.sqrt(c0)
+        # one velocity for both layers, which share the summed thickness
+        c1 = c2 = 1.0 / levels[0].slowness
+        t1 = t2 = levels[0].weight * np.sqrt(c1) / 2
         params = (
-            ParameterEstimate("c1", c0, "accumulation-level"),
-            ParameterEstimate("c2", c0, "accumulation-level (single level: c1=c2)"),
+            ParameterEstimate("c1", c1, "accumulation-level"),
+            ParameterEstimate("c2", c2, "accumulation-level (single level: c1=c2)"),
             c3_est,
-            ParameterEstimate("T1+T2", float(t_sum), "accumulation-weight"),
+            ParameterEstimate("T1+T2", float(t1 + t2), "accumulation-weight"),
         )
-        medium = Medium(
-            mu=np.array([c0**2, c0**2, c_inf**2]),
-            rho=np.ones(3),
-            thickness=np.array([t_sum / 2, t_sum / 2]),
-        )
-        return InversionReport(
-            parameters=params,
-            medium=medium,
-            residual=_model_residual(medium, branchset),
-            notes=(
-                "single accumulation level: layers share one velocity and only "
-                "the summed thickness is identified",
-                "densities assumed equal (not identified by these rules)",
-            ),
-        )
-
-    c_t1 = 1.0 / levels[0].slowness  # smaller velocity (higher slowness)
-    c_t2 = 1.0 / levels[1].slowness
-    t_t1 = levels[0].weight * np.sqrt(c_t1)
-    t_t2 = levels[1].weight * np.sqrt(c_t2)
-
-    # crossings are read a hair above the detected level: below it the
-    # branches graze the level tangentially and interpolation noise would
-    # masquerade as non-uniform spacing
-    crossings = _branch_crossings(branchset, levels[1].slowness * (1.0 + 5e-4))
-    if len(crossings) < 5:
-        raise AmbiguousOrdering(
-            f"only {len(crossings)} crossings of the middle level; need >= 5"
-        )
-    equidistant, cv = _spacing_verdict(np.diff(crossings))
-    if equidistant:
-        # uniform crossings: the middle-level velocity is the surface layer
-        c1, c2, t1, t2 = c_t2, c_t1, t_t2, t_t1
-        ordering = f"level-crossing-equidistance (cv={cv:.4f}: fast layer on top)"
+        notes = ("single accumulation level: layers share one velocity and only "
+                 "the summed thickness is identified", *notes)
     else:
-        c1, c2, t1, t2 = c_t1, c_t2, t_t1, t_t2
-        ordering = f"level-crossing-equidistance (cv={cv:.4f}: slow layer on top)"
+        c_t1 = 1.0 / levels[0].slowness  # smaller velocity (higher slowness)
+        c_t2 = 1.0 / levels[1].slowness
+        t_t1 = levels[0].weight * np.sqrt(c_t1)
+        t_t2 = levels[1].weight * np.sqrt(c_t2)
+
+        # crossings are read a hair above the detected level: below it the
+        # branches graze the level tangentially and interpolation noise would
+        # masquerade as non-uniform spacing
+        crossings = _branch_crossings(branchset, levels[1].slowness * (1.0 + 5e-4))
+        if len(crossings) < 5:
+            raise AmbiguousOrdering(
+                f"only {len(crossings)} crossings of the middle level; need >= 5"
+            )
+        equidistant, cv = _spacing_verdict(np.diff(crossings))
+        if equidistant:
+            # uniform crossings: the middle-level velocity is the surface layer
+            c1, c2, t1, t2 = c_t2, c_t1, t_t2, t_t1
+            ordering = f"level-crossing-equidistance (cv={cv:.4f}: fast layer on top)"
+        else:
+            c1, c2, t1, t2 = c_t1, c_t2, t_t1, t_t2
+            ordering = f"level-crossing-equidistance (cv={cv:.4f}: slow layer on top)"
+        params = (
+            ParameterEstimate("c1", float(c1), f"accumulation-level + {ordering}"),
+            ParameterEstimate("c2", float(c2), f"accumulation-level + {ordering}"),
+            c3_est,
+            ParameterEstimate("T1", float(t1), "accumulation-weight"),
+            ParameterEstimate("T2", float(t2), "accumulation-weight"),
+        )
 
     medium = Medium(
         mu=np.array([c1**2, c2**2, c_inf**2]),
         rho=np.ones(3),
         thickness=np.array([t1, t2]),
     )
-    params = (
-        ParameterEstimate("c1", float(c1), f"accumulation-level + {ordering}"),
-        ParameterEstimate("c2", float(c2), f"accumulation-level + {ordering}"),
-        c3_est,
-        ParameterEstimate("T1", float(t1), "accumulation-weight"),
-        ParameterEstimate("T2", float(t2), "accumulation-weight"),
-    )
     return InversionReport(
         parameters=params,
         medium=medium,
         residual=_model_residual(medium, branchset),
-        notes=("densities assumed equal (not identified by these rules)",),
+        notes=notes,
     )
 
 

@@ -1,17 +1,17 @@
 """CSV readers and writers for branch, cutoff, dataset, comparison and mode tables.
 
-All floats are written with 17 significant digits so files round-trip
-bit-exactly; non-finite values are refused.  Branch rows come from the
+Every table is written by one writer, :func:`_write_columns`, from its
+columns: floats with 17 significant digits so files round-trip
+bit-exactly, and a non-finite float refused.  Branch rows come from the
 columns of a :class:`~lovedisp.branch.BranchSet` table, by (ell, omega),
-and the dataset body is read in one numpy call.  Numeric tables are
-written ``_CHUNK_ROWS`` rows at a time, each chunk formatted with one
-``%`` per row and written in one call: the same bytes ``np.savetxt``
-writes, without its call per row, and the text held at once stays bounded.
+and the dataset body is read in one numpy call.  Tables are written
+``_CHUNK_ROWS`` rows at a time, each chunk formatted with one ``%`` per
+row and written in one call: the same bytes ``np.savetxt`` writes, without
+its call per row, and the text held at once stays bounded.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from pathlib import Path
 
@@ -33,35 +33,23 @@ __all__ = [
 _CHUNK_ROWS = 4096  # rows of a numeric table formatted per write
 
 
-def _fmt(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"refusing to write non-finite value {x!r}")
-    return format(float(x), ".17g")
-
-
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_columns(path, header, columns, fmt) -> None:
     """One row per entry of the equal-length ``columns``, formatted by ``fmt``.
 
     ``fmt`` is one ``%`` format for every column or one per column.
     """
-    table = np.column_stack(columns)
-    bad = ~np.isfinite(table)
-    if bad.any():
-        raise ValueError(f"refusing to write non-finite value {table[bad][0]!r}")
+    columns = [np.asarray(c) for c in columns]
+    for c in columns:
+        if c.dtype.kind == "f" and (bad := ~np.isfinite(c)).any():
+            raise ValueError(f"refusing to write non-finite value {c[bad][0]!r}")
     if isinstance(fmt, str):
-        fmt = [fmt] * table.shape[1]
+        fmt = [fmt] * len(columns)
     row = ",".join(fmt) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for s in range(0, len(table), _CHUNK_ROWS):
-            fh.write("".join([row % tuple(r) for r in table[s : s + _CHUNK_ROWS].tolist()]))
+        for s in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = zip(*[c[s : s + _CHUNK_ROWS].tolist() for c in columns])
+            fh.write("".join([row % r for r in chunk]))
 
 
 def write_branches_csv(path: str | Path, branchset: BranchSet) -> None:
@@ -135,25 +123,15 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
     )
 
 
-def write_weyl_csv(path: str | Path, rows) -> None:
-    """Columns ``omega, y, count, prediction, proven, rel_error``.
-
-    ``rows`` yields tuples in that order; ``proven`` is emitted as
-    true/false.
-    """
-    out = []
-    for omega, y, count, prediction, proven, rel_error in rows:
-        out.append(
-            (
-                _fmt(omega),
-                _fmt(y),
-                int(count),
-                _fmt(prediction),
-                "true" if proven else "false",
-                _fmt(rel_error),
-            )
-        )
-    _write_rows(path, ("omega", "y", "count", "prediction", "proven", "rel_error"), out)
+def write_weyl_csv(
+    path: str | Path, omega, y, count, prediction, proven, rel_error
+) -> None:
+    """Columns ``omega, y, count, prediction, proven, rel_error``, one argument
+    each; ``proven`` is emitted as true/false."""
+    header = ("omega", "y", "count", "prediction", "proven", "rel_error")
+    proven = np.where(proven, "true", "false")
+    _write_columns(path, header, (omega, y, count, prediction, proven, rel_error),
+                   ("%.17g", "%.17g", "%d", "%.17g", "%s", "%.17g"))
 
 
 def write_mode_csv(path: str | Path, z, phi, mu_dphi) -> None:

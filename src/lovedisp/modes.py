@@ -37,7 +37,6 @@ from .medium import Medium
 __all__ = ["ModeShape", "ModeDiagnostics", "mode_shape", "mode_residuals", "mode_norms"]
 
 _RESIDUAL_FLOOR = 1e-8  # normalized dispersion residual accepted as on-branch
-_N_DEPTHS = 100  # sample depths per layer of the pointwise ODE check
 
 
 @dataclass(frozen=True)
@@ -183,40 +182,42 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
 def mode_residuals(shape: ModeShape) -> ModeDiagnostics:
     """Verify a constructed mode against the equations that define it.
 
-    Each finite layer is carried to the end it is not built from, where it
-    must match the stored state, the tail's included; the layer ODE is
-    checked at 100 depths per layer, and the quotient identity tying the
-    three closed-form norms together.  Every comparison is made on the
-    scaled states, so no diagnostic leaves double range.
+    Each finite layer is carried from the end it is built from to the
+    other, where it must match the stored state, the tail's included.  The
+    layer ODE ``phi'' = omega^2 (y^2 - 1/c_j^2) phi`` keeps the first
+    integral ``J = q^2 - mu_j^2 (y^2 - 1/c_j^2) p^2`` of the state ``(p, q)
+    = (phi, mu phi'/omega)`` constant across layer ``j``; it is compared at
+    both ends.  The quotient identity ties the three closed-form norms
+    together.  Every comparison is made on the scaled states, so no
+    diagnostic leaves double range.
     """
     m = shape.medium
     omega, k, y = shape.omega, shape.k, shape.y
     layers = np.arange(m.n)
-    # the interface each layer is checked at: the end it is not carried from
+    # each layer is carried from its near interface and checked at its far one
+    near = layers + (layers >= shape.match)
     far = layers + (layers < shape.match)
-    frac = np.linspace(0.0, 1.0, _N_DEPTHS + 2)[1:-1]
-    z = np.column_stack([m.depths[far], m.depths[:-1, None] + np.outer(m.thickness, frac)])
-    p, q, lg = shape._in_layers(layers[:, None], z)
+    p, q, lg = shape._in_layers(layers, m.depths[far])
 
     # displacement and stress jumps, each relative to its size or a floor,
     # all over the stored state's scale exp(ls)
     stored = np.array([shape.p[far], shape.q[far]])
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.array([p[:, 0], q[:, 0]]) * np.exp(lg[:, 0] - shape.ls[far])
+        ends = np.array([p, q]) * np.exp(lg - shape.ls[far])
         floor = np.array([[1e-300], [_dispersion_scale_floor(m)]]) * np.exp(-shape.ls[far])
         size = np.maximum(np.maximum(np.abs(ends), np.abs(stored)), floor)
         phi_jump, stress_jump = np.max(np.abs(ends - stored) / size, axis=1)
 
-    # pointwise ODE residual: every layer form has phi'' = omega^2 (y^2 -
-    # 1/c_j^2) phi, checked against the coefficient built from mu and rho;
-    # each layer over its own largest scale
-    lg = lg[:, 1:]
-    phi = p[:, 1:] * np.exp(lg - lg.max(axis=1, keepdims=True))
-    mu, rho = m.mu[:-1, None], m.rho[:-1, None]
-    coef = (mu * k * k - rho * omega * omega) / mu
-    d2 = omega * omega * (y * y - m.slowness_sq[:-1, None]) * phi
-    scale = np.max(np.abs(coef * phi), axis=1) + np.max(np.abs(d2), axis=1) + 1e-300
-    ode_residual = np.max(np.max(np.abs(d2 - coef * phi), axis=1) / scale)
+    # ODE residual: the change of J across each layer, relative to the
+    # largest of its two terms at either end, over the larger end's scale
+    lgs = np.array([shape.ls[near], lg])
+    scale = np.exp(2.0 * (lgs - lgs.max(axis=0)))
+    q_sq = np.array([shape.q[near], q]) ** 2 * scale
+    coef = m.mu[:-1] ** 2 * (y * y - m.slowness_sq[:-1])
+    p_sq = coef * np.array([shape.p[near], p]) ** 2 * scale
+    terms = np.maximum(q_sq, np.abs(p_sq)).max(axis=0) + 1e-300
+    change = (q_sq[1] - p_sq[1]) - (q_sq[0] - p_sq[0])
+    ode_residual = np.max(np.abs(change) / terms)
 
     if shape.is_l2:
         # both figures are ratios of norms: take them from the scaled sums

@@ -478,6 +478,31 @@ def test_stress_cutoffs_start_branches():
     assert checked == 434
 
 
+def test_cutoff_grid_top_doubles(monkeypatch):
+    # an eight-layer medium whose first grid top counts 18 of 19 branches:
+    # the seed grid's top is doubled once, and every cutoff still starts
+    # its branch
+    c = np.array([3454.95, 1584.18, 4712.39, 1008.17, 584.475, 1461.84, 2697.44, 1954.65])
+    rho = np.array([8.212, 3.979, 1.218, 3.885, 0.45, 5.837, 5.662, 6.866])
+    m = Medium(mu=rho * c * c, rho=rho,
+               thickness=[0.0102321, 0.0410037, 2.1296, 0.0256587, 0.103113,
+                          0.322095, 52.6591])
+    real, tops = branch_mod._sturm_count, []
+
+    def spy(medium, omega, y):
+        if np.size(omega) == branch_mod._SEED_NODES:  # a seed grid, top first
+            tops.append(float(np.ravel(omega)[0]))
+        return real(medium, omega, y)
+
+    monkeypatch.setattr(branch_mod, "_sturm_count", spy)
+    cuts = cutoff_frequencies(m, 19)
+    monkeypatch.undo()
+    assert len(tops) == 2 and tops[1] == 2.0 * tops[0]
+    assert tops[0] < cuts[-1] <= tops[1]
+    assert np.all(cuts > 0)
+    _assert_cutoffs_start_branches(m, cuts, range(1, 20))
+
+
 # c = (1000, 2000) m/s, H = 100 m holds 2.76e8 roots at omega = 1e10 and
 # 2.76e10 at 1e12: without a budget the root search asks numpy for 2 GiB and
 # 205 GiB.  The child runs under a 1 GiB address-space limit.

@@ -18,7 +18,7 @@ from lovedisp import (
     trace_branches,
     weyl_prediction,
 )
-from lovedisp.dispersion import _dispersion_scaled, _shoot, _sturm_count
+from lovedisp.dispersion import _dispersion_scaled, _layer_integrals, _shoot, _sturm_count
 
 
 def _random_valid_medium(rng, n):
@@ -238,3 +238,27 @@ def test_dispersion_vanishes_at_closed_form_cutoff(medium_a):
     dv = dispersion_value(medium_a, omega2, 1e-4)
     scale = 1e6 * np.sqrt(1e-6 - 1e-8)  # mu_1 |nu_1|, the only surviving term
     assert abs(dv.value) * np.exp(dv.log_scale) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("case", ["B layer 2", "A layer 1", "swapped B layer 1"])
+def test_layer_integrals_exact_hit_is_the_limit(case, medium_a, medium_b,
+                                                medium_b_swapped):
+    # at y^2 == 1/c_j^2 the layer is linear in depth; the mean of the
+    # integrals at y (1 -+ eps) reaches that value at second order in eps
+    medium, j, omega, p, q = {
+        "B layer 2": (medium_b, 1, 300.0, 0.7, -0.3),
+        "A layer 1": (medium_a, 0, 50.0, 1.0, 0.4),
+        "swapped B layer 1": (medium_b_swapped, 0, 1000.0, -0.2, 1.0),
+    }[case]
+    s2 = medium.slowness_sq[j]
+    y = next(v for v in (np.sqrt(s2), np.nextafter(np.sqrt(s2), 0.0),
+                         np.nextafter(np.sqrt(s2), 1.0)) if v * v == s2)
+    hit = np.array(_layer_integrals(medium, j, omega, y, p, q)[:2])
+    gaps = []
+    for eps in (1e-6, 1e-8):
+        sides = [_layer_integrals(medium, j, omega, y * (1.0 + s * eps), p, q)
+                 for s in (1.0, -1.0)]
+        mean = 0.5 * sum(np.exp(lg) * np.array([i_phi, i_dphi])
+                         for i_phi, i_dphi, lg in sides)
+        gaps.append(np.abs(mean - hit) / np.abs(hit))
+    assert np.all(gaps[1] * 1000.0 <= gaps[0])

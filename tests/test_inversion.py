@@ -10,6 +10,7 @@ from lovedisp import (
     Medium,
     alt_thickness_estimate,
     branchset_from_dataset,
+    invert_double_layer,
     invert_single_layer,
     least_squares_refine,
     parameter_mask,
@@ -420,6 +421,20 @@ def test_ambiguous_ordering_with_few_crossings(medium_b, monkeypatch):
     )
     with pytest.raises(AmbiguousOrdering):
         inv_mod.invert_double_layer(bs)
+
+
+def test_double_layer_single_level():
+    # two layers of one velocity show one accumulation level: the report
+    # gives c1 = c2 and only the summed thickness, 100 m here
+    m = Medium(mu=[1e6, 1e6, 1e8], rho=[1.0, 1.0, 1.0], thickness=[60.0, 40.0])
+    rep = invert_double_layer(trace_branches(m, np.arange(1.0, 1000.01, 1.0)))
+    assert [p.name for p in rep.parameters] == ["c1", "c2", "c3", "T1+T2"]
+    assert rep.notes[0].startswith("single accumulation level")
+    assert rep["c1"].value == rep["c2"].value == pytest.approx(1000.0, rel=1e-3)
+    assert rep["c3"].value == pytest.approx(10000.0, rel=1e-3)
+    assert rep["T1+T2"].value == pytest.approx(100.0, rel=0.05)
+    assert rep.medium.c.tolist()[:2] == [rep["c1"].value] * 2
+    assert rep.medium.thickness.tolist() == [rep["T1+T2"].value / 2] * 2
 
 
 def test_thickness_rules_agree(trace_a_coarse):

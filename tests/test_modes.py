@@ -86,6 +86,26 @@ def test_perturbed_coefficients_detected(medium_b):
     assert d.stress_jump > 100 * max(clean.stress_jump, 1e-12)
 
 
+def test_ode_residual_detects_a_corrupted_kernel(medium_b, monkeypatch):
+    # the layer kernel's displacement scaled by 1.001 breaks the first
+    # integral J across every layer it carries; a check of the ODE's
+    # coefficients alone read 1.2e-15 on this shape, clean or not
+    import lovedisp.modes as modes_mod
+
+    omega = 300.0
+    y = roots_at_omega(medium_b, omega)[2]
+    ms = mode_shape(medium_b, omega, omega * y)
+    assert mode_residuals(ms).ode_residual < 1e-9
+    real = modes_mod._layer
+
+    def corrupted(*args):
+        p, *rest = real(*args)
+        return (1.001 * p, *rest)
+
+    monkeypatch.setattr(modes_mod, "_layer", corrupted)
+    assert mode_residuals(ms).ode_residual > 1e-4
+
+
 def test_norms_match_numerical_quadrature(medium_b):
     # closed-form layer integrals vs adaptive quadrature of the evaluated shape
     omega = 80.0
