@@ -17,7 +17,8 @@ rank) pairs of the block at once, a trace of up to ``_TRACE_BLOCK``
 frequencies is one block, and a single frequency is a block of one.  Over
 many frequencies the seed count would dominate, so a trace block seeds on
 about two nodes per root at the trace's top frequency (16 to
-``_SEED_NODES``, and at least ``_SEED_POINTS`` points in all); single
+``_SEED_NODES``, and at least ``_SMALL_PASS`` points in all, the size
+below which a pass costs its numpy calls, not its points); single
 queries and cutoff searches keep ``_SEED_NODES``.
 Cutoffs are found the same way in frequency: one count at the half-space
 slowness on a seed grid of frequencies, then the same isolation and
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _dispersion_scaled, _sturm_count
+from .dispersion import _SMALL_PASS, _dispersion_scaled, _sturm_count
 from .errors import BadBracket, ResultOutOfRange
 from .medium import Medium
 
@@ -68,7 +69,6 @@ _REFINE_TOL = 1e-12  # relative bracket width (in y) at which refinement stops
 _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
 _MIN_SEED_NODES = 16  # the fewest seed nodes a trace block uses
-_SEED_POINTS = 4096  # seed points below which a count costs its call, not its points
 _MAX_STEPS = 100  # more halvings or refine steps than double precision can resolve
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
 _ITP_KAPPA1 = 0.2  # ITP truncation gain times the initial bracket width
@@ -488,7 +488,7 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     table = np.full((len(omega_grid), top), np.nan)
     for s in range(0, len(omega_grid), _TRACE_BLOCK):
         block = omega_grid[s : s + _TRACE_BLOCK]
-        nodes = min(_SEED_NODES, max(_MIN_SEED_NODES, 2 * top, _SEED_POINTS // len(block)))
+        nodes = min(_SEED_NODES, max(_MIN_SEED_NODES, 2 * top, _SMALL_PASS // len(block)))
         roots = _roots_on_grid(medium, block, nodes)
         table[s : s + len(block), : roots.shape[1]] = roots
     return BranchSet(

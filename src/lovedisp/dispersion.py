@@ -3,12 +3,18 @@
 The pair ``(P, Q)`` proportional to ``(phi, mu phi'/omega)`` is carried
 through the finite layers by :func:`_shoot`: down from the surface for the
 dispersion value and the mode shapes, or up from the half-space's
-decaying solution for the mode shapes.  :func:`_layer` is the only code
-that knows the three forms of a layer's transfer map, chosen by the sign
-of ``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory layers
-(``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
-(``d > 0``), and the linear limit only on an exact hit (``d == 0``).  The
-shot, the root count and the public layer matrix call it.
+decaying solution for the mode shapes.  :func:`_layer_map` is the only
+code that knows the three forms of a layer's transfer map, chosen by the
+sign of ``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory
+layers (``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
+(``d > 0``), and the linear limit only on an exact hit (``d == 0``).
+:func:`_apply_map` applies a map to a state; :func:`_layer` is the two
+in one, for the mode shapes and the public layer matrix.  The shot and
+the root count take every layer's map from :func:`_layer_maps`, which on
+a small pass (``n >= 2`` layers, at most ``_SMALL_PASS`` points) forms
+all n of them in one kernel call, since there numpy's cost per call
+outweighs the arithmetic; only the 2x2 step and the renormalization stay
+in the per-layer loop.
 :func:`_layer_integrals` holds the integrals of ``phi^2`` and ``phi'^2``
 over a layer in the same three forms; the mode norms and the root
 sensitivities call it.  The state is renormalized after every layer, so
@@ -24,6 +30,7 @@ at the guided-wave slownesses.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -33,6 +40,9 @@ from .errors import ResultOutOfRange
 from .medium import Medium
 
 __all__ = ["DispersionValue", "layer_matrix", "dispersion_value"]
+
+_SMALL_PASS = 4096  # points below which a pass costs its numpy calls, not its points
+_STACK_POINTS = 2**16  # (layer x point) entries one stacked map may hold: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -44,30 +54,22 @@ class DispersionValue:
     sign: int
 
 
-def _layer(medium: Medium, j, omega, y, depth, p, q):
-    """Carry the state ``(p, q)`` from the top of finite layer ``j`` (0-based)
-    down ``depth``, broadcast over ``j``, ``omega``, ``y``, ``depth`` and the
-    state.
+def _layer_map(medium: Medium, j, omega, y, depth):
+    """Transfer map of finite layer ``j`` (0-based) over ``depth``,
+    broadcast over ``j``, ``omega``, ``y`` and ``depth``.
 
     The map is ``[[C, S/a], [sigma a S, C]]`` with ``a = mu_j |nu_j|``,
     ``x = omega |nu_j| depth`` and ``sigma = sign(y^2 - 1/c_j^2)``:
     ``(C, S) = (cos x, sin x)`` in oscillatory layers, and the
     ``exp(-x)``-scaled ``(cosh x, sinh x)`` in evanescent ones.  The
     degenerate form ``[[1, omega depth/mu_j], [0, 1]]`` is used only on an
-    exact hit ``y^2 == 1/c_j^2``, which includes ``y == 1/c_j``.  Once
-    ``exp(-2x)`` is below rounding, the scaled cosh and sinh round to the
-    same value; a state whose growing part cancels exactly would then map
-    to zero, so it is kept as the decaying solution it is, scaled by
-    ``exp(-x)``.
+    exact hit ``y^2 == 1/c_j^2``, which includes ``y == 1/c_j``.
 
-    Returns ``(p2, q2, lf, x, a, osc)``: the true state below is
-    ``exp(lf) * (p2, q2)``, and ``osc`` marks the oscillatory points; at
-    the others the displacement changes sign at most once.
-
-    Every pass of the root search runs this kernel once per layer on a
-    few points, where numpy's per-call cost outweighs the arithmetic: each
-    rare case (a zero divisor, a lost state) is found by one
-    ``np.count_nonzero`` and handled only when present.
+    Returns ``(C, S/a, sigma a S, lf, x, a, osc)``: the true map is
+    ``exp(lf)`` times the matrix, and ``osc`` marks the oscillatory
+    points; at the others the displacement changes sign at most once.
+    A rare case (a zero divisor) is found by one ``np.count_nonzero`` and
+    handled only when present.
     """
     mu = medium.mu[j]
     d = y * y - medium.slowness_sq[j]
@@ -83,13 +85,58 @@ def _layer(medium: Medium, j, omega, y, depth, p, q):
             s_a = np.where(d == 0.0, omega * depth / mu, s / a)
     else:
         s_a = s / a
+    return c, s_a, np.copysign(a, d) * s, np.where(osc, 0.0, x), x, a, osc
+
+
+def _apply_map(c, s_a, sas, lf, x, p, q):
+    """Apply one layer's map, as :func:`_layer_map` returns it, to the
+    state ``(p, q)``; returns ``(p2, q2, lf)``, the true state below being
+    ``exp(lf) * (p2, q2)``.
+
+    Once ``exp(-2x)`` is below rounding, the scaled cosh and sinh round to
+    the same value; a state whose growing part cancels exactly would then
+    map to zero, so it is kept as the decaying solution it is, scaled by
+    ``exp(-x)``.
+    """
     p2 = c * p + s_a * q
-    q2 = c * q + np.copysign(a, d) * s * p
-    lf = np.where(osc, 0.0, x)
+    q2 = c * q + sas * p
     kept = np.logical_or(p2, q2)
     if np.count_nonzero(kept) < kept.size:
         p2, q2, lf = np.where(kept, p2, p), np.where(kept, q2, q), np.where(kept, lf, -x)
-    return p2, q2, lf, x, a, osc
+    return p2, q2, lf
+
+
+def _layer(medium: Medium, j, omega, y, depth, p, q):
+    """Carry the state ``(p, q)`` from the top of finite layer ``j`` (0-based)
+    down ``depth``, broadcast over ``j``, ``omega``, ``y``, ``depth`` and the
+    state: :func:`_layer_map` applied by :func:`_apply_map`.
+
+    Returns ``(p2, q2, lf, x, a, osc)``: the true state below is
+    ``exp(lf) * (p2, q2)``; ``x``, ``a`` and ``osc`` are the map's.
+    """
+    c, s_a, sas, lf, x, a, osc = _layer_map(medium, j, omega, y, depth)
+    return (*_apply_map(c, s_a, sas, lf, x, p, q), x, a, osc)
+
+
+def _layer_maps(medium: Medium, omega, y, shape, order):
+    """Each finite layer's map at ``(omega, y)``, broadcast to ``shape``,
+    as :func:`_layer_map` returns it, in the layer ``order`` given.
+
+    Forming one map takes about 20 numpy calls, and on a small pass each
+    costs its call, not its points.  So for ``n >= 2`` layers and at most
+    ``_SMALL_PASS`` points the n maps are formed in one kernel call with a
+    leading layer axis, unless that stack would hold over
+    ``_STACK_POINTS`` entries (a deep stack); otherwise each layer's map
+    is formed when the caller's loop reaches it, one map at a time.
+    """
+    n = medium.n
+    if n == 1:
+        return [_layer_map(medium, 0, omega, y, medium.thickness[0])]
+    size = math.prod(shape)
+    if size <= _SMALL_PASS and n * size <= _STACK_POINTS:
+        j = np.array(order).reshape((n,) + (1,) * len(shape))
+        return zip(*_layer_map(medium, j, omega, y, medium.thickness[j]))
+    return (_layer_map(medium, j, omega, y, medium.thickness[j]) for j in order)
 
 
 def _layer_integrals(medium: Medium, j, omega, y, p, q):
@@ -158,9 +205,10 @@ def _shoot(medium: Medium, omega, y, up=False):
         states = [(1.0 / s, q / s, zeros)]
     else:
         states = [(zeros + 1.0, zeros, zeros)]
-    for j in range(medium.n - 1, -1, -1) if up else range(medium.n):
+    order = range(medium.n - 1, -1, -1) if up else range(medium.n)
+    for c, s_a, sas, lf, x, _, _ in _layer_maps(medium, omega, y, zeros.shape, order):
         p, q, ls = states[-1]
-        p, q, lf = _layer(medium, j, omega, y, medium.thickness[j], p, q)[:3]
+        p, q, lf = _apply_map(c, s_a, sas, lf, x, p, q)
         s = np.maximum(np.abs(p), np.abs(q))
         states.append((p / s, q / s, ls + np.log(s) + lf))
     if up:
@@ -208,8 +256,8 @@ def _sturm_count(medium: Medium, omega, y):
     p = q + 1.0
     total = np.zeros(shape)
     half_pi = 0.5 * np.pi
-    for j in range(medium.n):
-        p2, q2, _, x, a, osc = _layer(medium, j, omega, y, medium.thickness[j], p, q)
+    for c, s_a, sas, lf, x, a, osc in _layer_maps(medium, omega, y, shape, range(medium.n)):
+        p2, q2, _ = _apply_map(c, s_a, sas, lf, x, p, q)
         # monotone-type layer: at most one interior sign change
         flip = (np.sign(p2) * np.sign(p) <= 0.0) & (p != 0.0)
         # oscillatory layer: zeros of R cos(t - delta) for the rotation angle

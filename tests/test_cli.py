@@ -288,6 +288,56 @@ def test_oracle_command(medium_a_config, capsys):
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_oracle_without_samples_is_data_error(medium_a_config, capsys, samples):
+    # a check of no samples checks nothing, so it must not report success
+    code = run(["oracle", "--medium", medium_a_config, "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "--samples" in captured.err
+    assert captured.out == ""
+
+
+def test_one_parser_serves_every_call(tmp_path, medium_a_config, capsys):
+    # the parser is built once per process: calls that reuse it, with
+    # different subcommands and with defaults after overrides, exit, print
+    # and write exactly what calls on a freshly built parser do
+    import lovedisp.cli as cli_mod
+
+    def outcome(root, fresh):
+        m = medium_a_config
+        calls = [
+            ["synth", "--medium", m, "--omega-max", "60", "--noise", "1e-3", "--seed", "5",
+             "--out", str(root / "noisy")],
+            ["count", "--medium", m, "--omega", "100", "--y", "5e-4"],
+            ["synth", "--medium", m, "--omega-max", "60", "--out", str(root / "clean")],
+            ["nonsense"],
+            ["trace", "--medium", m, "--omega-min", "1", "--omega-max", "40",
+             "--omega-step", "0.5", "--out", str(root / "fine")],
+            ["trace", "--medium", m, "--omega-max", "40", "--out", str(root / "default")],
+            ["oracle", "--medium", m, "--samples", "3"],
+            ["invert", "--data", str(root / "clean" / "dataset.csv"), "--mode", "n1",
+             "--rho1", "1.0", "--out", str(root / "inv")],
+        ]
+        printed = []
+        for argv in calls:
+            if fresh:
+                cli_mod._build_parser.cache_clear()
+            code = run(argv)
+            cap = capsys.readouterr()
+            printed.append((code, cap.out.replace(str(root), "<out>"), cap.err))
+        files = {p.relative_to(root).as_posix(): p.read_bytes()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        return printed, files
+
+    fresh = outcome(tmp_path / "fresh", fresh=True)
+    reused = outcome(tmp_path / "reused", fresh=False)
+    assert [code for code, _, _ in fresh[0]] == [0, 0, 0, 1, 0, 0, 0, 0]
+    assert len(fresh[1]) == 7
+    assert reused == fresh
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+
+
 def test_usage_error_exit_code():
     assert run(["nonsense"]) == 1
     assert run([]) == 1

@@ -18,7 +18,17 @@ from lovedisp import (
     trace_branches,
     weyl_prediction,
 )
-from lovedisp.dispersion import _dispersion_scaled, _layer_integrals, _shoot, _sturm_count
+import lovedisp.dispersion as disp_mod
+from lovedisp.dispersion import (
+    _dispersion_from_state,
+    _dispersion_scaled,
+    _halfspace_decay,
+    _layer,
+    _layer_integrals,
+    _shoot,
+    _sturm_count,
+)
+from test_modes import _stress_medium
 
 
 def _random_valid_medium(rng, n):
@@ -262,3 +272,98 @@ def test_layer_integrals_exact_hit_is_the_limit(case, medium_a, medium_b,
                          for i_phi, i_dphi, lg in sides)
         gaps.append(np.abs(mean - hit) / np.abs(hit))
     assert np.all(gaps[1] * 1000.0 <= gaps[0])
+
+
+def _shoot_by_layer(medium, omega, y, up=False):
+    """The shot with one ``_layer`` call per layer, the per-layer reference."""
+    omega, y = np.asarray(omega, dtype=float), np.asarray(y, dtype=float)
+    zeros = np.zeros(np.broadcast(omega, y).shape)
+    if up:
+        q = float(medium.mu[-1]) * _halfspace_decay(medium, y) + zeros
+        s = np.maximum(1.0, q)
+        states = [(1.0 / s, q / s, zeros)]
+    else:
+        states = [(zeros + 1.0, zeros, zeros)]
+    for j in range(medium.n - 1, -1, -1) if up else range(medium.n):
+        p, q, ls = states[-1]
+        p, q, lf = _layer(medium, j, omega, y, medium.thickness[j], p, q)[:3]
+        s = np.maximum(np.abs(p), np.abs(q))
+        states.append((p / s, q / s, ls + np.log(s) + lf))
+    if up:
+        return [(p, -q, ls) for p, q, ls in reversed(states)]
+    return states
+
+
+def _assert_stacking_changes_nothing(medium, omega, y, monkeypatch):
+    """The shots, the value and the count, with the maps stacked where the
+    size rule allows, equal bit for bit their per-layer references: one
+    ``_layer`` call per layer for the shots, and for the count its own loop
+    with every layer's map formed on its own (no pass is small)."""
+    omega, y = np.asarray(omega, dtype=float), np.asarray(y, dtype=float)
+    for up in (False, True):
+        got, ref = _shoot(medium, omega, y, up=up), _shoot_by_layer(medium, omega, y, up=up)
+        assert len(got) == len(ref) == medium.n + 1
+        for a, b in zip(got, ref):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    p, q, ls = _shoot_by_layer(medium, omega, y)[-1]
+    value, log_scale = _dispersion_scaled(medium, omega, y)
+    assert np.array_equal(value, _dispersion_from_state(medium, y, p, q))
+    assert np.array_equal(log_scale, ls)
+    count = _sturm_count(medium, omega, y)
+    with monkeypatch.context() as mp:
+        mp.setattr(disp_mod, "_SMALL_PASS", 0)
+        assert np.array_equal(count, _sturm_count(medium, omega, y))
+
+
+def test_stacked_maps_match_the_per_layer_loop(medium_b, monkeypatch):
+    rng = np.random.default_rng(24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(30):  # n = 1..20, deeply evanescent stacks included
+            m, omega = _stress_medium(rng)
+            lo, hi = m.slowness_domain
+            y = np.concatenate([np.linspace(lo, hi, 25), m.slowness])  # exact hits
+            _assert_stacking_changes_nothing(m, omega, y, monkeypatch)
+            _assert_stacking_changes_nothing(m, 0.0, y, monkeypatch)
+            _assert_stacking_changes_nothing(m, np.array([0.0, omega, 9.0 * omega]),
+                                             m.slowness[-1], monkeypatch)
+        # the lost-state point, where the kernel keeps the decaying part
+        y = 7.104536672233425e-4
+        _assert_stacking_changes_nothing(
+            medium_b, 953.5, np.array([y * (1 - 1e-15), y, y * (1 + 1e-15)]), monkeypatch)
+        # one pass on each side of the size rule
+        lo, hi = medium_b.slowness_domain
+        for size in (disp_mod._SMALL_PASS, disp_mod._SMALL_PASS + 1):
+            _assert_stacking_changes_nothing(
+                medium_b, 300.0, np.linspace(lo, hi, size), monkeypatch)
+
+
+def test_small_passes_form_every_map_at_once(medium_a, monkeypatch):
+    # tripwire on the size rule: a small pass on n >= 2 layers forms its
+    # maps in one kernel call; one layer, or a pass over more than
+    # _SMALL_PASS points, forms one map per layer, as every pass once did
+    real, calls = disp_mod._layer_map, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(disp_mod, "_layer_map", counted)
+    five = Medium(mu=[1e6, 2e6, 3e6, 4e6, 5e6, 1e8], rho=[1.0] * 6, thickness=[50.0] * 5)
+
+    def maps_formed(medium, f, size):
+        calls.clear()
+        lo, hi = medium.slowness_domain
+        f(medium, 100.0, np.linspace(lo, hi, size))
+        return len(calls)
+
+    assert maps_formed(five, _dispersion_scaled, 25) == 1
+    assert maps_formed(five, _sturm_count, 25) == 1
+    assert maps_formed(medium_a, _dispersion_scaled, 25) == 1
+    assert maps_formed(medium_a, _sturm_count, 25) == 1
+    assert maps_formed(five, _dispersion_scaled, disp_mod._SMALL_PASS + 1) == 5
+    assert maps_formed(five, _sturm_count, disp_mod._SMALL_PASS + 1) == 5
+    # a stack over _STACK_POINTS entries is not formed: its memory is bounded
+    deep = Medium(mu=[1e6] * 20 + [1e8], rho=[1.0] * 21, thickness=[10.0] * 20)
+    assert maps_formed(deep, _sturm_count, disp_mod._STACK_POINTS // 20) == 1
+    assert maps_formed(deep, _sturm_count, disp_mod._STACK_POINTS // 20 + 1) == 20
