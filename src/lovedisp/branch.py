@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _SMALL_PASS, _dispersion_scaled, _sturm_count
+from .dispersion import _SMALL_PASS, _dispersion_scaled, _oscillatory_phase, _sturm_count
 from .errors import BadBracket, ResultOutOfRange
 from .medium import Medium
 
@@ -365,8 +365,7 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
         return _sturm_count(medium, w, y0)
 
     # frequency scale: one pi of total layer phase at y0, the cutoff spacing
-    nu = np.sqrt(np.maximum(medium.slowness_sq[:-1] - y0 * y0, 0.0))
-    scale = np.pi / float(np.sum(nu * medium.thickness))
+    scale = np.pi / _oscillatory_phase(medium, y0)
     w_min, w_max = 1e-3 * scale, (ell_max + 1) * scale
     while True:
         # descending, so that the count falls along the grid as in slowness

@@ -38,6 +38,7 @@ from .dispersion import dispersion_value
 from .spectral import mode_count, weyl_prediction
 
 USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 1, 2, 3
+_ORACLE_DRAWS = 1000  # oracle draws in a row that may land in the slowness margin
 
 
 @functools.cache
@@ -226,6 +227,8 @@ def _cmd_mode(args) -> int:
         raise ValueError(f"--z-max must be positive and finite, got {args.z_max!r}")
     if args.z_points < 2:
         raise ValueError(f"--z-points must be >= 2, got {args.z_points!r}")
+    if args.z_points > _ROOT_BUDGET:
+        raise _over_budget("--z-points", args.z_points)
     medium = load_medium(args.medium)
     shape = mode_shape(medium, args.omega, args.k)
     if args.z_max is not None:
@@ -256,9 +259,15 @@ def _cmd_oracle(args) -> int:
     worst = 0.0
     tested = 0
     while tested < args.samples:
-        y = lo + (hi - lo) * rng.uniform(0.02, 0.98)
-        if np.any(np.abs(y - medium.slowness) < 1e-6 * medium.slowness):
-            continue
+        for _ in range(_ORACLE_DRAWS):
+            y = lo + (hi - lo) * rng.uniform(0.02, 0.98)
+            if not np.any(np.abs(y - medium.slowness) < 1e-6 * medium.slowness):
+                break
+        else:
+            raise ValueError(
+                f"{_ORACLE_DRAWS} slowness draws in a row fell within the 1e-6 relative "
+                "margin of a layer slowness: the velocities are too close to sample"
+            )
         w_cap = 400.0 / max(float(np.dot(medium.thickness, medium.slowness[:-1])), 1e-12)
         omega = rng.uniform(0.5, 1.0) * min(w_cap, 2000.0)
         det_val = determinant_oracle(medium, omega, omega * y)

@@ -8,13 +8,13 @@ code that knows the three forms of a layer's transfer map, chosen by the
 sign of ``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory
 layers (``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
 (``d > 0``), and the linear limit only on an exact hit (``d == 0``).
-:func:`_apply_map` applies a map to a state; :func:`_layer` is the two
-in one, for the mode shapes and the public layer matrix.  The shot and
-the root count take every layer's map from :func:`_layer_maps`, which on
-a small pass (``n >= 2`` layers, at most ``_SMALL_PASS`` points) forms
-all n of them in one kernel call, since there numpy's cost per call
-outweighs the arithmetic; only the 2x2 step and the renormalization stay
-in the per-layer loop.
+:func:`_apply_map` applies a map to a state; every caller that carries a
+state, the mode shapes and the public layer matrix included, calls the
+two in turn.  The shot and the root count take every layer's map from
+:func:`_layer_maps`, which on a small pass (``n >= 2`` layers, at most
+``_SMALL_PASS`` points) forms all n of them in one kernel call, since
+there numpy's cost per call outweighs the arithmetic; only the 2x2 step
+and the renormalization stay in the per-layer loop.
 :func:`_layer_integrals` holds the integrals of ``phi^2`` and ``phi'^2``
 over a layer in the same three forms; the mode norms and the root
 sensitivities call it.  The state is renormalized after every layer, so
@@ -106,18 +106,6 @@ def _apply_map(c, s_a, sas, lf, x, p, q):
     return p2, q2, lf
 
 
-def _layer(medium: Medium, j, omega, y, depth, p, q):
-    """Carry the state ``(p, q)`` from the top of finite layer ``j`` (0-based)
-    down ``depth``, broadcast over ``j``, ``omega``, ``y``, ``depth`` and the
-    state: :func:`_layer_map` applied by :func:`_apply_map`.
-
-    Returns ``(p2, q2, lf, x, a, osc)``: the true state below is
-    ``exp(lf) * (p2, q2)``; ``x``, ``a`` and ``osc`` are the map's.
-    """
-    c, s_a, sas, lf, x, a, osc = _layer_map(medium, j, omega, y, depth)
-    return (*_apply_map(c, s_a, sas, lf, x, p, q), x, a, osc)
-
-
 def _layer_maps(medium: Medium, omega, y, shape, order):
     """Each finite layer's map at ``(omega, y)``, broadcast to ``shape``,
     as :func:`_layer_map` returns it, in the layer ``order`` given.
@@ -188,13 +176,16 @@ def _layer_integrals(medium: Medium, j, omega, y, p, q):
 def _shoot(medium: Medium, omega, y, up=False):
     """Carry the eigenfunction's state through the layer stack, down or up.
 
-    Returns a list of ``n + 1`` scaled states ``(p, q, ls)``, one per
-    interface and indexed from the surface either way: the true state is
-    ``exp(ls) * (p, q)`` with ``max(|p|, |q|) == 1``.  Going down the shot
-    starts from the surface state ``(1, 0)``; going up, from the
-    half-space's decaying state ``(1, -mu_inf nu_inf)``, and each layer is
-    the downward map applied to the reflected state ``(p, -q)`` (``z ->
-    -z``).  ``omega`` and ``y`` must be broadcast-compatible, ``omega >= 0``.
+    Yields ``n + 1`` scaled states ``(p, q, ls)``, one per interface, in
+    the order the shot reaches them: from the surface down, or from the
+    last interface up.  The true state is ``exp(ls) * (p, q)`` with
+    ``max(|p|, |q|) == 1``.  Going down the shot starts from the surface
+    state ``(1, 0)``; going up, from the half-space's decaying state
+    ``(1, -mu_inf nu_inf)``, and each layer is the downward map applied to
+    the reflected state ``(p, -q)`` (``z -> -z``), reflected back when
+    yielded.  A caller that keeps only the state it reads holds one
+    interface's arrays at any depth of stack.  ``omega`` and ``y`` must be
+    broadcast-compatible, ``omega >= 0``.
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -202,18 +193,16 @@ def _shoot(medium: Medium, omega, y, up=False):
     if up:  # the reflected tail: its stress is +mu_inf nu_inf going up
         q = float(medium.mu[-1]) * _halfspace_decay(medium, y) + zeros
         s = np.maximum(1.0, q)
-        states = [(1.0 / s, q / s, zeros)]
+        p, q, ls = 1.0 / s, q / s, zeros
     else:
-        states = [(zeros + 1.0, zeros, zeros)]
+        p, q, ls = zeros + 1.0, zeros, zeros
+    yield (p, -q, ls) if up else (p, q, ls)
     order = range(medium.n - 1, -1, -1) if up else range(medium.n)
     for c, s_a, sas, lf, x, _, _ in _layer_maps(medium, omega, y, zeros.shape, order):
-        p, q, ls = states[-1]
         p, q, lf = _apply_map(c, s_a, sas, lf, x, p, q)
         s = np.maximum(np.abs(p), np.abs(q))
-        states.append((p / s, q / s, ls + np.log(s) + lf))
-    if up:
-        return [(p, -q, ls) for p, q, ls in reversed(states)]
-    return states
+        p, q, ls = p / s, q / s, ls + np.log(s) + lf
+        yield (p, -q, ls) if up else (p, q, ls)
 
 
 def _halfspace_decay(medium: Medium, y):
@@ -287,8 +276,16 @@ def _dispersion_from_state(medium: Medium, y, p, q):
 
 def _dispersion_scaled(medium: Medium, omega, y):
     """Vectorized scaled dispersion value: returns ``(value, log_scale)``."""
-    p, q, ls = _shoot(medium, omega, y)[-1]
+    for p, q, ls in _shoot(medium, omega, y):
+        pass
     return _dispersion_from_state(medium, y, p, q), ls
+
+
+def _oscillatory_phase(medium: Medium, y) -> float:
+    """Oscillatory phase per unit frequency, ``sum_j T_j sqrt(max(1/c_j^2 -
+    y^2, 0))``: it sets the cutoff spacing and the Weyl count's slope."""
+    nu = np.sqrt(np.maximum(medium.slowness_sq[:-1] - y * y, 0.0))
+    return float(np.sum(nu * medium.thickness))
 
 
 def _dispersion_scale_floor(medium: Medium) -> float:
@@ -327,10 +324,8 @@ def layer_matrix(medium: Medium, j: int, omega: float, y: float) -> np.ndarray:
     if not 1 <= j <= medium.n:
         raise ValueError(f"layer index {j} outside 1..{medium.n}")
     _check_point(medium, omega, y)
-    p, q, lf = _layer(
-        medium, j - 1, float(omega), float(y), medium.thickness[j - 1],
-        np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-    )[:3]
+    step = _layer_map(medium, j - 1, float(omega), float(y), medium.thickness[j - 1])[:5]
+    p, q, lf = _apply_map(*step, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     return np.exp(lf) * np.array([p, q])
 
 

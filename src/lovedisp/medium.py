@@ -149,15 +149,6 @@ class OrderedProfile:
     t_tilde: np.ndarray
     sigma: tuple[int, ...]
 
-    def oscillatory_sum(self, y: float) -> float:
-        """Sum of ``|nu_tilde_p(y)| * T_tilde_p`` over layers oscillatory at y."""
-        total = 0.0
-        for cj, tj in zip(self.c_tilde, self.t_tilde):
-            inv = 1.0 / cj
-            if y < inv and np.isfinite(tj):
-                total += float(np.sqrt(inv * inv - y * y)) * tj
-        return total
-
 
 def validate_medium(raw) -> Medium:
     """Build a validated :class:`Medium` from a config mapping.

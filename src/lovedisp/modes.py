@@ -5,7 +5,7 @@ and ``phi'(0) = 0``.  Its displacement and scaled stress
 ``(phi, mu phi'/omega)`` at every interface are shot down from the surface
 and up from the half-space by :func:`~lovedisp.dispersion._shoot`, and
 matched where both shots are accurate (:func:`_interface_states`).  They
-are stored with their log scale, as the shots return them; only
+are stored with their log scale, as the shots yield them; only
 :meth:`ModeShape.evaluate` and :func:`mode_norms` form true values, and
 raise :class:`~lovedisp.errors.ResultOutOfRange` where one leaves double
 range.  Each finite layer is evaluated, integrated and checked from the
@@ -24,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import (
+    _apply_map,
     _dispersion_from_state,
     _dispersion_scale_floor,
     _halfspace_decay,
-    _layer,
     _layer_integrals,
+    _layer_map,
     _shoot,
 )
 from .errors import NotOnBranch, ResultOutOfRange
@@ -114,9 +115,8 @@ class ModeShape:
         start = j + up
         sign = np.where(up, -1.0, 1.0)
         dz = sign * (z - self.medium.depths[start])
-        p, q, lf = _layer(
-            self.medium, j, self.omega, self.y, dz, self.p[start], sign * self.q[start]
-        )[:3]
+        step = _layer_map(self.medium, j, self.omega, self.y, dz)[:5]
+        p, q, lf = _apply_map(*step, self.p[start], sign * self.q[start])
         return p, sign * q, lf + self.ls[start]
 
 
@@ -153,7 +153,7 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
     delta = max(1e-11 * y, 8.0 * np.spacing(y))
     probe = np.array([y - delta, y, y + delta])
     # one downward shot gives the probe's values and the states at y
-    down = np.array(_shoot(medium, omega, probe))
+    down = np.array(list(_shoot(medium, omega, probe)))
     vals = _dispersion_from_state(medium, probe, down[-1, 0], down[-1, 1])
     res = abs(float(vals[1])) / _dispersion_scale_floor(medium)
     brackets = vals[0] == 0.0 or vals[2] == 0.0 or np.sign(vals[0]) != np.sign(vals[2])
@@ -284,9 +284,9 @@ def _interface_states(medium: Medium, omega, y, down):
     the two are matched in size and sign at the interface that maximizes
     the smaller of the two margins, and the upper side is taken from the
     downward shot, the lower side from the upward one.  ``down`` is the
-    downward shot at ``y`` as :func:`~lovedisp.dispersion._shoot` returns
+    downward shot at ``y`` as :func:`~lovedisp.dispersion._shoot` yields
     it, or stacked to shape ``(n + 1, 3) + y.shape``; the upward shot is
-    made here.
+    made here and reversed, so that both are indexed from the surface.
 
     Vectorized over roots; returns ``(p, q, ls, match)``.  The first three
     have shape ``(n + 1, len(y))`` and are indexed by interface from the
@@ -296,7 +296,7 @@ def _interface_states(medium: Medium, omega, y, down):
     """
     n = medium.n
     pd, qd, ld = map(np.array, zip(*down))
-    pu, qu, lu = map(np.array, zip(*_shoot(medium, omega, y, up=True)))
+    pu, qu, lu = map(np.array, zip(*reversed(list(_shoot(medium, omega, y, up=True)))))
     d = y * y - medium.slowness_sq[:-1, None]
     growth = np.sqrt(np.maximum(d, 0.0)) * omega * medium.thickness[:, None]
     above = np.vstack([np.zeros_like(y), np.cumsum(growth, axis=0)])

@@ -3,10 +3,10 @@
 ``mode_count`` counts dispersion zeros above a slowness level with the
 exact Sturm count that also locates every root.  The Weyl prediction
 approximates that count at large frequency by
-``(omega/pi) * sum_p |nu_tilde_p(y)| * T_tilde_p`` over the ordered layers
-oscillatory at ``y``.  Branches pile up just below each distinct layer
-slowness ``1/c_j`` at rate ``sqrt(omega)``; the accumulation statistic
-measures that pile-up and its limits identify the layer velocities and
+``(omega/pi) * sum_j |nu_j(y)| * T_j`` over the layers oscillatory at
+``y``.  Branches pile up just below each distinct layer slowness
+``1/c_j`` at rate ``sqrt(omega)``; the accumulation statistic measures
+that pile-up and its limits identify the layer velocities and
 thicknesses from dispersion data alone.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .branch import BranchSet
-from .dispersion import _sturm_count
+from .dispersion import _oscillatory_phase, _sturm_count
 from .errors import InsufficientData, OutOfRange
 from .medium import Medium, ordered_profile
 
@@ -87,7 +87,7 @@ def weyl_prediction(medium: Medium, omega: float, y: float) -> WeylPrediction:
     if not lo <= y < hi:
         raise OutOfRange(f"level {y!r} outside [{lo}, {hi})")
     prof = ordered_profile(medium)
-    value = omega / np.pi * prof.oscillatory_sum(y)
+    value = omega / np.pi * _oscillatory_phase(medium, y)
     if medium.n <= 2:
         proven = True
     else:

@@ -280,12 +280,41 @@ def test_mode_bad_depth_grid_is_data_error(tmp_path, medium_a_config, capsys, fl
     assert not out.exists()
 
 
+def test_mode_over_budget_depth_grid_is_refused(tmp_path, medium_a_config, capsys):
+    # checked before np.linspace: 4e9 points died of an uncaught memory error
+    k = 100.0 * float(roots_at_omega(load_medium(medium_a_config), 100.0)[0])
+    out = tmp_path / "m"
+    code = run(["mode", "--medium", medium_a_config, "--omega", "100", "--k", repr(k),
+                "--z-points", str(2**22 + 1), "--out", str(out)])
+    assert code == 3
+    assert "--z-points is 4194305, over the per-call budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_command(medium_a_config, capsys):
     code = run(["oracle", "--medium", medium_a_config, "--samples", "20", "--seed", "2"])
     assert code == 0
     out = capsys.readouterr().out
     worst = float(out.splitlines()[1].split()[1])
     assert worst < 1e-8
+
+
+def test_oracle_on_nearly_equal_velocities_is_data_error(tmp_path):
+    # every slowness of this domain lies within the 1e-6 margin of a layer
+    # slowness, so redrawing until one does not would never return
+    medium = tmp_path / "near.json"
+    medium.write_text(json.dumps({"layers": [
+        {"c": 1000.0, "rho": 1.0, "thickness": 100.0}, {"c": 1000.0005, "rho": 1.0}]}))
+    import lovedisp
+
+    src = str(Path(lovedisp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    child = "import sys; from lovedisp.cli import run; sys.exit(run(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", child, "oracle", "--medium", str(medium)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "1e-6" in done.stderr
+    assert done.stdout == ""
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,11 +21,12 @@ from lovedisp import (
 )
 import lovedisp.dispersion as disp_mod
 from lovedisp.dispersion import (
+    _apply_map,
     _dispersion_from_state,
     _dispersion_scaled,
     _halfspace_decay,
-    _layer,
     _layer_integrals,
+    _layer_map,
     _shoot,
     _sturm_count,
 )
@@ -43,7 +45,7 @@ def test_identity_at_zero_frequency(medium_a):
     for j in (1,):
         for y in (1.2e-4, 5e-4, 9e-4):
             assert np.array_equal(layer_matrix(medium_a, j, 0.0, y), np.eye(2))
-    p, q, ls = _shoot(medium_a, 0.0, 5e-4)[-1]
+    p, q, ls = list(_shoot(medium_a, 0.0, 5e-4))[-1]
     assert (p, q, ls) == (1.0, 0.0, 0.0)
 
 
@@ -98,7 +100,7 @@ def test_pq_state_at_first_positive_cutoff(medium_a):
     # the closed-form cutoff makes the surface-layer phase exactly pi
     mag = np.sqrt(1e-6 - 1e-8)
     omega2 = np.pi / (mag * 100.0)
-    p, q, ls = _shoot(medium_a, omega2, 1e-4)[-1]
+    p, q, ls = list(_shoot(medium_a, omega2, 1e-4))[-1]
     true_p = p * np.exp(ls)
     true_q = q * np.exp(ls)
     assert true_p == pytest.approx(-1.0, rel=1e-12)
@@ -116,7 +118,7 @@ def test_scaled_propagation_matches_unscaled_product():
         vec = np.array([1.0, 0.0])
         for j in range(1, m.n + 1):
             vec = layer_matrix(m, j, omega, y) @ vec
-        p, q, ls = _shoot(m, omega, y)[-1]
+        p, q, ls = list(_shoot(m, omega, y))[-1]
         scale = np.exp(ls)
         assert p * scale == pytest.approx(vec[0], rel=1e-12)
         assert q * scale == pytest.approx(vec[1], rel=1e-12, abs=1e-12 * abs(vec[0]))
@@ -275,7 +277,8 @@ def test_layer_integrals_exact_hit_is_the_limit(case, medium_a, medium_b,
 
 
 def _shoot_by_layer(medium, omega, y, up=False):
-    """The shot with one ``_layer`` call per layer, the per-layer reference."""
+    """The shot with one ``_layer_map`` and one ``_apply_map`` call per
+    layer, the per-layer reference; its states are in the order reached."""
     omega, y = np.asarray(omega, dtype=float), np.asarray(y, dtype=float)
     zeros = np.zeros(np.broadcast(omega, y).shape)
     if up:
@@ -286,22 +289,24 @@ def _shoot_by_layer(medium, omega, y, up=False):
         states = [(zeros + 1.0, zeros, zeros)]
     for j in range(medium.n - 1, -1, -1) if up else range(medium.n):
         p, q, ls = states[-1]
-        p, q, lf = _layer(medium, j, omega, y, medium.thickness[j], p, q)[:3]
+        c, s_a, sas, lf, x = _layer_map(medium, j, omega, y, medium.thickness[j])[:5]
+        p, q, lf = _apply_map(c, s_a, sas, lf, x, p, q)
         s = np.maximum(np.abs(p), np.abs(q))
         states.append((p / s, q / s, ls + np.log(s) + lf))
     if up:
-        return [(p, -q, ls) for p, q, ls in reversed(states)]
+        return [(p, -q, ls) for p, q, ls in states]
     return states
 
 
 def _assert_stacking_changes_nothing(medium, omega, y, monkeypatch):
     """The shots, the value and the count, with the maps stacked where the
     size rule allows, equal bit for bit their per-layer references: one
-    ``_layer`` call per layer for the shots, and for the count its own loop
+    map per layer for the shots, and for the count its own loop
     with every layer's map formed on its own (no pass is small)."""
     omega, y = np.asarray(omega, dtype=float), np.asarray(y, dtype=float)
     for up in (False, True):
-        got, ref = _shoot(medium, omega, y, up=up), _shoot_by_layer(medium, omega, y, up=up)
+        got = list(_shoot(medium, omega, y, up=up))
+        ref = _shoot_by_layer(medium, omega, y, up=up)
         assert len(got) == len(ref) == medium.n + 1
         for a, b in zip(got, ref):
             assert all(np.array_equal(u, v) for u, v in zip(a, b))
@@ -313,6 +318,29 @@ def _assert_stacking_changes_nothing(medium, omega, y, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(disp_mod, "_SMALL_PASS", 0)
         assert np.array_equal(count, _sturm_count(medium, omega, y))
+
+
+def _peak_bytes(fn, *args):
+    """The tracemalloc peak of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_value_pass_memory_does_not_grow_with_the_layer_count():
+    # a value pass keeps only the running state, as the count does; one that
+    # kept every interface state peaked at 49.9 MB here, the count at 0.80 MB
+    n = 500
+    c = np.append(np.full(n, 1000.0), 2000.0)
+    m = Medium(mu=c * c, rho=np.ones(n + 1), thickness=np.ones(n))
+    lo, hi = m.slowness_domain
+    y = np.linspace(lo, hi, 4096)
+    value_peak = _peak_bytes(_dispersion_scaled, m, 10.0, y)
+    count_peak = _peak_bytes(_sturm_count, m, 10.0, y)
+    assert value_peak <= 2 * count_peak, (value_peak, count_peak)
 
 
 def test_stacked_maps_match_the_per_layer_loop(medium_b, monkeypatch):

@@ -96,13 +96,13 @@ def test_ode_residual_detects_a_corrupted_kernel(medium_b, monkeypatch):
     y = roots_at_omega(medium_b, omega)[2]
     ms = mode_shape(medium_b, omega, omega * y)
     assert mode_residuals(ms).ode_residual < 1e-9
-    real = modes_mod._layer
+    real = modes_mod._apply_map
 
     def corrupted(*args):
         p, *rest = real(*args)
         return (1.001 * p, *rest)
 
-    monkeypatch.setattr(modes_mod, "_layer", corrupted)
+    monkeypatch.setattr(modes_mod, "_apply_map", corrupted)
     assert mode_residuals(ms).ode_residual > 1e-4
 
 
