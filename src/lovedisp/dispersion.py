@@ -43,6 +43,7 @@ __all__ = ["DispersionValue", "layer_matrix", "dispersion_value"]
 
 _SMALL_PASS = 4096  # points below which a pass costs its numpy calls, not its points
 _STACK_POINTS = 2**16  # (layer x point) entries one stacked map may hold: bounds its memory
+_LOG_MAX = float(np.log(np.finfo(float).max))  # largest exponent a double holds
 
 
 @dataclass(frozen=True)
@@ -316,17 +317,29 @@ def layer_matrix(medium: Medium, j: int, omega: float, y: float) -> np.ndarray:
     """True (unscaled) 2x2 transfer matrix of finite layer ``j`` (1-based).
 
     Unit determinant in every branch.  Its columns are the images of the
-    unit states under the layer kernel.  For very large ``omega * T`` the
-    hyperbolic entries can overflow double range; the propagation behind
-    :func:`dispersion_value` and the mode shapes is immune to that because
-    it rescales per layer.
+    unit states under the layer kernel.  The propagation behind
+    :func:`dispersion_value` and the mode shapes rescales per layer, so it
+    never forms this matrix.
+
+    Raises
+    ------
+    ResultOutOfRange
+        If an entry lies outside double range, which happens once the
+        layer's evanescent phase ``omega |nu_j| T_j`` passes about 709.
     """
     if not 1 <= j <= medium.n:
         raise ValueError(f"layer index {j} outside 1..{medium.n}")
     _check_point(medium, omega, y)
     step = _layer_map(medium, j - 1, float(omega), float(y), medium.thickness[j - 1])[:5]
     p, q, lf = _apply_map(*step, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    return np.exp(lf) * np.array([p, q])
+    scaled = np.array([p, q])
+    # each column pairs C with a sine term, never both zero, so the log is finite
+    if np.max(lf + np.log(np.abs(scaled).max(axis=0))) > _LOG_MAX:
+        raise ResultOutOfRange(
+            f"layer {j} has evanescent phase omega*|nu|*T = {float(step[4]):.6g}, so its "
+            f"transfer matrix leaves double range (omega={float(omega)!r}, y={float(y)!r})"
+        )
+    return np.exp(lf) * scaled
 
 
 def dispersion_value(medium: Medium, omega: float, y: float) -> DispersionValue:

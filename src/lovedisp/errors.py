@@ -62,7 +62,8 @@ class ResultOutOfRange(OutOfRange):
 
 
 class DivergedOrInfeasible(LoveDispError, RuntimeError):
-    """Least-squares refinement started from or converged to an infeasible model."""
+    """Least-squares refinement started from or converged to an infeasible model,
+    or a non-negative least-squares solve did not converge."""
 
 
 class DegeneratePoint(LoveDispError, ValueError):

@@ -6,7 +6,9 @@ Two cross-checks that share no code with the transfer-matrix recursion:
   ``2n x 2n`` complex system of interface conditions and reduced by the
   scaling prefactor to the dispersion function value, and
 * a second-order finite-difference discretization of the depth ODE,
-  solved as a symmetric tridiagonal generalized eigenproblem.
+  solved as a symmetric tridiagonal generalized eigenproblem.  Its solver,
+  ``scipy.linalg.eigh_tridiagonal``, is imported on the first call, so
+  importing the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DegeneratePoint, NonRealResult
 from .medium import Medium
@@ -162,6 +163,8 @@ def fd_eigen_oracle(
 
     Returns all eigenvalue-derived ``k`` inside ``(omega/c_inf, omega/c0)``.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be finite and > 0")
     if not 3.0 <= depth_factor < np.inf:

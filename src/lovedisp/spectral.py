@@ -7,7 +7,8 @@ approximates that count at large frequency by
 ``y``.  Branches pile up just below each distinct layer slowness
 ``1/c_j`` at rate ``sqrt(omega)``; the accumulation statistic measures
 that pile-up and its limits identify the layer velocities and
-thicknesses from dispersion data alone.
+thicknesses from dispersion data alone.  The joint weight fit is a small
+non-negative least-squares problem, solved here in numpy.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .branch import BranchSet
 from .dispersion import _oscillatory_phase, _sturm_count
-from .errors import InsufficientData, OutOfRange
+from .errors import DivergedOrInfeasible, InsufficientData, OutOfRange
 from .medium import Medium, ordered_profile
 
 __all__ = [
@@ -136,6 +136,8 @@ def detect_levels(branchset: BranchSet) -> list[LevelEstimate]:
     ------
     InsufficientData
         If fewer than 10 branches exist at the largest traced frequency.
+    DivergedOrInfeasible
+        If the joint weight fit does not converge.
     """
     # noisy labelled data need not descend along the top row
     y_top = np.sort(branchset.slownesses_at(-1))[::-1]
@@ -195,7 +197,9 @@ def _level_weights(branchset: BranchSet, levels: list[float]) -> np.ndarray:
     ``N(omega, level - 1/omega) - N(omega, level)`` against its Weyl form,
     which is linear in the unknown per-level thicknesses.  Shifted levels
     falling below the observed slowness floor are clamped there (count all
-    branches), with the design row built at the same clamped point.
+    branches), with the design row built at the same clamped point.  The
+    thicknesses are the non-negative least-squares solution, from
+    :func:`_nnls`.
     """
     grid = branchset.omega_grid
     top = len(grid) - 1
@@ -214,5 +218,44 @@ def _level_weights(branchset: BranchSet, levels: list[float]) -> np.ndarray:
     nu_hi = np.sqrt(np.maximum(lv * lv - shifted * shifted, 0.0))
     nu_lo = np.sqrt(np.maximum(lv * lv - level * level, 0.0))
     a = (w[..., None] / np.pi * (nu_hi - nu_lo)).reshape(-1, len(lv))
-    thickness, _ = nnls(a, d_obs.ravel().astype(float))
+    thickness = _nnls(a, d_obs.ravel().astype(float))
     return thickness * np.sqrt(lv)  # T_j / sqrt(c_j) with c_j = 1/level
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``argmin ||a x - b||`` over ``x >= 0``, by the Lawson-Hanson
+    active-set method (*Solving Least Squares Problems*, 1974, ch. 23).
+
+    Each outer pass moves the column with the largest positive dual
+    ``w = a^T (b - a x)`` into the passive set and solves the unconstrained
+    problem on that set; while that solution leaves the orthant, it steps
+    from ``x`` toward it until a passive entry reaches zero and drops that
+    column.  A dual below a rounding floor scaled by ``|a_j| |b|`` counts
+    as zero.  Outer passes are capped at ``3 n``, as scipy caps them;
+    reaching the cap raises :class:`DivergedOrInfeasible` rather than
+    return a point that is not optimal.
+    """
+    m, n = a.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * np.linalg.norm(a, axis=0) * np.linalg.norm(b)
+    for _ in range(3 * n):
+        dual = a.T @ (b - a @ x)
+        free = ~passive & (dual > tol)
+        if not free.any():
+            return x
+        passive[np.argmax(np.where(free, dual, -np.inf))] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            q = np.flatnonzero(passive & (s <= 0.0))
+            if not q.size:
+                break
+            # a column already at zero admits no step
+            ratio = np.divide(x[q], x[q] - s[q], out=np.zeros(q.size), where=x[q] > 0.0)
+            x += ratio.min() * (s - x)
+            x[q[np.argmin(ratio)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+        x = s
+    raise DivergedOrInfeasible(f"non-negative least squares did not converge in {3 * n} passes")

@@ -96,6 +96,18 @@ def test_layer_matrix_unimodular_at_random_points(medium_b):
         assert det == pytest.approx(1.0, rel=1e-12)
 
 
+def test_layer_matrix_beyond_double_range_raises(medium_b):
+    # layer 2 is evanescent at y = 9e-4 and its largest entry, about
+    # 1200 exp(x), passes the double maximum between x = 702.7 and 702.8
+    mag = np.sqrt(9e-4**2 - float(medium_b.slowness_sq[1]))
+    inside = layer_matrix(medium_b, 2, 702.7 / (mag * 100.0), 9e-4)
+    assert np.all(np.isfinite(inside)) and np.abs(inside).max() > 1e308
+    with pytest.raises(ResultOutOfRange, match=r"layer 2 .* = 702\.8,"):
+        layer_matrix(medium_b, 2, 702.8 / (mag * 100.0), 9e-4)
+    with pytest.raises(ResultOutOfRange, match=r"layer 2 .* = 1424\.7,"):
+        layer_matrix(medium_b, 2, 20000.0, 9e-4)
+
+
 def test_pq_state_at_first_positive_cutoff(medium_a):
     # the closed-form cutoff makes the surface-layer phase exactly pi
     mag = np.sqrt(1e-6 - 1e-8)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lovedisp
 from lovedisp import (
     DegeneratePoint,
     Medium,
@@ -100,3 +106,23 @@ def test_fd_parameter_validation(medium_a):
             fd_eigen_oracle(medium_a, 100.0, depth_factor=depth_factor)
     with pytest.raises(TypeError):
         fd_eigen_oracle(medium_a, 100.0, grid_points=2500.5)
+
+
+_IMPORT_CHILD = """
+import sys
+import lovedisp, lovedisp.cli, lovedisp.io
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+medium = lovedisp.Medium(mu=[1e6, 1e8], rho=[1.0, 1.0], thickness=[100.0])
+print(len(lovedisp.fd_eigen_oracle(medium, 100.0)), "scipy.linalg" in sys.modules)
+"""
+
+
+def test_package_imports_without_scipy_until_the_fd_oracle_runs():
+    # scipy serves only the FD oracle: a CLI process that never calls it
+    # should not pay scipy's start-up time and memory
+    src = str(Path(lovedisp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "4 True"]

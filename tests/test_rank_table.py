@@ -90,7 +90,7 @@ def test_level_weights_match_loop(trace_b):
             nu_hi = np.sqrt(np.maximum(lv * lv - shifted * shifted, 0.0))
             nu_lo = np.sqrt(np.maximum(lv * lv - level * level, 0.0))
             rows.append(w / np.pi * (nu_hi - nu_lo))
-    expected = spectral.nnls(np.asarray(rows), np.asarray(rhs))[0] * np.sqrt(lv)
+    expected = spectral._nnls(np.asarray(rows), np.asarray(rhs)) * np.sqrt(lv)
     assert np.array_equal(spectral._level_weights(trace_b, levels), expected)
 
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from lovedisp import (
     InsufficientData,
@@ -16,6 +17,7 @@ from lovedisp import (
     trace_branches,
     weyl_prediction,
 )
+from lovedisp.spectral import _nnls
 
 MAG_A = np.sqrt(1e-6 - 1e-8)
 
@@ -194,3 +196,33 @@ def test_conjectured_weyl_regime_numerically_corroborated():
     assert not pred.proven
     ratio = mode_count(m, 2000.0, 2e-4) / pred.value
     assert ratio == pytest.approx(1.0, abs=0.02)
+
+
+def test_nnls_matches_scipy():
+    # full-rank problems (m >= n), so the solution is unique; true
+    # coefficients of either sign keep most bounds active, and |x_j| >= 0.5
+    # against 0.01 noise keeps each solution well conditioned
+    rng = np.random.default_rng(0)
+    bounded = 0
+    for _ in range(1000):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(max(2, n), 201))
+        a = rng.standard_normal((m, n))
+        x_true = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+        b = a @ x_true + 0.01 * rng.standard_normal(m)
+        expected = nnls(a, b)[0]
+        got = _nnls(a, b)
+        assert np.all(got >= 0.0)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        bounded += bool(np.any(expected == 0.0))
+    assert bounded > 700
+
+
+def test_nnls_zero_column_and_zero_solution():
+    rng = np.random.default_rng(1)
+    a = np.abs(rng.standard_normal((30, 3)))
+    a[:, 1] = 0.0
+    x = _nnls(a, a @ np.array([1.0, 5.0, 2.0]))
+    assert x[1] == 0.0 and np.allclose(x, [1.0, 0.0, 2.0], rtol=1e-14, atol=0.0)
+    # a positive matrix against a negative b: x = 0 is optimal
+    assert np.array_equal(_nnls(a, -np.ones(30)), np.zeros(3))
