@@ -31,12 +31,11 @@ at the guided-wave slownesses.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResultOutOfRange
+from .errors import OutOfRange, ResultOutOfRange
 from .medium import Medium
 
 __all__ = ["DispersionValue", "layer_matrix", "dispersion_value"]
@@ -119,10 +118,8 @@ def _layer_maps(medium: Medium, omega, y, shape, order):
     is formed when the caller's loop reaches it, one map at a time.
     """
     n = medium.n
-    if n == 1:
-        return [_layer_map(medium, 0, omega, y, medium.thickness[0])]
     size = math.prod(shape)
-    if size <= _SMALL_PASS and n * size <= _STACK_POINTS:
+    if n >= 2 and size <= _SMALL_PASS and n * size <= _STACK_POINTS:
         j = np.array(order).reshape((n,) + (1,) * len(shape))
         return zip(*_layer_map(medium, j, omega, y, medium.thickness[j]))
     return (_layer_map(medium, j, omega, y, medium.thickness[j]) for j in order)
@@ -252,9 +249,8 @@ def _sturm_count(medium: Medium, omega, y):
         flip = (np.sign(p2) * np.sign(p) <= 0.0) & (p != 0.0)
         # oscillatory layer: zeros of R cos(t - delta) for the rotation angle
         # t in (0, x], floor((x - e) / pi) + ceil(e / pi) with e = delta + pi/2
-        degenerate = np.count_nonzero(a) < a.size  # a == 0: q / a is not used
-        with np.errstate(divide="ignore", invalid="ignore") if degenerate else nullcontext():
-            delta = np.arctan2(q / a, p)
+        # the angle of (p, q / a), as a >= 0; finite but unused where a == 0
+        delta = np.arctan2(q, a * p)
         turns = np.floor((x - delta - half_pi) / np.pi) + np.ceil((delta + half_pi) / np.pi)
         total += np.where(osc, turns, flip)
         s = np.maximum(np.abs(p2), np.abs(q2))
@@ -304,10 +300,10 @@ def _check_point(medium: Medium, omega: float, y: float) -> None:
     if not 0.0 <= omega < np.inf:
         raise ValueError("omega must be finite and >= 0")
     if not np.isfinite(y):
-        raise ValueError(f"slowness {y!r} is not finite")
+        raise OutOfRange(f"slowness {y!r} is not finite")
     lo = float(medium.slowness[-1])
     if y < lo * (1.0 - 1e-12):
-        raise ValueError(
+        raise OutOfRange(
             f"slowness {y!r} below the half-space slowness {lo!r}: the "
             "dispersion function is complex there"
         )

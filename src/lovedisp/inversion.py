@@ -29,7 +29,6 @@ from .branch import BranchSet, _roots_on_grid, trace_branches
 from .dispersion import _dispersion_scale_floor, _dispersion_scaled
 from .errors import (
     AmbiguousOrdering,
-    DivergedOrInfeasible,
     InsufficientData,
     LoveDispError,
     UnresolvedLevels,
@@ -522,8 +521,6 @@ def least_squares_refine(
 
     Raises
     ------
-    DivergedOrInfeasible
-        If the initial guess is infeasible.
     ResultOutOfRange
         If a trial's root table (frequencies x most roots) is over ``2**22``.
     """
@@ -537,10 +534,6 @@ def least_squares_refine(
     if free.shape != theta0.shape:
         raise ValueError(f"mask length {free.shape} != parameter length {theta0.shape}")
     n = guess.n
-    try:
-        _medium_from_theta(theta0, n)
-    except LoveDispError as exc:
-        raise DivergedOrInfeasible(f"initial guess invalid: {exc}") from exc
 
     uniq_w, inverse = np.unique(data.omega, return_inverse=True)
     ranks = _sample_ranks(data, inverse)

@@ -32,7 +32,7 @@ from .dispersion import (
     _layer_map,
     _shoot,
 )
-from .errors import NotOnBranch, ResultOutOfRange
+from .errors import NotOnBranch, OutOfRange, ResultOutOfRange
 from .medium import Medium
 
 __all__ = ["ModeShape", "ModeDiagnostics", "mode_shape", "mode_residuals", "mode_norms"]
@@ -136,6 +136,8 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
 
     Raises
     ------
+    OutOfRange
+        If the slowness ``k / omega`` is outside ``[1/c_inf, 1/c0)``.
     NotOnBranch
         If the normalized dispersion residual at ``(omega, k/omega)``
         exceeds ``1e-8``.
@@ -145,7 +147,7 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
     y = k / omega
     lo, hi = medium.slowness_domain
     if not lo <= y < hi:
-        raise ValueError(f"slowness {y!r} outside [{lo}, {hi})")
+        raise OutOfRange(f"slowness {y!r} outside [{lo}, {hi})")
     # on-branch test: either the dispersion function changes sign within a
     # few refinement widths of y (strong evanescence can put an irreducible
     # cancellation floor under the pointwise value), or the value itself is

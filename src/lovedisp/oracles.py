@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .errors import DegeneratePoint, NonRealResult
+from .errors import DegeneratePoint, NonRealResult, OutOfRange
 from .medium import Medium
 
 __all__ = ["determinant_oracle", "fd_eigen_oracle"]
@@ -46,6 +46,8 @@ def determinant_oracle(medium: Medium, omega: float, k: float) -> float:
 
     Raises
     ------
+    OutOfRange
+        If the slowness ``k / omega`` is outside the open domain.
     DegeneratePoint
         If the slowness sits within 1e-9 (relative) of any layer
         slowness; the generic prefactor is invalid there.
@@ -53,12 +55,12 @@ def determinant_oracle(medium: Medium, omega: float, k: float) -> float:
         If the assembled value keeps an imaginary residue above 1e-8
         (relative), which would signal an assembly bug.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be finite and > 0")
     y = k / omega
     lo, hi = medium.slowness_domain
     if not lo < y < hi:
-        raise ValueError(f"slowness {y!r} outside the open domain ({lo}, {hi})")
+        raise OutOfRange(f"slowness {y!r} outside the open domain ({lo}, {hi})")
     for inv in medium.slowness:
         if abs(y - inv) <= _NU_REL_TOL * inv:
             raise DegeneratePoint(
@@ -125,25 +127,6 @@ def _fd_grid(medium: Medium, z_max: float, grid_points: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _face_harmonic_mu(medium: Medium, z: np.ndarray) -> np.ndarray:
-    """Harmonic-mean modulus over each face interval ``[z_i, z_{i+1}]``.
-
-    Exact sub-interval weighting of ``1/mu``; with interfaces on nodes the
-    faces are single-material and the mean degenerates to that modulus.
-    """
-    bounds = medium.depths[1:]  # interior interfaces
-    inv_integral = np.zeros(len(z) - 1)
-    left = z[:-1]
-    right = z[1:]
-    segs = np.concatenate([[0.0], bounds, [np.inf]])
-    for j in range(medium.n + 1):
-        a = np.maximum(left, segs[j])
-        b = np.minimum(right, segs[j + 1])
-        overlap = np.maximum(b - a, 0.0)
-        inv_integral += overlap / float(medium.mu[j])
-    return (right - left) / inv_integral
-
-
 def fd_eigen_oracle(
     medium: Medium,
     omega: float,
@@ -153,13 +136,14 @@ def fd_eigen_oracle(
     """Guided wavenumbers from a finite-difference eigensolve, descending.
 
     Discretizes ``-(mu phi')' - omega^2 rho phi = -k^2 mu phi`` in
-    conservative form with harmonic-mean moduli at cell faces, a half-cell
-    Neumann condition at the surface, and a Dirichlet condition at the
-    truncation depth ``H_last + depth_factor / nu_ref``.  Interfaces are
-    aligned with grid nodes, which keeps the scheme second order in the
-    cell size.  The reference decay ``nu_ref`` is evaluated at 1.05 times
-    the half-space slowness; modes closer to their cutoff than that carry
-    an extra truncation bias of order ``exp(-2 depth_factor)``.
+    conservative form, with a half-cell Neumann condition at the surface
+    and a Dirichlet condition at the truncation depth ``H_last +
+    depth_factor / nu_ref``.  Interfaces are aligned with grid nodes, so
+    every cell lies in one layer and takes that layer's modulus and
+    density; this keeps the scheme second order in the cell size.  The
+    reference decay ``nu_ref`` is evaluated at 1.05 times the half-space
+    slowness; modes closer to their cutoff than that carry an extra
+    truncation bias of order ``exp(-2 depth_factor)``.
 
     Returns all eigenvalue-derived ``k`` inside ``(omega/c_inf, omega/c0)``.
     """
@@ -179,11 +163,10 @@ def fd_eigen_oracle(
 
     z = _fd_grid(medium, z_max, grid_points)
     h = np.diff(z)
-    mu_face = _face_harmonic_mu(medium, z)
     mid = 0.5 * (z[:-1] + z[1:])
     layer_face = np.searchsorted(medium.depths[1:], mid, side="right")
     rho_face = medium.rho[layer_face]
-    mu_cell = medium.mu[layer_face]
+    mu_face = medium.mu[layer_face]
 
     # unknowns: nodes 0..G-2 (Dirichlet drops the last node); node masses
     # integrate the two adjacent half-cells, a single half-cell at z=0
@@ -196,9 +179,9 @@ def fd_eigen_oracle(
     rho_mass = np.empty(g)
     mu_mass = np.empty(g)
     rho_mass[0] = 0.5 * rho_face[0] * h[0]
-    mu_mass[0] = 0.5 * mu_cell[0] * h[0]
+    mu_mass[0] = 0.5 * mu_face[0] * h[0]
     rho_mass[1:] = 0.5 * (rho_face[: g - 1] * h[: g - 1] + rho_face[1:g] * h[1:g])
-    mu_mass[1:] = 0.5 * (mu_cell[: g - 1] * h[: g - 1] + mu_cell[1:g] * h[1:g])
+    mu_mass[1:] = 0.5 * (mu_face[: g - 1] * h[: g - 1] + mu_face[1:g] * h[1:g])
     a_diag = diag - omega**2 * rho_mass
 
     # symmetrize the generalized problem with the diagonal mass matrix

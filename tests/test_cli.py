@@ -386,6 +386,19 @@ def test_invert_missing_rho1_is_usage_error(tmp_path, medium_a_config):
     assert run(["invert", "--data", str(out / "dataset.csv"), "--mode", "n1"]) == 1
 
 
+@pytest.mark.parametrize("free", [None, "mu,bogus"], ids=["ls-without-medium", "unknown-free"])
+def test_invert_ls_usage_errors(tmp_path, medium_a_config, free):
+    out = tmp_path / "x"
+    assert run(
+        ["synth", "--medium", medium_a_config, "--omega-max", "80",
+         "--omega-step", "2.0", "--out", str(out)]
+    ) == 0
+    argv = ["invert", "--data", str(out / "dataset.csv"), "--mode", "ls"]
+    if free is not None:
+        argv += ["--medium", medium_a_config, "--free", free]
+    assert run(argv) == 1
+
+
 def test_mode_out_of_double_range_is_numerical_failure(
     tmp_path, medium_b_swapped_config, capsys
 ):

@@ -200,6 +200,29 @@ INF, NAN = float("inf"), float("nan")
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m: mode_shape(m, 100.0, 0.2), id="shape"),
+        pytest.param(lambda m: determinant_oracle(m, 100.0, 0.005), id="determinant"),
+        pytest.param(lambda m: dispersion_value(m, 100.0, 5e-5), id="value"),
+        pytest.param(lambda m: layer_matrix(m, 1, 100.0, 5e-5), id="layer"),
+        pytest.param(lambda m: mode_count(m, 100.0, 5e-5), id="count"),
+        pytest.param(lambda m: weyl_prediction(m, 100.0, 5e-5), id="weyl"),
+    ],
+)
+def test_slowness_outside_domain_is_out_of_range(medium_a, call):
+    # one error type for a finite omega with its slowness off the strip
+    with pytest.raises(OutOfRange, match="outside|below"):
+        call(medium_a)
+
+
+def test_determinant_oracle_checks_omega_before_slowness(medium_a):
+    # k / inf would otherwise be reported as slowness 0.0 off the strip
+    with pytest.raises(ValueError, match="omega must be finite and > 0"):
+        determinant_oracle(medium_a, INF, 0.05)
+
+
+@pytest.mark.parametrize(
     "call,error",
     [
         pytest.param(lambda m: roots_at_omega(m, INF), ValueError, id="roots-inf"),

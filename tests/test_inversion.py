@@ -1,4 +1,6 @@
 import logging
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +386,28 @@ def test_least_squares_logs_its_work(medium_a, caplog):
     caplog.clear()
     least_squares_refine(guess, data, mask)  # the logger is off by default
     assert not [r for r in caplog.records if r.name == "lovedisp"]
+
+
+def test_least_squares_rejects_infeasible_and_worse_steps(medium_a, caplog):
+    # a stiff first guess: early steps overshoot the layer modulus past the
+    # half-space's or raise the misfit; each is rejected and lam grows
+    data = synthesize_observations(medium_a, np.arange(5.0, 300.1, 5.0))
+    guess = Medium(mu=medium_a.mu * [1.3, 1.0], rho=medium_a.rho,
+                   thickness=medium_a.thickness)
+    with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="lovedisp"):
+        warnings.simplefilter("error")
+        _, misfit = least_squares_refine(
+            guess, data, parameter_mask(guess, mu=True), max_iter=60
+        )
+    (record,) = [r for r in caplog.records if r.name == "lovedisp"]
+    iterations, searches, rejected = map(
+        int, re.search(r"(\d+) iterations, (\d+) root searches, (\d+) rejected",
+                       record.getMessage()).groups()
+    )
+    # every trial medium that builds costs one search beyond the first
+    infeasible = iterations - (searches - 1)
+    assert infeasible >= 1 and rejected - infeasible >= 1
+    assert misfit <= 1e-12
 
 
 def test_least_squares_infeasible_guess_detected(medium_a):

@@ -218,6 +218,33 @@ def test_nnls_matches_scipy():
     assert bounded > 700
 
 
+def test_nnls_matches_scipy_on_correlated_columns(monkeypatch):
+    # column 1 close to column 0: a new passive column often drives the
+    # other negative, so the inner loop steps back and drops a column
+    rng = np.random.default_rng(0)
+    lstsq, backtracked = np.linalg.lstsq, []
+
+    def recording(*args, **kwargs):
+        sol = lstsq(*args, **kwargs)
+        backtracked.append(bool(np.any(sol[0] <= 0.0)))  # the step back runs
+        return sol
+
+    for _ in range(1000):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(n, 201))
+        a = rng.standard_normal((m, n))
+        a[:, 1] = a[:, 0] + 0.1 * rng.standard_normal(m)
+        x_true = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+        b = a @ x_true + 0.01 * rng.standard_normal(m)
+        expected = nnls(a, b)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq", recording)
+            got = _nnls(a, b)
+        assert np.all(got >= 0.0)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert sum(backtracked) >= 20
+
+
 def test_nnls_zero_column_and_zero_solution():
     rng = np.random.default_rng(1)
     a = np.abs(rng.standard_normal((30, 3)))
