@@ -3,47 +3,28 @@
 Every root count goes through the exact Sturm count of
 :func:`~lovedisp.dispersion._sturm_count`, the Love-wave form of the
 Wittrick-Williams algorithm: the number of dispersion roots with slowness
-above any level.  One count on a seed grid of ``_SEED_NODES`` points lists
+above any level.  One count on a seed grid of uniform slowness nodes lists
 the ranks (by descending slowness) each grid cell holds; root ``ell`` is
 then isolated by vectorized bisection on "count >= ell" until its bracket
 holds exactly that one root, and refined on the sign change of the
-dispersion function by ITP steps (an Illinois point, truncated toward the
-midpoint, kept within bisection's worst case by a minmax window and at
-least a quarter of the tolerance from either end, the minimum step of
-Dekker's and Brent's zeroin), and one secant step from the values the
-refinement already holds at the final ends.  Roots are found for a block
-of frequencies in one vectorized pass: every step works on all (frequency,
-rank) pairs of the block at once, a trace of up to ``_TRACE_BLOCK``
-frequencies is one block, and a single frequency is a block of one.  Over
-many frequencies the seed count would dominate, so a trace block seeds on
-about two nodes per root at the trace's top frequency (16 to
-``_SEED_NODES``, and at least ``_SMALL_PASS`` points in all, the size
-below which a pass costs its numpy calls, not its points); single
-queries and cutoff searches keep ``_SEED_NODES``.
-Cutoffs are found the same way in frequency: one count at the half-space
-slowness on a seed grid of frequencies, then the same isolation and
-refinement.
-
-Each call's size is bounded before anything is allocated per root: a root
-search's (frequency x rank) table holds at most ``_ROOT_BUDGET`` (2**22)
-entries, a cutoff search at most that many cutoffs, and a trace's (node x
-rank) table at most that many entries.  A larger request raises
-:class:`~lovedisp.errors.ResultOutOfRange` naming its size.  Within the
-budget a search makes one seed count (a cutoff search doubles its
-frequency range and counts again while the range holds too few
-branches), at most ``_MAX_STEPS`` isolation counts, and at most the
-bisection count plus ``_SLACK_STEPS`` dispersion passes in the refinement;
-a trace adds one count at its top frequency for the budget.
-
-On a single query the searches hold a few dozen brackets, where numpy's
-cost per call outweighs the arithmetic.  So the refinement keeps every
-per-bracket quantity as a row of one state table (``_ROWS``): a step
-reads and writes whole rows of the open brackets' columns, and the
-columns are gathered and written back only when some bracket finishes.
-
-The root search returns a (frequency x rank) table of slownesses, NaN
-where a rank is absent, which is what a :class:`BranchSet` stores; its
-:class:`Branch` objects are copies of the table's columns, NaNs dropped.
+dispersion function by ITP steps (Chandrupatla's choice between inverse
+quadratic interpolation and bisection, kept within bisection's worst case
+by a minmax window and at least a quarter of the tolerance from either
+end, the minimum step of Dekker's and Brent's zeroin), and one secant step
+from the values the refinement already holds at the final ends.  Roots are
+found for a block of frequencies in one vectorized pass: every step works
+on all (frequency, rank) pairs of the block at once, a trace of up to
+``_TRACE_BLOCK`` frequencies is one block, and a single frequency is a
+block of one.  A pass over a few dozen brackets costs its numpy calls,
+not its points, so a single frequency seeds on ``_QUERY_SEED_NODES``
+(256) nodes: fewer ranks per cell leave fewer isolation counts, and
+narrower brackets leave fewer refinement steps.  Over many frequencies the
+seed count would dominate, so a trace block seeds on about two nodes per
+root at the trace's top frequency (16 to ``_SEED_NODES``, 64, and at least
+``_SMALL_PASS`` points in all, the size below which a pass costs its numpy
+calls, not its points).  Cutoffs are found the same way in frequency: one
+count at the half-space slowness on a seed grid of ``_SEED_NODES``
+frequencies, then the same isolation and refinement.
 """
 
 from __future__ import annotations
@@ -68,24 +49,19 @@ __all__ = [
 _REFINE_TOL = 1e-12  # relative bracket width (in y) at which refinement stops
 _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
+_QUERY_SEED_NODES = 256  # the same for a single frequency
 _MIN_SEED_NODES = 16  # the fewest seed nodes a trace block uses
 _MAX_STEPS = 100  # more halvings or refine steps than double precision can resolve
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
-_ITP_KAPPA1 = 0.2  # ITP truncation gain times the initial bracket width
 _TRACE_BLOCK = 1024  # frequencies per root search in a trace: bounds its memory
 _ROOT_BUDGET = 2**22  # table entries or cutoffs one call may return
 # rows of the refine's state table, one column per bracket
 _ROWS = (
-    "lo", "hi",  # the ends
-    "v_lo", "v_hi", "ls_lo", "ls_hi",  # f at the ends: v * exp(ls)
-    "w_lo", "w_hi",  # Illinois log weights of the end values
-    "moved",  # the end the last step replaced: 0 lo, 1 hi, -1 none yet
+    "x1", "x2", "x3",  # the end the last step moved, the other end, the point dropped
+    "v1", "v2", "v3", "ls1", "ls2", "ls3",  # f at those points: v * exp(ls)
     "s_lo",  # the sign of f at the lo end
-    "kappa1", "half0",  # ITP's truncation gain and half the initial width
+    "half0",  # half the initial width
 )
-# rows 0 lo, 1 hi: ("x replaces hi" == _ENDS) marks the end a step moves
-_ENDS = np.array([[False], [True]])
-_LOG2 = float(np.log(2.0))
 
 
 def _isolate(count, inside, outside, c_in, c_out, ranks, label):
@@ -116,28 +92,25 @@ def _isolate(count, inside, outside, c_in, c_out, ranks, label):
 
 
 def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
-    """Shrink sign-change brackets of ``f`` by ITP steps on the Illinois point.
+    """Shrink sign-change brackets of ``f`` by ITP steps on Chandrupatla's point.
 
     ``f(k, x)`` returns ``(value, log_scale)`` at points ``x`` of bracket
     indices ``k``, the true value being ``value * exp(log_scale)``;
     ``label(k)`` names bracket ``k`` in errors.  Each step is one of ITP
-    (Oliveira & Takahashi, ACM TOMS 2020) with the Illinois point (Dowell &
-    Jarratt, BIT 1971) as its interpolation: regula falsi on the true
-    values, with the value at an end halved each further step that end is
-    kept.  Truncation moves that point toward the midpoint by
-    ``kappa1 * width**2``, ``kappa1 = _ITP_KAPPA1 / width0`` (the paper's
-    ``kappa2 = 2``), so a point stuck near the small end of an exponentially
-    growing bracket still gains ground; a point closer to the midpoint than
-    that, or a NaN point, is the midpoint.  Projection then clips it to the
-    minmax window around the midpoint, so after ``j`` steps a bracket is no
-    wider than bisection leaves it after ``j - _SLACK_STEPS`` halvings.
-    Last, the point is kept ``h = tol * mid / 4`` inside each end, the
-    minimum step of Dekker's and Brent's zeroin (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4): once an end is within
-    ``h`` of the root, an Illinois point that rounds onto that end lands
-    past the root instead, and the bracket closes rather than its far end
-    crawling in.  A bracket is done once its width is at most ``tol``
-    times its midpoint.
+    (Oliveira & Takahashi, ACM TOMS 2020) with Chandrupatla's choice
+    (Chandrupatla, Adv. Eng. Software 28, 1997) as its interpolation:
+    inverse quadratic interpolation through the bracket's ends and the point
+    the last step dropped, where the quadratic is monotone over the bracket,
+    and the midpoint otherwise (also on the first step, which has no
+    dropped point).  Projection then clips that point to the minmax window
+    around the midpoint, so after ``j`` steps a bracket is no wider than
+    bisection leaves it after ``j - _SLACK_STEPS`` halvings.  Last, the
+    point is kept ``h = tol * mid / 4`` inside each end, the minimum step of
+    Dekker's and Brent's zeroin (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4): once an end is within ``h`` of the root, a
+    point that rounds onto that end lands past the root instead, and the
+    bracket closes rather than its far end crawling in.  A bracket is done
+    once its width is at most ``tol`` times its midpoint.
 
     A point replaces the end whose sign it shares, and a point where ``f``
     is exactly 0 replaces the ``hi`` end: ``lo`` never holds a zero.  An
@@ -145,12 +118,13 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     step from such ends returns it exactly.
 
     Every per-bracket quantity is a row of one state table (see
-    ``_ROWS``), one column per bracket; the Illinois halvings are log
-    weights of their own, so the value rows stay ``f`` at the ends.  The
-    brackets still open are a compact copy of their columns: a step works
-    on that copy alone, and only when some bracket finishes is the copy
-    written back and its open columns gathered again.  A bracket's path
-    depends on nothing but itself and the step number.
+    ``_ROWS``), one column per bracket; its points are ordered as
+    Chandrupatla's are, the end the last step moved first, so the
+    interpolation reads them without a gather.  The brackets still open
+    are a compact copy of their columns: a step works on that copy alone,
+    and only when some bracket finishes is the copy written back and its
+    open columns gathered again.  A bracket's path depends on nothing but
+    itself and the step number.
 
     Returns the refined ``(lo, hi, v, ls)``: ``v`` and ``ls`` are (2, n),
     row 0 holding ``f`` at the ``lo`` ends, row 1 at the ``hi`` ends.
@@ -175,16 +149,18 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
             f"no sign change for {label(b)} on ({lo[b]}, {hi[b]}): "
             f"signs {int(s_lo[b])}, {int(s_hi[b])}"
         )
-    half0 = 0.5 * (hi - lo)
     state = np.empty((len(_ROWS), n))
-    state[0], state[1], state[2:4], state[4:6] = lo, hi, v, ls
-    state[6:8], state[8], state[9] = 0.0, -1.0, s_lo
-    state[10], state[11] = _ITP_KAPPA1 / (2.0 * half0), half0
+    # no point has been dropped yet: its NaN makes the first step bisect
+    state[0:2], state[3:5], state[6:8] = (lo, hi), v, ls
+    state[2:9:3], state[9], state[10] = np.nan, s_lo, 0.5 * (hi - lo)
     t, todo = state, k
     step = 0
     while len(todo):
-        a, c = t[0], t[1]
-        width, mid = c - a, 0.5 * (a + c)
+        # points by (x, v, ls) and by x1 (the end moved last), x2, x3 (dropped)
+        p = t[0:9].reshape(3, 3, -1)
+        x1, x2, x3 = t[0], t[1], t[2]
+        d = x2 - x1
+        width, mid = np.abs(d), 0.5 * (x1 + x2)
         live = width > tol * mid
         if np.count_nonzero(live) < len(live):
             # write the table back, then go on with the brackets still open
@@ -192,40 +168,39 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
             t, todo = t[:, live], todo[live]
             continue
         if step == _MAX_STEPS:
+            a, c = sorted((float(x1[0]), float(x2[0])))
             raise BadBracket(
                 f"could not refine {label(todo[0])} to relative width {tol!r} "
-                f"between {float(a[0])!r} and {float(c[0])!r}"
+                f"between {a!r} and {c!r}"
             )
-        lt = t[4:6] + t[6:8]
-        fa, fc = t[2:4] * np.exp(lt - np.maximum(lt[0], lt[1]))
-        # the denominator is not 0: fc is 0 or of the other sign than fa, and
-        # fa is nonzero unless it underflows, a log-scale gap of about 745
-        # below an exact zero at hi (the larger-scaled end has weight 1)
-        x = (a * fc - c * fa) / (fc - fa)
-        # truncation: toward the midpoint by delta, or onto it (NaN included)
-        delta, d = t[10] * width**2, mid - x
-        x = np.where(delta < np.abs(d), x + np.sign(d) * delta, mid)
-        # projection onto the minmax window
-        r = t[11] * 2.0 ** (_SLACK_STEPS - step) - 0.5 * width
-        x = np.minimum(np.maximum(x, mid - r), mid + r)
-        # minimum step: once an end is within h of the root, x lands past it
-        h = 0.25 * tol * mid
-        x = np.minimum(np.maximum(x, a + h), c - h)
+        f1, f2, f3 = p[1] * np.exp(p[2] - np.maximum(np.maximum(t[6], t[7]), t[8]))
+        f12, f32 = f1 - f2, f3 - f2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Chandrupatla's test: the inverse quadratic through the three
+            # points is monotone over the bracket; x = x1 + u (x2 - x1)
+            xi, phi = d / (x2 - x3), f12 / f32
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            u = f1 / f32 * (f3 / f12 + (x3 - x1) / d * f2 / (f3 - f1))
+        u = np.where(iqi, u, 0.5)
+        # projection onto the minmax window, |x - mid| <= reach - width / 2,
+        # and the minimum step h = tol * mid / 4 from either end (once an end
+        # is within h of the root, x lands past it): both symmetric in u
+        reach = t[10] * 2.0 ** (_SLACK_STEPS - step)
+        u_min = np.maximum(0.25 * tol * mid, width - reach) / width
+        u = np.minimum(np.maximum(u, u_min), 1.0 - u_min)
+        x = x1 + u * d
         vx, lx = f(todo, x)
         # x replaces the end whose sign it shares, an exact zero the hi end;
-        # the other end is kept
+        # the replaced end becomes x3, x the new x1
         up = np.sign(vx) != t[9]
-        moved = up == _ENDS
-        # Illinois: an end kept again has its value halved (the moved end's
-        # weight is reset to 0 below)
-        t[6:8] -= _LOG2 * (t[8] == up)
-        t[8] = up
-        np.copyto(t[0:2], x, where=moved)
-        np.copyto(t[2:4], vx, where=moved)
-        np.copyto(t[4:6], lx, where=moved)
-        np.copyto(t[6:8], 0.0, where=moved)
+        keep = up == (x1 > x2)  # x replaces x1, x2 stays
+        p[:, 2:0:-1] = np.where(keep, p[:, 0:2], p[:, 1::-1])
+        t[0], t[3], t[6] = x, vx, lx
         step += 1
-    return state[0], state[1], state[2:4], state[4:6]
+    # the ends in (lo, hi) order
+    p = state[0:9].reshape(3, 3, n)
+    ends = np.where(p[0, 0] < p[0, 1], p[:, 0:2], p[:, 1::-1])
+    return ends[0, 0], ends[0, 1], ends[1], ends[2]
 
 
 def _secant_polish(lo: np.ndarray, hi: np.ndarray, v: np.ndarray, ls: np.ndarray):
@@ -325,7 +300,7 @@ def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
     """
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be finite and > 0")
-    return _roots_on_grid(medium, np.array([float(omega)]))[0]
+    return _roots_on_grid(medium, np.array([float(omega)]), _QUERY_SEED_NODES)[0]
 
 
 def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:

@@ -43,8 +43,8 @@ _ORACLE_DRAWS = 1000  # oracle draws in a row that may land in the slowness marg
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs about
-    thirty times what a parse does."""
+    """The argument parser, built once per process, at import: building it
+    costs about thirty times what a parse does, as much as a short trace."""
     parser = argparse.ArgumentParser(
         prog="lovedisp",
         description="Forward and inverse Love-wave dispersion toolkit",
@@ -291,6 +291,7 @@ _HANDLERS = {
     "mode": _cmd_mode,
     "oracle": _cmd_oracle,
 }
+_build_parser()  # here, so that no command pays for it when it runs first
 
 
 def run(argv=None) -> int:

@@ -523,6 +523,10 @@ def least_squares_refine(
     ------
     ResultOutOfRange
         If a trial's root table (frequencies x most roots) is over ``2**22``.
+    OutOfRange
+        If the guess or an accepted medium has a root within rounding of its
+        half-space slowness ``1/c_inf``, where a mode does not decay and the
+        Jacobian is undefined.
     """
     max_iter = operator.index(max_iter)
     if max_iter < 0:

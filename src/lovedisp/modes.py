@@ -360,9 +360,24 @@ def _wavenumber_sensitivities(medium: Medium, omega, y) -> np.ndarray:
     ``(omega_i, y_i)``; every integral and interface value is scaled by the
     same per-root factor, which cancels.  Returns an array of shape
     ``(len(omega), 3n + 2)`` over ``[mu, rho, thickness]``.
+
+    Raises
+    ------
+    OutOfRange
+        If a root's half-space decay rate ``omega sqrt(y^2 - 1/c_inf^2)`` is
+        0, a root within rounding of ``1/c_inf``.
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
+    # a root within rounding of 1/c_inf has no decaying tail, and the
+    # half-space integral of phi^2 divides by the decay rate
+    at_edge = np.flatnonzero(omega * _halfspace_decay(medium, y) == 0.0)
+    if len(at_edge):
+        i = at_edge[0]
+        raise OutOfRange(
+            f"root y={float(y[i])!r} at omega={float(omega[i])!r} lies at the half-space "
+            "slowness 1/c_inf: its mode does not decay, so it has no sensitivities"
+        )
     p, q, ls, match = _interface_states(medium, omega, y, _shoot(medium, omega, y))
     phi_sq, dphi_sq, ref = _norm_terms(medium, omega, y, p, q, ls, match)
     k = omega * y

@@ -434,6 +434,60 @@ def test_cutoff_count_passes(medium_b, monkeypatch):
     assert len(calls) <= 2
 
 
+def _query_random_like(rng, n):
+    """A query of the benchmark's query-random kind: an (n+1)-layer medium
+    drawn as ``_random_four_layer`` draws one, at the frequency that puts a
+    total layer phase of 10-150 rad at the half-space slowness."""
+    c = np.concatenate([rng.uniform(600.0, 3000.0, n), [rng.uniform(5000.0, 12000.0)]])
+    rho = rng.uniform(0.5, 3.0, n + 1)
+    thickness = rng.uniform(30.0, 200.0, n)
+    rate = float(thickness @ np.sqrt(1.0 / c[:-1] ** 2 - 1.0 / c[-1] ** 2))
+    omega = rng.uniform(10.0, 150.0) / rate
+    rng.uniform(0.10, 0.95)  # the query level the benchmark draws next
+    return Medium(mu=rho * c * c, rho=rho, thickness=thickness), omega
+
+
+def test_query_passes(monkeypatch):
+    # tripwire on the passes of a single-frequency root search, over the
+    # first 100 queries of the benchmark's seed-1 stream: 8.39 F passes and
+    # 1.52 counts per query with Chandrupatla's step and 256 seed nodes;
+    # 11.48 and 2.77 with the Illinois step and 64 nodes, 10.67 F passes
+    # with the Illinois step alone and 2.77 counts with 64 nodes alone
+    f_calls, counts = _count_dispersion_calls(monkeypatch), []
+    real = branch_mod._sturm_count
+
+    def counted(*args):
+        counts.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(branch_mod, "_sturm_count", counted)
+    rng = np.random.default_rng(1)
+    ns = rng.permutation(np.repeat(np.arange(1, 6), 96))[:100]
+    for n in ns:
+        roots_at_omega(*_query_random_like(rng, int(n)))
+    assert len(f_calls) / len(ns) <= 9.0
+    assert len(counts) / len(ns) <= 2.0
+
+
+def test_stress_root_invariants():
+    # every root of 300 stress media (n = 1..20, 25,617 roots): the search
+    # finds as many as the count sees above 1/c_inf, strictly descending,
+    # and F changes sign strictly across y(1 -+ 1e-11) at the first three
+    rng = np.random.default_rng(31337)
+    found = 0
+    for _ in range(300):
+        m, omega = _stress_medium(rng)
+        roots = roots_at_omega(m, omega)
+        assert len(roots) == branch_mod._sturm_count(m, omega, m.slowness[-1])
+        assert np.all(np.diff(roots) < 0.0)
+        top = roots[:3]
+        below = branch_mod._dispersion_scaled(m, omega, top * (1.0 - 1e-11))[0]
+        above = branch_mod._dispersion_scaled(m, omega, top * (1.0 + 1e-11))[0]
+        assert np.all(np.sign(below) * np.sign(above) < 0.0)
+        found += len(roots)
+    assert found == 25617
+
+
 def _assert_cutoffs_start_branches(medium, cuts, ells):
     for ell in ells:
         w = float(cuts[ell - 1])

@@ -9,6 +9,7 @@ from lovedisp import (
     AmbiguousOrdering,
     DispersionDataset,
     InsufficientData,
+    LoveDispError,
     Medium,
     alt_thickness_estimate,
     branchset_from_dataset,
@@ -408,6 +409,20 @@ def test_least_squares_rejects_infeasible_and_worse_steps(medium_a, caplog):
     infeasible = iterations - (searches - 1)
     assert infeasible >= 1 and rejected - infeasible >= 1
     assert misfit <= 1e-12
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_least_squares_soft_guess_raises_typed(medium_a, action):
+    # a soft first guess: an accepted trial medium has a half-space so stiff
+    # (mu_inf = 1.05e163) that its root at omega = 5 is 1/c_inf itself, where
+    # the Jacobian would divide by zero: a typed error under either filter,
+    # not a RuntimeWarning or numpy's LinAlgError from NaNs in the step
+    data = synthesize_observations(medium_a, np.arange(5.0, 300.1, 5.0))
+    guess = Medium(mu=medium_a.mu * [0.3, 1.0], rho=medium_a.rho,
+                   thickness=medium_a.thickness)
+    with warnings.catch_warnings(), pytest.raises(LoveDispError, match="1/c_inf"):
+        warnings.simplefilter(action)
+        least_squares_refine(guess, data, parameter_mask(guess, mu=True), max_iter=60)
 
 
 def test_least_squares_infeasible_guess_detected(medium_a):

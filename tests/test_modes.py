@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from lovedisp import (
     Medium,
     NotOnBranch,
+    OutOfRange,
     ResultOutOfRange,
     cutoff_frequencies,
     layer_matrix,
@@ -15,6 +16,7 @@ from lovedisp import (
     mode_shape,
     roots_at_omega,
 )
+from lovedisp.modes import _wavenumber_sensitivities
 
 
 def _first_mode(medium, omega):
@@ -263,6 +265,23 @@ def test_tail_stress_out_of_double_range():
     ms = mode_shape(m, omega, omega * roots_at_omega(m, omega)[4])
     with pytest.raises(ResultOutOfRange, match="depth"):
         ms.evaluate(m.depths[-1])
+
+
+@pytest.mark.parametrize("mu_inf", [1e40, 1e100, 1.05e163])
+def test_sensitivities_at_the_halfspace_slowness_raise(mu_inf):
+    # so stiff a half-space puts the root at omega = 5 within rounding of
+    # 1/c_inf: the search returns 1/c_inf itself, whose mode has no decaying
+    # tail.  Its sensitivities would divide by the decay rate 0 (NaN
+    # entries), so they raise and name the root
+    m = Medium(mu=[1e6, mu_inf], rho=[1.0, 1.0], thickness=[100.0])
+    roots = roots_at_omega(m, 5.0)
+    assert roots[-1] == m.slowness[-1]
+    with pytest.raises(OutOfRange, match=r"root y=.* at omega=5\.0 lies at the half-space"):
+        _wavenumber_sensitivities(m, np.full(len(roots), 5.0), roots)
+    # a half-space whose root is off 1/c_inf keeps finite sensitivities
+    m = Medium(mu=[1e6, 1e12], rho=[1.0, 1.0], thickness=[100.0])
+    roots = roots_at_omega(m, 5.0)
+    assert np.all(np.isfinite(_wavenumber_sensitivities(m, np.full(len(roots), 5.0), roots)))
 
 
 @pytest.mark.parametrize("z", [-10.0, np.nan, np.inf])
