@@ -175,9 +175,10 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
             )
         f1, f2, f3 = p[1] * np.exp(p[2] - np.maximum(np.maximum(t[6], t[7]), t[8]))
         f12, f32 = f1 - f2, f3 - f2
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Chandrupatla's test: the inverse quadratic through the three
-            # points is monotone over the bracket; x = x1 + u (x2 - x1)
+            # points is monotone over the bracket; x = x1 + u (x2 - x1).  It
+            # fails where f1 / f32 may overflow, as it needs |f1| < |f32|
             xi, phi = d / (x2 - x3), f12 / f32
             iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
             u = f1 / f32 * (f3 / f12 + (x3 - x1) / d * f2 / (f3 - f1))

@@ -1,20 +1,21 @@
 """Dispersion function of the layered half-space, via one scaled layer kernel.
 
 The pair ``(P, Q)`` proportional to ``(phi, mu phi'/omega)`` is carried
-through the finite layers by :func:`_shoot`: down from the surface for the
-dispersion value and the mode shapes, or up from the half-space's
-decaying solution for the mode shapes.  :func:`_layer_map` is the only
-code that knows the three forms of a layer's transfer map, chosen by the
-sign of ``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory
-layers (``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
+through the finite layers by :func:`_shoot`, the only loop that carries a
+state through the stack: down from the surface for the dispersion value,
+the root count and the mode shapes, or up from the half-space's decaying
+solution for the mode shapes.  :func:`_layer_map` is the only code that
+knows the three forms of a layer's transfer map, chosen by the sign of
+``d = y^2 - 1/c_j^2``: a real cos/sin rotation in oscillatory layers
+(``d < 0``), cosh/sinh scaled by ``exp(-x)`` in evanescent layers
 (``d > 0``), and the linear limit only on an exact hit (``d == 0``).
 :func:`_apply_map` applies a map to a state; every caller that carries a
 state, the mode shapes and the public layer matrix included, calls the
-two in turn.  The shot and the root count take every layer's map from
-:func:`_layer_maps`, which on a small pass (``n >= 2`` layers, at most
-``_SMALL_PASS`` points) forms all n of them in one kernel call, since
-there numpy's cost per call outweighs the arithmetic; only the 2x2 step
-and the renormalization stay in the per-layer loop.
+two in turn.  The shot takes every layer's map from :func:`_layer_maps`,
+which on a small pass (``n >= 2`` layers, at most ``_SMALL_PASS``
+points) forms all n of them in one kernel call, since there numpy's cost
+per call outweighs the arithmetic; only the 2x2 step and the
+renormalization stay in the per-layer loop.
 :func:`_layer_integrals` holds the integrals of ``phi^2`` and ``phi'^2``
 over a layer in the same three forms; the mode norms and the root
 sensitivities call it.  The state is renormalized after every layer, so
@@ -174,16 +175,17 @@ def _layer_integrals(medium: Medium, j, omega, y, p, q):
 def _shoot(medium: Medium, omega, y, up=False):
     """Carry the eigenfunction's state through the layer stack, down or up.
 
-    Yields ``n + 1`` scaled states ``(p, q, ls)``, one per interface, in
-    the order the shot reaches them: from the surface down, or from the
-    last interface up.  The true state is ``exp(ls) * (p, q)`` with
-    ``max(|p|, |q|) == 1``.  Going down the shot starts from the surface
-    state ``(1, 0)``; going up, from the half-space's decaying state
-    ``(1, -mu_inf nu_inf)``, and each layer is the downward map applied to
-    the reflected state ``(p, -q)`` (``z -> -z``), reflected back when
-    yielded.  A caller that keeps only the state it reads holds one
-    interface's arrays at any depth of stack.  ``omega`` and ``y`` must be
-    broadcast-compatible, ``omega >= 0``.
+    Yields ``n + 1`` scaled states ``(p, q, ls, layer)``, one per
+    interface, in the order the shot reaches them: from the surface down,
+    or from the last interface up.  The true state is ``exp(ls) * (p, q)``
+    with ``max(|p|, |q|) == 1``; ``layer`` is ``(x, a, osc)`` of the layer
+    just crossed, as :func:`_layer_map` forms them (``None`` at the first).
+    Going down the shot starts from the surface state ``(1, 0)``; going up,
+    from the half-space's decaying state ``(1, -mu_inf nu_inf)``, and each
+    layer is the downward map applied to the reflected state ``(p, -q)``
+    (``z -> -z``), reflected back when yielded.  A caller that keeps only
+    the state it reads holds one interface's arrays at any depth of stack.
+    ``omega`` and ``y`` must be broadcast-compatible, ``omega >= 0``.
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -194,13 +196,13 @@ def _shoot(medium: Medium, omega, y, up=False):
         p, q, ls = 1.0 / s, q / s, zeros
     else:
         p, q, ls = zeros + 1.0, zeros, zeros
-    yield (p, -q, ls) if up else (p, q, ls)
+    yield (p, -q, ls, None) if up else (p, q, ls, None)
     order = range(medium.n - 1, -1, -1) if up else range(medium.n)
-    for c, s_a, sas, lf, x, _, _ in _layer_maps(medium, omega, y, zeros.shape, order):
+    for c, s_a, sas, lf, x, a, osc in _layer_maps(medium, omega, y, zeros.shape, order):
         p, q, lf = _apply_map(c, s_a, sas, lf, x, p, q)
         s = np.maximum(np.abs(p), np.abs(q))
         p, q, ls = p / s, q / s, ls + np.log(s) + lf
-        yield (p, -q, ls) if up else (p, q, ls)
+        yield (p, -q, ls, (x, a, osc)) if up else (p, q, ls, (x, a, osc))
 
 
 def _halfspace_decay(medium: Medium, y):
@@ -219,13 +221,9 @@ def _sturm_count(medium: Medium, omega, y):
     crossing in oscillatory layers, at most one sign change in evanescent
     (or exactly degenerate) layers.  The tail contributes one more zero
     exactly when the dispersion value and the displacement at the last
-    interface have opposite signs.
-
-    It carries the state down with its own loop rather than read
-    :func:`_shoot`: a count needs no log scale, and root isolation calls
-    it on every step, where carrying one (a ``log`` per layer) slows the
-    count by a few percent.  The turns are summed in doubles, which hold
-    every count below ``2**53`` exactly.
+    interface have opposite signs.  It reads the states and layer phases
+    off the downward :func:`_shoot`.  The turns are summed in doubles,
+    which hold every count below ``2**53`` exactly.
 
     Vectorized over broadcastable ``omega`` and ``y``; returns an int64
     array (0-d for scalars).
@@ -236,15 +234,11 @@ def _sturm_count(medium: Medium, omega, y):
         If a count reaches ``2**53``, where a double no longer holds it
         exactly: a phase ``x`` of about ``2.8e16`` summed over the layers.
     """
-    omega = np.asarray(omega, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast(omega, y).shape
-    q = np.zeros(shape)
-    p = q + 1.0
-    total = np.zeros(shape)
+    shot = _shoot(medium, omega, y)
+    p, q, _, _ = next(shot)
+    total = np.zeros(p.shape)
     half_pi = 0.5 * np.pi
-    for c, s_a, sas, lf, x, a, osc in _layer_maps(medium, omega, y, shape, range(medium.n)):
-        p2, q2, _ = _apply_map(c, s_a, sas, lf, x, p, q)
+    for p2, q2, _, (x, a, osc) in shot:
         # monotone-type layer: at most one interior sign change
         flip = (np.sign(p2) * np.sign(p) <= 0.0) & (p != 0.0)
         # oscillatory layer: zeros of R cos(t - delta) for the rotation angle
@@ -253,14 +247,13 @@ def _sturm_count(medium: Medium, omega, y):
         delta = np.arctan2(q, a * p)
         turns = np.floor((x - delta - half_pi) / np.pi) + np.ceil((delta + half_pi) / np.pi)
         total += np.where(osc, turns, flip)
-        s = np.maximum(np.abs(p2), np.abs(q2))
-        p, q = p2 / s, q2 / s
+        p, q = p2, q2
     # the tail adds a zero where F and the displacement have opposite signs
     total += np.sign(_dispersion_from_state(medium, y, p, q)) * np.sign(p) < 0.0
     if not total.max() < 2.0**53:
         at = np.flatnonzero(~(total < 2.0**53))[0]
         raise ResultOutOfRange(
-            f"root count at omega={float(np.broadcast_to(omega, shape).flat[at])!r} "
+            f"root count at omega={float(np.broadcast_to(omega, total.shape).flat[at])!r} "
             "is beyond 2**53, where a double no longer holds it exactly"
         )
     return total.astype(np.int64)
@@ -273,7 +266,7 @@ def _dispersion_from_state(medium: Medium, y, p, q):
 
 def _dispersion_scaled(medium: Medium, omega, y):
     """Vectorized scaled dispersion value: returns ``(value, log_scale)``."""
-    for p, q, ls in _shoot(medium, omega, y):
+    for p, q, ls, _ in _shoot(medium, omega, y):
         pass
     return _dispersion_from_state(medium, y, p, q), ls
 
@@ -346,8 +339,6 @@ def dispersion_value(medium: Medium, omega: float, y: float) -> DispersionValue:
     ``mu_inf * nu_inf(y)``.
     """
     _check_point(medium, omega, y)
-    val, ls = _dispersion_scaled(
-        medium, np.asarray(float(omega)), np.asarray(float(y))
-    )
+    val, ls = _dispersion_scaled(medium, float(omega), float(y))
     v = float(val)
     return DispersionValue(value=v, log_scale=float(ls), sign=int(np.sign(v)))

@@ -155,7 +155,7 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
     delta = max(1e-11 * y, 8.0 * np.spacing(y))
     probe = np.array([y - delta, y, y + delta])
     # one downward shot gives the probe's values and the states at y
-    down = np.array(list(_shoot(medium, omega, probe)))
+    down = np.array([state[:3] for state in _shoot(medium, omega, probe)])
     vals = _dispersion_from_state(medium, probe, down[-1, 0], down[-1, 1])
     res = abs(float(vals[1])) / _dispersion_scale_floor(medium)
     brackets = vals[0] == 0.0 or vals[2] == 0.0 or np.sign(vals[0]) != np.sign(vals[2])
@@ -297,8 +297,8 @@ def _interface_states(medium: Medium, omega, y, down):
     root; the states below it come from the upward shot.
     """
     n = medium.n
-    pd, qd, ld = map(np.array, zip(*down))
-    pu, qu, lu = map(np.array, zip(*reversed(list(_shoot(medium, omega, y, up=True)))))
+    pd, qd, ld = map(np.array, list(zip(*down))[:3])
+    pu, qu, lu = map(np.array, list(zip(*reversed(list(_shoot(medium, omega, y, up=True)))))[:3])
     d = y * y - medium.slowness_sq[:-1, None]
     growth = np.sqrt(np.maximum(d, 0.0)) * omega * medium.thickness[:, None]
     above = np.vstack([np.zeros_like(y), np.cumsum(growth, axis=0)])

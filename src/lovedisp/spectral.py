@@ -2,13 +2,20 @@
 
 ``mode_count`` counts dispersion zeros above a slowness level with the
 exact Sturm count that also locates every root.  The Weyl prediction
-approximates that count at large frequency by
-``(omega/pi) * sum_j |nu_j(y)| * T_j`` over the layers oscillatory at
-``y``.  Branches pile up just below each distinct layer slowness
-``1/c_j`` at rate ``sqrt(omega)``; the accumulation statistic measures
-that pile-up and its limits identify the layer velocities and
-thicknesses from dispersion data alone.  The joint weight fit is a small
-non-negative least-squares problem, solved here in numpy.
+``W = (omega/pi) * sum_j |nu_j(y)| * T_j``, over the layers oscillatory
+at ``y``, is within ``O(n)`` of that count ``N`` for any n, ``omega``,
+``y`` on the strip and layer order: ``-n <= N - W <= n + 1``.  The count
+adds zeros layer by layer, as the Prüfer-angle count does (Pryce,
+*Numerical Solution of Sturm-Liouville Problems*, 1993) and
+Wittrick-Williams counting rests on (Wittrick & Williams, 1971): an
+oscillatory layer of phase ``x`` adds ``floor((x - e)/pi) + ceil(e/pi)``,
+strictly within 1 of its Weyl term ``x/pi``; an evanescent or degenerate
+layer, and the tail, add 0 or 1.  Branches pile up just below each
+distinct layer slowness ``1/c_j`` at rate ``sqrt(omega)``; the
+accumulation statistic measures that pile-up and its limits identify the
+layer velocities and thicknesses from dispersion data alone.  The joint
+weight fit is a small non-negative least-squares problem, solved here in
+numpy.
 """
 
 from __future__ import annotations

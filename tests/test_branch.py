@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,73 @@ def test_stress_root_invariants():
     assert found == 25617
 
 
+def _extreme_medium(rng):
+    """A stress medium at the edges of double range: n = 1..5, c 100-5000
+    m/s, one layer 1e6-1e9 m thick and the others 0.01-1000 m, and
+    mu_inf / mu_min up to 1e40.  omega puts a Weyl count of at most
+    1e4 - n - 1 below the half-space slowness, so at most 1e4 roots."""
+    n = int(rng.integers(1, 6))
+    c = rng.uniform(100.0, 5000.0, n)
+    rho = rng.uniform(0.5, 3.5, n + 1)
+    t = np.exp(rng.uniform(np.log(0.01), np.log(1000.0), n))
+    t[rng.integers(n)] = np.exp(rng.uniform(np.log(1e6), np.log(1e9)))
+    mu = rho[:-1] * c**2
+    # the half-space at least 1.1 times faster than the slowest layer
+    floor = np.log10(1.21 * c.min() ** 2 * rho[-1] / mu.min())
+    m = Medium(mu=np.append(mu, mu.min() * 10.0 ** rng.uniform(floor, 40.0)),
+               rho=rho, thickness=t)
+    phase = branch_mod._oscillatory_phase(m, float(m.slowness[-1]))
+    return m, np.exp(rng.uniform(0.0, np.log(np.pi * (1e4 - n - 1)))) / phase
+
+
+def _extreme_draws(count):
+    """The first ``count`` seed-1 extreme media, each with omega and its
+    roots, found with every warning an error."""
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(count):
+            m, omega = _extreme_medium(rng)
+            yield m, omega, roots_at_omega(m, omega)
+
+
+def test_extreme_root_invariants():
+    # 300 extreme media, 329,322 roots: no warning (draw 50 overflowed in
+    # the refine's interpolation), the count identity at 1/c_inf, strict
+    # descent and a strict sign change of F across y(1 -+ 1e-11) at the first 3
+    found = 0
+    for m, omega, roots in _extreme_draws(300):
+        assert len(roots) == branch_mod._sturm_count(m, omega, m.slowness[-1]) <= 10**4
+        assert np.all(np.diff(roots) < 0.0)
+        top = roots[:3]
+        below = branch_mod._dispersion_scaled(m, omega, top * (1.0 - 1e-11))[0]
+        above = branch_mod._dispersion_scaled(m, omega, top * (1.0 + 1e-11))[0]
+        assert np.all(np.sign(below) * np.sign(above) < 0.0)
+        found += len(roots)
+    assert found == 329322
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="FOUND: roots_at_omega returns 1/c_inf itself "
+                   "as a root when the true root lies within rounding of it")
+def test_extreme_roots_never_sit_at_the_halfspace_slowness():
+    # BranchSet never holds the point 1/c_inf, where no mode decays; about
+    # one extreme draw in five returns it as its last root
+    for m, _, roots in _extreme_draws(30):
+        assert not np.any(roots == m.slowness[-1])
+
+
+def test_refine_does_not_overflow_on_a_deep_layer():
+    # the refine's interpolation formed f1 / f32 with f32 far below f1 and
+    # warned of an overflow; 18,053 roots under a 6.17e7 m layer
+    c = np.array([3820.3, 4803.2, 1778.9, 8220.2])
+    m = Medium(mu=c**2, rho=np.ones(4), thickness=[7.55, 6.17e7, 832.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = roots_at_omega(m, 5.44)
+    assert len(roots) == branch_mod._sturm_count(m, 5.44, m.slowness[-1]) == 18053
+    assert np.all(np.diff(roots) < 0.0)
+
+
 def _assert_cutoffs_start_branches(medium, cuts, ells):
     for ell in ells:
         w = float(cuts[ell - 1])
@@ -588,6 +656,12 @@ def test_root_budget_raises_before_allocating():
         seconds, message = line.split(" ", 1)
         assert float(seconds) < 1.0
         assert f"is {count}, over the per-call budget of 4194304" in message
+
+
+def test_budget_bounds_a_single_query(medium_a):
+    # A holds 6,334,287 roots at omega = 2e8: the seed count alone says so
+    with pytest.raises(ResultOutOfRange, match="is 6334287, over the per-call budget"):
+        roots_at_omega(medium_a, 2e8)
 
 
 def test_budget_bounds_cutoffs_and_trace_table(medium_a):

@@ -45,7 +45,7 @@ def test_identity_at_zero_frequency(medium_a):
     for j in (1,):
         for y in (1.2e-4, 5e-4, 9e-4):
             assert np.array_equal(layer_matrix(medium_a, j, 0.0, y), np.eye(2))
-    p, q, ls = list(_shoot(medium_a, 0.0, 5e-4))[-1]
+    p, q, ls, _ = list(_shoot(medium_a, 0.0, 5e-4))[-1]
     assert (p, q, ls) == (1.0, 0.0, 0.0)
 
 
@@ -112,7 +112,7 @@ def test_pq_state_at_first_positive_cutoff(medium_a):
     # the closed-form cutoff makes the surface-layer phase exactly pi
     mag = np.sqrt(1e-6 - 1e-8)
     omega2 = np.pi / (mag * 100.0)
-    p, q, ls = list(_shoot(medium_a, omega2, 1e-4))[-1]
+    p, q, ls, _ = list(_shoot(medium_a, omega2, 1e-4))[-1]
     true_p = p * np.exp(ls)
     true_q = q * np.exp(ls)
     assert true_p == pytest.approx(-1.0, rel=1e-12)
@@ -130,7 +130,7 @@ def test_scaled_propagation_matches_unscaled_product():
         vec = np.array([1.0, 0.0])
         for j in range(1, m.n + 1):
             vec = layer_matrix(m, j, omega, y) @ vec
-        p, q, ls = list(_shoot(m, omega, y))[-1]
+        p, q, ls, _ = list(_shoot(m, omega, y))[-1]
         scale = np.exp(ls)
         assert p * scale == pytest.approx(vec[0], rel=1e-12)
         assert q * scale == pytest.approx(vec[1], rel=1e-12, abs=1e-12 * abs(vec[0]))
@@ -336,8 +336,8 @@ def _shoot_by_layer(medium, omega, y, up=False):
 def _assert_stacking_changes_nothing(medium, omega, y, monkeypatch):
     """The shots, the value and the count, with the maps stacked where the
     size rule allows, equal bit for bit their per-layer references: one
-    map per layer for the shots, and for the count its own loop
-    with every layer's map formed on its own (no pass is small)."""
+    map per layer for the shots, and for the count, which reads the
+    shot, every layer's map formed on its own (no pass is small)."""
     omega, y = np.asarray(omega, dtype=float), np.asarray(y, dtype=float)
     for up in (False, True):
         got = list(_shoot(medium, omega, y, up=up))

@@ -50,6 +50,12 @@ def test_dataset_csv_roundtrip_is_byte_exact(tmp_path, medium_a, labels, sigma):
     assert first.count(b"\n") == len(ds) + 1
 
 
+def test_read_rejects_a_header_without_omega_k(tmp_path):
+    (tmp_path / "d.csv").write_text("k,omega\n0.1,100\n")
+    with pytest.raises(ValueError, match="expected columns omega,k"):
+        lio.read_dataset_csv(tmp_path / "d.csv")
+
+
 def test_write_refuses_non_finite(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         lio.write_mode_csv(tmp_path / "m.csv", [0.0, 1.0], [1.0, np.inf], [0.0, 0.0])

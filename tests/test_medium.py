@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,34 @@ def test_config_velocity_form_matches_modulus_form():
     )
     assert np.array_equal(via_c.mu, via_mu.mu)
     assert np.array_equal(via_c.c, via_mu.c)
+
+
+_A = {"c": 1000.0, "rho": 1.0, "thickness": 100.0}
+_HALF = {"c": 10000.0, "rho": 1.0}
+
+
+@pytest.mark.parametrize("raw,fragment", [
+    ([_A, _HALF], "must be a mapping"),
+    ({"layers": [_HALF]}, "at least two layers"),
+    ({"layers": [{"c": 1000.0, "thickness": 100.0}, _HALF]}, "layer 1: missing rho"),
+    ({"layers": [{**_A, "mu": 1e6}, _HALF]}, "layer 1: give exactly one of mu or c"),
+    ({"layers": [_A, {"c": 1000.0, "rho": 1.0}, _HALF]}, "layer 2: missing thickness"),
+    ({"layers": [_A, {**_HALF, "thickness": 100.0}]}, "half-space (last layer) takes no"),
+])
+def test_config_rejections_name_their_cause(raw, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        validate_medium(raw)
+
+
+@pytest.mark.parametrize("mu,rho,thickness,fragment", [
+    ([[1e6, 1e8]], [[1.0, 1.0]], [100.0], "must be one-dimensional"),
+    ([1e6, 1e8], [1.0], [100.0], "mu and rho must have the same length"),
+    ([1e6, 1e8], [1.0, 1.0], [100.0, 100.0], "exactly one thickness per finite layer"),
+    ([1e8], [1.0], [], "at least one finite layer over the half-space"),
+])
+def test_medium_shape_rejections_name_their_cause(mu, rho, thickness, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Medium(mu=mu, rho=rho, thickness=thickness)
 
 
 def test_no_love_waves_when_surface_is_fastest():

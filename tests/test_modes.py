@@ -76,6 +76,13 @@ def test_cutoff_point_flagged_non_l2(medium_a):
     assert np.isinf(d.rayleigh_residual)
 
 
+def test_mode_norms_refuse_a_shape_that_does_not_decay(medium_a):
+    w2 = float(cutoff_frequencies(medium_a, 2)[1])
+    ms = mode_shape(medium_a, w2, w2 * 1e-4)
+    with pytest.raises(ValueError, match="not square integrable"):
+        mode_norms(ms)
+
+
 def test_perturbed_coefficients_detected(medium_b):
     omega = 150.0
     y = roots_at_omega(medium_b, omega)[0]

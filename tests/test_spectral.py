@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import nnls
+from test_modes import _stress_medium
 
 from lovedisp import (
     InsufficientData,
@@ -196,6 +197,22 @@ def test_conjectured_weyl_regime_numerically_corroborated():
     assert not pred.proven
     ratio = mode_count(m, 2000.0, 2e-4) / pred.value
     assert ratio == pytest.approx(1.0, abs=0.02)
+
+
+def test_weyl_remainder_is_within_the_layer_count():
+    # -n <= N - W <= n + 1 at every frequency, level and layer order, with no
+    # tolerance: each layer's zero count is within 1 of its phase over pi and
+    # the tail adds 0 or 1.  200 stress media (n = 1..20) x 20 points, omega
+    # log-uniform on 0.01..1e4 times the draw's own, y uniform on the strip
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        m, omega0 = _stress_medium(rng)
+        lo, hi = m.slowness_domain
+        for _ in range(20):
+            omega = omega0 * 10.0 ** rng.uniform(-2.0, 4.0)
+            y = rng.uniform(lo, hi)
+            gap = mode_count(m, omega, y) - weyl_prediction(m, omega, y).value
+            assert -m.n <= gap <= m.n + 1, (m, omega, y, gap)
 
 
 def test_nnls_matches_scipy():
