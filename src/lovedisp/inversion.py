@@ -107,7 +107,7 @@ class DispersionDataset:
 def _check_labels(omega, k, ell, ordered: bool):
     """Reject labels that repeat at one frequency or, if ``ordered``, break
     descending k; the error names the lowest frequency at fault."""
-    order = np.lexsort((ell, omega))
+    order = np.argsort(omega + 1j * ell, kind="stable")
     w, k, ell = omega[order], k[order], ell[order]
     same = w[1:] == w[:-1]
     dup = same & (ell[1:] == ell[:-1])
@@ -158,7 +158,7 @@ def branchset_from_dataset(dataset: DispersionDataset) -> BranchSet:
     """Scatter labeled (or rank-labeled) samples into an empirical branch set.
 
     The grid is the set of sample frequencies, and sample ``i`` fills the
-    cell of its frequency and rank (:func:`_sample_ranks`) with
+    cell of its frequency and rank (:func:`_sample_grid`) with
     ``k_i / omega_i``.  A branch's cutoff is approximated by its smallest
     observed frequency, which overshoots the true cutoff by at most one grid
     step; spacing-based rules are insensitive to that shared bias.  Branch 1
@@ -170,9 +170,11 @@ def branchset_from_dataset(dataset: DispersionDataset) -> BranchSet:
     ------
     ValueError
         If a rank below the largest label has no sample.
+    InsufficientData
+        If the data carry no labels and a frequency holds fewer samples than
+        the one below it.
     """
-    grid, inverse = np.unique(dataset.omega, return_inverse=True)
-    ranks = _sample_ranks(dataset, inverse)
+    grid, inverse, ranks = _sample_grid(dataset)
     y = np.full((len(grid), ranks.max(initial=-1) + 1), np.nan)
     y[inverse, ranks] = dataset.k / dataset.omega
     # the row of each branch's first sample
@@ -527,6 +529,9 @@ def least_squares_refine(
         If the guess or an accepted medium has a root within rounding of its
         half-space slowness ``1/c_inf``, where a mode does not decay and the
         Jacobian is undefined.
+    InsufficientData
+        If the data carry no labels and a frequency holds fewer samples than
+        the one below it.
     """
     max_iter = operator.index(max_iter)
     if max_iter < 0:
@@ -539,8 +544,7 @@ def least_squares_refine(
         raise ValueError(f"mask length {free.shape} != parameter length {theta0.shape}")
     n = guess.n
 
-    uniq_w, inverse = np.unique(data.omega, return_inverse=True)
-    ranks = _sample_ranks(data, inverse)
+    uniq_w, inverse, ranks = _sample_grid(data)
     edge = float(guess.slowness[-1])
 
     def model(medium: Medium):
@@ -603,18 +607,49 @@ def least_squares_refine(
     return medium, misfit
 
 
-def _sample_ranks(data: DispersionDataset, inverse) -> np.ndarray:
-    """Zero-based root rank per sample: labels if given, else descending k.
+def _sample_grid(data: DispersionDataset):
+    """``(grid, inverse, ranks)``: the sample frequencies, ascending, each
+    sample's index in them, and its zero-based root rank.
 
-    ``inverse`` maps each sample to its frequency's index.
+    One stable argsort orders the samples.  Labels, if given, give the
+    ranks (``ell - 1``), and the key is ``omega``.  Otherwise the key is
+    ``omega - 1j * k``: numpy orders complex numbers by real part, then by
+    imaginary part, so the samples fall by frequency and then by descending
+    k, tied samples in input order, and a sample's rank is its place within
+    its frequency.
+
+    Raises
+    ------
+    InsufficientData
+        If the data carry no labels and a frequency holds fewer samples than
+        the one below it.  No branch ends as omega grows, so a sample is
+        missing there, and ranking by descending k would shift every rank
+        below it.
     """
-    if data.ell is not None:
-        return data.ell - 1
-    order = np.lexsort((-data.k, inverse))
-    grouped = inverse[order]
-    ranks = np.empty(len(data), dtype=int)
-    ranks[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
-    return ranks
+    labelled = data.ell is not None
+    order = np.argsort(data.omega if labelled else data.omega - 1j * data.k,
+                       kind="stable")
+    w = data.omega[order]
+    new = np.ones(len(w), dtype=bool)
+    new[1:] = w[1:] != w[:-1]
+    start = np.flatnonzero(new)
+    group = np.cumsum(new) - 1  # frequency index per sorted sample
+    inverse = np.empty_like(group)
+    inverse[order] = group
+    if labelled:
+        return w[start], inverse, data.ell - 1
+    counts = np.diff(start, append=len(w))
+    if (fall := np.flatnonzero(counts[1:] < counts[:-1])).size:
+        i = fall[0]
+        raise InsufficientData(
+            f"unlabelled data lack a sample: {counts[i + 1]} samples at "
+            f"omega={float(w[start[i + 1]])} after {counts[i]} at "
+            f"omega={float(w[start[i]])}; no branch ends as omega grows, so "
+            "ranks by descending k would shift"
+        )
+    ranks = np.empty_like(group)
+    ranks[order] = np.arange(len(w)) - start[group]
+    return w[start], inverse, ranks
 
 
 def synthesize_observations(

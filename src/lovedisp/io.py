@@ -4,10 +4,12 @@ Every table is written by one writer, :func:`_write_columns`, from its
 columns: floats with 17 significant digits so files round-trip
 bit-exactly, and a non-finite float refused.  Branch rows come from the
 columns of a :class:`~lovedisp.branch.BranchSet` table, by (ell, omega),
-and the dataset body is read in one numpy call.  Tables are written
-``_CHUNK_ROWS`` rows at a time, each chunk formatted with one ``%`` per
-row and written in one call: the same bytes ``np.savetxt`` writes, without
-its call per row, and the text held at once stays bounded.
+and the dataset body is read in one numpy call, given the file's path:
+numpy reads a path in chunks, but a file object one Python line at a
+time.  Tables are written ``_CHUNK_ROWS`` rows at a time, each chunk
+formatted with one ``%`` per row and written in one call: the same bytes
+``np.savetxt`` writes, without its call per row, and the text held at
+once stays bounded.
 """
 
 from __future__ import annotations
@@ -90,7 +92,10 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
     """Read a file written by :func:`write_dataset_csv`.
 
     The header is checked and the body read in one numpy call; blank lines
-    are skipped, and columns are found by name, any others ignored.
+    are skipped, and columns are found by name, any others ignored.  The
+    body is read from ``path``, not from an open file: ``np.loadtxt``
+    iterates a file object line by line in Python, but reads a path in
+    chunks.
 
     Raises
     ------
@@ -101,20 +106,22 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
     """
     with open(path, "r", encoding="utf-8") as fh:
         cols = [h.strip() for h in fh.readline().split(",")]
-        if cols[:2] != ["omega", "k"]:
-            raise ValueError(
-                f"expected columns omega,k[,ell][,noise_sigma]; got {cols}"
-            )
-        names = ["omega", "k"] + [n for n in ("ell", "noise_sigma") if n in cols]
-        dtype = [(n, int if n == "ell" else float) for n in names]
-        with warnings.catch_warnings():
-            # a header with no rows is an empty dataset, not a mistake
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                               usecols=[cols.index(n) for n in names], ndmin=1)
-    sigma = np.unique(table["noise_sigma"]) if "noise_sigma" in names else []
-    if len(sigma) > 1:
-        raise ValueError(f"noise_sigma differs between rows: {sigma.tolist()}")
+    if cols[:2] != ["omega", "k"]:
+        raise ValueError(
+            f"expected columns omega,k[,ell][,noise_sigma]; got {cols}"
+        )
+    names = ["omega", "k"] + [n for n in ("ell", "noise_sigma") if n in cols]
+    dtype = [(n, int if n == "ell" else float) for n in names]
+    with warnings.catch_warnings():
+        # a header with no rows is an empty dataset, not a mistake
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                           skiprows=1, encoding="utf-8",
+                           usecols=[cols.index(n) for n in names], ndmin=1)
+    sigma = table["noise_sigma"] if "noise_sigma" in names else table["omega"][:0]
+    # np.unique, which counts NaNs as equal, only where a row differs
+    if (sigma != sigma[:1]).any() and len(levels := np.unique(sigma)) > 1:
+        raise ValueError(f"noise_sigma differs between rows: {levels.tolist()}")
     return DispersionDataset(
         omega=table["omega"],
         k=table["k"],

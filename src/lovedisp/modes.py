@@ -250,11 +250,14 @@ def mode_norms(shape: ModeShape) -> tuple[float, float, float]:
 
     Raises
     ------
+    OutOfRange
+        If the mode does not decay (zero decay rate): it is not square
+        integrable.
     ResultOutOfRange
         If a norm leaves double range.
     """
     if not shape.is_l2:
-        raise ValueError("mode is not square integrable (zero decay rate)")
+        raise OutOfRange("mode is not square integrable (zero decay rate)")
     sums, ref = _scaled_norms(shape)
     with np.errstate(over="ignore"):
         norms = tuple(float(v) for v in np.array(sums) * np.exp(ref))

@@ -107,6 +107,20 @@ def test_branchset_from_dataset_with_gap(medium_a):
         assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
 
 
+def test_unlabelled_dataset_with_gap_is_refused(medium_a):
+    # without labels the missing sample would shift every rank below it;
+    # the count falling from omega = 140 to 150 proves it is missing
+    grid = np.arange(10.0, 300.01, 10.0)
+    ds = synthesize_observations(medium_a, grid)
+    keep = ~((ds.omega == 150.0) & (ds.ell == 1))
+    gapped = DispersionDataset(omega=ds.omega[keep], k=ds.k[keep])
+    message = "4 samples at omega=150.0 after 5 at omega=140.0"
+    with pytest.raises(InsufficientData, match=message):
+        branchset_from_dataset(gapped)
+    with pytest.raises(InsufficientData, match=message):
+        least_squares_refine(medium_a, gapped, parameter_mask(medium_a, thickness=True))
+
+
 def test_branchset_from_dataset_rejects_unobserved_rank():
     ds = DispersionDataset(omega=np.array([1.0, 1.0]), k=np.array([2.0, 1.0]),
                            ell=np.array([1, 3]))

@@ -89,3 +89,20 @@ def test_dataset_columns_found_by_name(tmp_path):
     data = lio.read_dataset_csv(path)
     assert data.ell.tolist() == [1, 2]
     assert data.noise_sigma == 0.001
+
+
+def test_crlf_blank_lines_and_column_order_read_as_plain_lf(tmp_path, medium_a):
+    ds = synthesize_observations(medium_a, np.arange(5.0, 200.01, 5.0), noise_sigma=1e-3)
+    plain = tmp_path / "plain.csv"
+    lio.write_dataset_csv(plain, ds)
+    header, *rows = plain.read_text().splitlines()
+    # the twin: ell and noise_sigma swap places, CRLF line ends, a blank
+    # line before every seventh row and at the end
+    swap = [",".join(r.split(",")[i] for i in (0, 1, 3, 2)) for r in [header, *rows]]
+    body = [r if i % 7 else "\r\n" + r for i, r in enumerate(swap[1:])]
+    twin = tmp_path / "twin.csv"
+    twin.write_bytes(("\r\n".join([swap[0], *body]) + "\r\n\r\n").encode())
+    a, b = lio.read_dataset_csv(plain), lio.read_dataset_csv(twin)
+    assert b"\r\n\r\n" in twin.read_bytes() and b.noise_sigma == a.noise_sigma == 1e-3
+    for name in ("omega", "k", "ell"):
+        assert np.array_equal(getattr(b, name), getattr(a, name))

@@ -79,7 +79,7 @@ def test_cutoff_point_flagged_non_l2(medium_a):
 def test_mode_norms_refuse_a_shape_that_does_not_decay(medium_a):
     w2 = float(cutoff_frequencies(medium_a, 2)[1])
     ms = mode_shape(medium_a, w2, w2 * 1e-4)
-    with pytest.raises(ValueError, match="not square integrable"):
+    with pytest.raises(OutOfRange, match="not square integrable"):
         mode_norms(ms)
 
 

@@ -42,16 +42,41 @@ def test_check_labels_matches_loop(ordered):
     assert 50 < raised < 300  # both outcomes are exercised
 
 
-def test_sample_ranks_match_loop():
-    rng = np.random.default_rng(8)
-    omega = rng.choice(np.arange(1.0, 30.0), 400)
-    data = DispersionDataset(omega=omega, k=rng.random(400) + 0.1)
-    uniq, inverse = np.unique(omega, return_inverse=True)
-    expected = np.empty(len(data), dtype=int)
-    for wi in range(len(uniq)):
+def _sample_grid_loop(data):
+    grid, inverse = np.unique(data.omega, return_inverse=True)
+    if data.ell is not None:
+        return grid, inverse, data.ell - 1
+    ranks = np.empty(len(data), dtype=int)
+    for wi in range(len(grid)):
         sel = np.flatnonzero(inverse == wi)
-        expected[sel[np.argsort(-data.k[sel])]] = np.arange(len(sel))
-    assert np.array_equal(inv._sample_ranks(data, inverse), expected)
+        ranks[sel[np.argsort(-data.k[sel], kind="stable")]] = np.arange(len(sel))
+    return grid, inverse, ranks
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+@pytest.mark.parametrize("ties", [False, True])
+def test_sample_grid_matches_loop(labelled, ties):
+    # shuffled rows, k tied within a frequency (kept in input order) or not,
+    # labels as ranks, and empty datasets; counts never fall, so no sample
+    # is missing from the unlabelled sets
+    rng = np.random.default_rng(8)
+    for n_freq in [0, 1, 2, 29] * 5:
+        omega = np.repeat(np.sort(rng.choice(np.arange(1.0, 60.0), n_freq, replace=False)),
+                          np.sort(rng.integers(1, 30, n_freq)))
+        perm = rng.permutation(len(omega))
+        k = rng.integers(1, 4, len(omega)) * 0.1 if ties else rng.random(len(omega)) + 0.1
+        ell = None
+        if labelled:
+            ell = np.empty(len(omega), dtype=int)
+            for w in np.unique(omega):
+                sel = np.flatnonzero(omega == w)
+                ell[sel] = rng.permutation(len(sel)) + 1
+            k = 1.0 / ell  # descending k by label, as the dataset checks
+        data = DispersionDataset(omega=omega[perm], k=k[perm],
+                                 ell=None if ell is None else ell[perm])
+        got, want = inv._sample_grid(data), _sample_grid_loop(data)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.fixture(scope="module")
