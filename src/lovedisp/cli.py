@@ -169,24 +169,25 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    # usage errors first, so that none waits on (or hides behind) the data
+    names = {s.strip() for s in args.free.split(",") if s.strip()}
+    if args.mode == "n1" and args.rho1 is None:
+        print("invert n1 requires --rho1", file=sys.stderr)
+        return USAGE_ERROR
+    if args.mode == "ls":
+        if args.medium is None:
+            print("invert ls requires --medium (the guess)", file=sys.stderr)
+            return USAGE_ERROR
+        if unknown := names - {"mu", "rho", "thickness"}:
+            print(f"unknown --free entries: {sorted(unknown)}", file=sys.stderr)
+            return USAGE_ERROR
     dataset = lio.read_dataset_csv(args.data)
     if args.mode == "n1":
-        if args.rho1 is None:
-            print("invert n1 requires --rho1", file=sys.stderr)
-            return USAGE_ERROR
         report = invert_single_layer(branchset_from_dataset(dataset), args.rho1)
     elif args.mode == "n2":
         report = invert_double_layer(branchset_from_dataset(dataset))
     else:
-        if args.medium is None:
-            print("invert ls requires --medium (the guess)", file=sys.stderr)
-            return USAGE_ERROR
         guess = load_medium(args.medium)
-        names = {s.strip() for s in args.free.split(",") if s.strip()}
-        unknown = names - {"mu", "rho", "thickness"}
-        if unknown:
-            print(f"unknown --free entries: {sorted(unknown)}", file=sys.stderr)
-            return USAGE_ERROR
         mask = parameter_mask(
             guess,
             mu="mu" in names,

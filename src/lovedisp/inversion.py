@@ -66,7 +66,9 @@ def _check_noise_sigma(sigma) -> None:
 
 @dataclass(frozen=True)
 class DispersionDataset:
-    """Observed frequency-wavenumber samples, optionally labeled by branch."""
+    """Observed (omega, k) couples, optionally labeled by branch, stored by
+    frequency, then by label or descending k, ties in input order: the same
+    couples in any row order give the same results."""
 
     omega: np.ndarray
     k: np.ndarray
@@ -81,12 +83,10 @@ class DispersionDataset:
         for name, v in (("omega", omega), ("k", k)):
             if (bad := v[~((0.0 < v) & (v < np.inf))]).size:
                 raise ValueError(f"{name} must be finite and > 0, got {float(bad[0])!r}")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "k", k)
         if self.noise_sigma is not None:
             _check_noise_sigma(self.noise_sigma)
-        if self.ell is not None:
-            raw = np.asarray(self.ell, dtype=float)
+        if (ell := self.ell) is not None:
+            raw = np.asarray(ell, dtype=float)
             if raw.shape != omega.shape:
                 raise ValueError("ell must match omega in shape")
             if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
@@ -94,29 +94,30 @@ class DispersionDataset:
             if np.any(raw < 1):
                 raise ValueError("branch labels must be >= 1")
             ell = raw.astype(int)
-            # noise can legitimately swap the order of near-degenerate
-            # wavenumbers, so the rank consistency check only applies to
-            # noiseless data; noisy labels carry true branch identity
-            _check_labels(omega, k, ell, ordered=not self.noise_sigma)
-            object.__setattr__(self, "ell", ell)
+        # numpy orders complex numbers by real part, then by imaginary part
+        order = np.argsort(omega - 1j * k if ell is None else omega + 1j * ell,
+                           kind="stable")
+        omega, k = omega[order], k[order]
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "k", k)
+        if ell is None:
+            return
+        ell = ell[order]
+        same = omega[1:] == omega[:-1]
+        dup = same & (ell[1:] == ell[:-1])
+        # noise can legitimately swap the order of near-degenerate
+        # wavenumbers, so descending k is only checked on noiseless data;
+        # noisy labels carry true branch identity
+        bad = dup if self.noise_sigma else dup | (same & (k[1:] >= k[:-1]))
+        if bad.any():
+            at = omega[np.argmax(bad)]
+            if np.any(dup & (omega[1:] == at)):
+                raise ValueError(f"duplicate branch labels at omega={at:g}")
+            raise ValueError(f"labels at omega={at:g} are inconsistent with descending k")
+        object.__setattr__(self, "ell", ell)
 
     def __len__(self) -> int:
         return len(self.omega)
-
-
-def _check_labels(omega, k, ell, ordered: bool):
-    """Reject labels that repeat at one frequency or, if ``ordered``, break
-    descending k; the error names the lowest frequency at fault."""
-    order = np.argsort(omega + 1j * ell, kind="stable")
-    w, k, ell = omega[order], k[order], ell[order]
-    same = w[1:] == w[:-1]
-    dup = same & (ell[1:] == ell[:-1])
-    bad = dup | (same & (k[1:] >= k[:-1])) if ordered else dup
-    if bad.any():
-        at = w[np.argmax(bad)]
-        if np.any(dup & (w[1:] == at)):
-            raise ValueError(f"duplicate branch labels at omega={at:g}")
-        raise ValueError(f"labels at omega={at:g} are inconsistent with descending k")
 
 
 @dataclass(frozen=True)
@@ -611,12 +612,9 @@ def _sample_grid(data: DispersionDataset):
     """``(grid, inverse, ranks)``: the sample frequencies, ascending, each
     sample's index in them, and its zero-based root rank.
 
-    One stable argsort orders the samples.  Labels, if given, give the
-    ranks (``ell - 1``), and the key is ``omega``.  Otherwise the key is
-    ``omega - 1j * k``: numpy orders complex numbers by real part, then by
-    imaginary part, so the samples fall by frequency and then by descending
-    k, tied samples in input order, and a sample's rank is its place within
-    its frequency.
+    The dataset stores a frequency's samples together, by label or by
+    descending k, so a rank is ``ell - 1`` or, without labels, the
+    sample's place within its frequency.
 
     Raises
     ------
@@ -626,17 +624,12 @@ def _sample_grid(data: DispersionDataset):
         missing there, and ranking by descending k would shift every rank
         below it.
     """
-    labelled = data.ell is not None
-    order = np.argsort(data.omega if labelled else data.omega - 1j * data.k,
-                       kind="stable")
-    w = data.omega[order]
+    w = data.omega
     new = np.ones(len(w), dtype=bool)
     new[1:] = w[1:] != w[:-1]
     start = np.flatnonzero(new)
-    group = np.cumsum(new) - 1  # frequency index per sorted sample
-    inverse = np.empty_like(group)
-    inverse[order] = group
-    if labelled:
+    inverse = np.cumsum(new) - 1  # frequency index per sample
+    if data.ell is not None:
         return w[start], inverse, data.ell - 1
     counts = np.diff(start, append=len(w))
     if (fall := np.flatnonzero(counts[1:] < counts[:-1])).size:
@@ -647,9 +640,7 @@ def _sample_grid(data: DispersionDataset):
             f"omega={float(w[start[i]])}; no branch ends as omega grows, so "
             "ranks by descending k would shift"
         )
-    ranks = np.empty_like(group)
-    ranks[order] = np.arange(len(w)) - start[group]
-    return w[start], inverse, ranks
+    return w[start], inverse, np.arange(len(w)) - start[inverse]
 
 
 def synthesize_observations(

@@ -97,12 +97,17 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
     iterates a file object line by line in Python, but reads a path in
     chunks.
 
+    The samples are stored in the order :class:`DispersionDataset` gives
+    them, by frequency, then by label or by descending k, so the same rows
+    in any order read as the same dataset.
+
     Raises
     ------
     ValueError
         If the header does not begin ``omega, k``, a row lacks one of its
         columns, a value does not parse (``ell`` must be an integer), or the
-        noise level differs between rows.
+        noise level differs between rows.  A row error names the file, its
+        1-based line and the column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cols = [h.strip() for h in fh.readline().split(",")]
@@ -115,9 +120,15 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
     with warnings.catch_warnings():
         # a header with no rows is an empty dataset, not a mistake
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                           skiprows=1, encoding="utf-8",
-                           usecols=[cols.index(n) for n in names], ndmin=1)
+        try:
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                               skiprows=1, encoding="utf-8",
+                               usecols=[cols.index(n) for n in names], ndmin=1)
+        except ValueError as exc:
+            # numpy's row number counts neither the header nor blank lines
+            if (err := _first_bad_line(path, cols, names)) is None:
+                raise
+            raise err from exc
     sigma = table["noise_sigma"] if "noise_sigma" in names else table["omega"][:0]
     # np.unique, which counts NaNs as equal, only where a row differs
     if (sigma != sigma[:1]).any() and len(levels := np.unique(sigma)) > 1:
@@ -128,6 +139,32 @@ def read_dataset_csv(path: str | Path) -> DispersionDataset:
         ell=table["ell"] if "ell" in names else None,
         noise_sigma=float(sigma[0]) if len(sigma) else None,
     )
+
+
+def _first_bad_line(path, cols, names) -> ValueError | None:
+    """The error for the first body line that lacks a ``names`` column or
+    holds a value there that does not parse, or None if no line does.
+
+    Like numpy, it skips empty lines and refuses the digit separators that
+    Python's ``int`` and ``float`` accept.
+    """
+    wanted = [(n, cols.index(n), int if n == "ell" else float) for n in names]
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line_no, line in enumerate(fh, start=2):
+            if not (line := line.rstrip("\n")):
+                continue
+            fields = line.split(",")
+            for name, i, parse in wanted:
+                at = f"{path}, line {line_no}, column {i + 1} ({name})"
+                if i >= len(fields):
+                    return ValueError(f"{at}: missing; the line has {len(fields)} field(s)")
+                try:
+                    parse(fields[i].replace("_", "?"))
+                except ValueError:
+                    kind = "an integer" if parse is int else "a number"
+                    return ValueError(f"{at}: {fields[i]!r} is not {kind}")
+    return None
 
 
 def write_weyl_csv(

@@ -399,6 +399,20 @@ def test_invert_ls_usage_errors(tmp_path, medium_a_config, free):
     assert run(argv) == 1
 
 
+@pytest.mark.parametrize("data", ["missing", "malformed"])
+@pytest.mark.parametrize("case", ["n1-without-rho1", "ls-without-medium", "unknown-free"])
+def test_invert_usage_errors_come_before_the_data(tmp_path, medium_a_config, capsys,
+                                                  data, case):
+    path = tmp_path / "dataset.csv"
+    if data == "malformed":
+        path.write_text("omega,k\n10,abc\n")
+    argv = {"n1-without-rho1": ["--mode", "n1"],
+            "ls-without-medium": ["--mode", "ls"],
+            "unknown-free": ["--mode", "ls", "--medium", medium_a_config, "--free", "mu,bogus"]}
+    assert run(["invert", "--data", str(path), *argv[case]]) == 1
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_mode_out_of_double_range_is_numerical_failure(
     tmp_path, medium_b_swapped_config, capsys
 ):

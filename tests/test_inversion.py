@@ -90,6 +90,48 @@ def test_noisy_dataset_rejects_duplicate_labels():
         DispersionDataset(omega=omega, k=k, ell=np.array([1, 1, 1]), noise_sigma=1e-3)
 
 
+@pytest.mark.parametrize("labelled", [False, True])
+def test_dataset_stores_rows_in_one_canonical_order(labelled):
+    # by frequency, then by label or by descending k, ties in input order
+    # (Python's sort is stable), whatever the row order
+    rng = np.random.default_rng(11)
+    omega = np.repeat([3.0, 1.0, 2.0], [5, 7, 6])
+    k = rng.integers(1, 4, len(omega)) * 0.5  # tied k within a frequency
+    ell = np.concatenate([rng.permutation(n) + 1 for n in (5, 7, 6)])
+    for _ in range(3):
+        perm = rng.permutation(len(omega))
+        data = DispersionDataset(omega=omega[perm], k=k[perm],
+                                 ell=ell[perm] if labelled else None,
+                                 noise_sigma=1e-3 if labelled else None)
+        rows = sorted(zip(omega[perm], k[perm], ell[perm]),
+                      key=lambda r: (r[0], r[2] if labelled else -r[1]))
+        want_w, want_k, want_ell = map(np.array, zip(*rows))
+        assert np.array_equal(data.omega, want_w) and np.array_equal(data.k, want_k)
+        if labelled:
+            assert data.ell.dtype == int and np.array_equal(data.ell, want_ell)
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_least_squares_ignores_row_order(medium_a, labelled):
+    # the misfit sums the residuals in the stored order, not the input one
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(20.0, 500.0, 25))
+        data = synthesize_observations(medium_a, grid, noise_sigma=1e-4, seed=seed)
+        guess = Medium(mu=medium_a.mu, rho=medium_a.rho,
+                       thickness=[100.0 * rng.uniform(1.04, 1.06)])
+        mask = parameter_mask(guess, thickness=True)
+        results = set()
+        for _ in range(3):
+            perm = rng.permutation(len(data))
+            shuffled = DispersionDataset(
+                omega=data.omega[perm], k=data.k[perm],
+                ell=data.ell[perm] if labelled else None, noise_sigma=1e-4)
+            refined, misfit = least_squares_refine(guess, shuffled, mask, max_iter=60)
+            results.add((float(refined.thickness[0]).hex(), misfit.hex()))
+        assert len(results) == 1
+
+
 def test_branchset_from_dataset_with_gap(medium_a):
     # a branch with a missing sample keeps every other sample in its cell
     grid = np.arange(10.0, 300.01, 10.0)

@@ -56,6 +56,23 @@ def test_read_rejects_a_header_without_omega_k(tmp_path):
         lio.read_dataset_csv(tmp_path / "d.csv")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("omega,k,ell\n10,0.01,1.5\n", "line 2, column 3 (ell): '1.5' is not an integer"),
+        ("omega,k\n10,0.01\n20\n", "line 3, column 2 (k): missing"),
+        # the blank line 3 still counts
+        ("omega,k\n10,0.01\n\n20,abc\n", "line 4, column 2 (k): 'abc' is not a number"),
+    ],
+)
+def test_parse_errors_name_the_file_line(tmp_path, text, where):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        lio.read_dataset_csv(path)
+    assert str(exc.value).startswith(f"{path}, {where}")
+
+
 def test_write_refuses_non_finite(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         lio.write_mode_csv(tmp_path / "m.csv", [0.0, 1.0], [1.0, np.inf], [0.0, 0.0])
