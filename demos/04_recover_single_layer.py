@@ -3,16 +3,14 @@
 From dispersion data alone: the surface velocity from the branch slowness
 supremum, the substrate velocity from the cutoff slowness, the thickness
 from the uniform cutoff spacing, and (given the surface density) the
-substrate density from the dispersion identity.  A second, independent
-thickness rule based on adjacent-branch differences cross-checks the
-first.  Both the clean and a noisy dataset are inverted.
+substrate density from the dispersion identity.  Both the clean and a
+noisy dataset are inverted.
 """
 
 import numpy as np
 
 from lovedisp import (
     Medium,
-    alt_thickness_estimate,
     branchset_from_dataset,
     invert_single_layer,
     synthesize_observations,
@@ -30,6 +28,3 @@ for sigma, tag in ((0.0, "noiseless"), (1e-3, "0.1% noise")):
     report = invert_single_layer(branchset_from_dataset(data), rho1=1.0)
     print(f"\n--- {tag} ({len(data)} samples)")
     print(report.render())
-
-h_alt = alt_thickness_estimate(branchset, 1000.0)
-print(f"\nindependent thickness rule (adjacent-branch differences): {h_alt:.3f} m")

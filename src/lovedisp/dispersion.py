@@ -302,6 +302,18 @@ def _check_point(medium: Medium, omega: float, y: float) -> None:
         )
 
 
+def _check_strip(medium: Medium, omega: float, y: float) -> None:
+    """The one rule for a point on the slowness strip, which the counts,
+    the Weyl prediction and the mode shapes share: ``omega`` finite and
+    > 0, and ``y`` in ``[1/c_inf, 1/c0)``.  F itself is defined on the
+    wider set :func:`_check_point` admits."""
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be finite and > 0")
+    lo, hi = medium.slowness_domain
+    if not lo <= y < hi:
+        raise OutOfRange(f"slowness {y!r} outside the strip [{lo}, {hi})")
+
+
 def layer_matrix(medium: Medium, j: int, omega: float, y: float) -> np.ndarray:
     """True (unscaled) 2x2 transfer matrix of finite layer ``j`` (1-based).
 

@@ -30,7 +30,9 @@ from .dispersion import _dispersion_scale_floor, _dispersion_scaled
 from .errors import (
     AmbiguousOrdering,
     InsufficientData,
-    LoveDispError,
+    NoLoveWaves,
+    NonPositiveParameter,
+    ResultOutOfRange,
     UnresolvedLevels,
 )
 from .medium import Medium
@@ -53,7 +55,6 @@ __all__ = [
     "invert_double_layer",
     "least_squares_refine",
     "synthesize_observations",
-    "alt_thickness_estimate",
     "branchset_from_dataset",
     "parameter_mask",
 ]
@@ -513,10 +514,12 @@ def least_squares_refine(
     scaled together leave every velocity unchanged) still gives a step.
     ``lam`` starts at 1e-3, shrinks tenfold after an accepted step and
     grows tenfold after a rejected one.  A trial is rejected if its medium
-    is infeasible or its misfit is not lower, so accepted iterates never
-    raise the misfit.  The iteration stops when the largest relative step
-    is below 1e-10, when the misfit is below 1e-14 of the initial misfit,
-    or after ``max_iter`` trials, an integer >= 0.
+    is infeasible, if its root search is out of range (its root table over
+    the size budget, or a count past ``2**53``) or if its misfit is not
+    lower, so accepted iterates never raise the misfit.  The iteration
+    stops when the largest relative step is below 1e-10, when the misfit
+    is below 1e-14 of the initial misfit, or after ``max_iter`` trials, an
+    integer >= 0.
 
     A debug line on the ``lovedisp`` logger reports the iterations, root
     searches, rejected steps, samples at the edge value and the final
@@ -525,7 +528,8 @@ def least_squares_refine(
     Raises
     ------
     ResultOutOfRange
-        If a trial's root table (frequencies x most roots) is over ``2**22``.
+        If the guess's root table (frequencies x most roots) is over
+        ``2**22``, or a root count at the guess reaches ``2**53``.
     OutOfRange
         If the guess or an accepted medium has a root within rounding of its
         half-space slowness ``1/c_inf``, where a mode does not decay and the
@@ -584,14 +588,15 @@ def least_squares_refine(
             break
         iterations += 1
         trial = theta.copy()
-        trial[free] *= np.exp(step)
+        with np.errstate(over="ignore"):  # Medium refuses an inf parameter
+            trial[free] *= np.exp(step)
         try:
             trial_medium = _medium_from_theta(trial, n)
-        except LoveDispError:
+            searches += 1
+            r_t, y_t, found_t = model(trial_medium)
+        except (NonPositiveParameter, NoLoveWaves, ResultOutOfRange):
             rejected, lam = rejected + 1, 10.0 * lam
             continue
-        searches += 1
-        r_t, y_t, found_t = model(trial_medium)
         if r_t @ r_t < misfit:
             theta, medium, r, found = trial, trial_medium, r_t, found_t
             misfit = float(r @ r)
@@ -673,31 +678,3 @@ def synthesize_observations(
         rng = np.random.default_rng(seed)
         k = k * (1.0 + noise_sigma * rng.standard_normal(len(k)))
     return DispersionDataset(omega=omega, k=k, ell=ell, noise_sigma=noise_sigma)
-
-
-def alt_thickness_estimate(branchset: BranchSet, c1: float) -> float:
-    """Layer thickness from adjacent-branch differences at the top frequency.
-
-    For a single layer over a half-space the vertical phase
-    ``sqrt(omega^2/c1^2 - k_ell^2)`` of adjacent branches differs by
-    ``pi/H`` in the large-frequency limit; the median over adjacent pairs
-    at the largest traced frequency estimates ``H``.
-
-    Raises
-    ------
-    InsufficientData
-        If fewer than two branches (or no valid pair) exist at the top
-        frequency.
-    """
-    ys = branchset.slownesses_at(-1)
-    if len(ys) < 2:
-        raise InsufficientData("need at least two branches at the top frequency")
-    w = float(branchset.omega_grid[-1])
-    rad = (w / c1) ** 2 - (w * ys) ** 2
-    valid = rad > 0.0
-    v = np.sqrt(rad[valid])  # descending y -> ascending vertical phase
-    dv = np.diff(np.sort(v))
-    dv = dv[dv > 0.0]
-    if len(dv) == 0:
-        raise InsufficientData("no usable adjacent branch pair (degenerate branches)")
-    return float(np.median(np.pi / dv))

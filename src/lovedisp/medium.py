@@ -158,8 +158,6 @@ def validate_medium(raw) -> Medium:
     optional ``n`` is checked against the layer count.  Velocities ``c`` are
     canonicalized to moduli via ``mu = rho * c^2``.
     """
-    if isinstance(raw, Medium):
-        return raw
     if not isinstance(raw, dict) or "layers" not in raw:
         raise ValueError("medium config must be a mapping with a 'layers' list")
     layers = raw["layers"]

@@ -25,6 +25,7 @@ import numpy as np
 
 from .dispersion import (
     _apply_map,
+    _check_strip,
     _dispersion_from_state,
     _dispersion_scale_floor,
     _halfspace_decay,
@@ -136,18 +137,19 @@ def mode_shape(medium: Medium, omega: float, k: float) -> ModeShape:
 
     Raises
     ------
+    ValueError
+        If ``omega`` is not finite and > 0.
     OutOfRange
-        If the slowness ``k / omega`` is outside ``[1/c_inf, 1/c0)``.
+        If the slowness ``k / omega`` is off the slowness strip
+        ``[1/c_inf, 1/c0)``.
     NotOnBranch
         If the normalized dispersion residual at ``(omega, k/omega)``
         exceeds ``1e-8``.
     """
-    if not 0.0 < omega < np.inf:
+    if not 0.0 < omega < np.inf:  # before k / omega is formed
         raise ValueError("omega must be finite and > 0")
     y = k / omega
-    lo, hi = medium.slowness_domain
-    if not lo <= y < hi:
-        raise OutOfRange(f"slowness {y!r} outside [{lo}, {hi})")
+    _check_strip(medium, omega, y)
     # on-branch test: either the dispersion function changes sign within a
     # few refinement widths of y (strong evanescence can put an irreducible
     # cancellation floor under the pointwise value), or the value itself is

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import BranchSet
-from .dispersion import _oscillatory_phase, _sturm_count
-from .errors import DivergedOrInfeasible, InsufficientData, OutOfRange
+from .dispersion import _check_strip, _oscillatory_phase, _sturm_count
+from .errors import DivergedOrInfeasible, InsufficientData
 from .medium import Medium, ordered_profile
 
 __all__ = [
@@ -75,24 +75,32 @@ def mode_count(medium: Medium, omega: float, y: float) -> int:
 
     Counted by the exact Sturm count that also locates every root of
     :func:`~lovedisp.branch.roots_at_omega`, independent of any stored
-    branch data.  Raises :class:`ResultOutOfRange` if the count reaches
-    ``2**53``, which a double cannot hold.
+    branch data.  At ``y = 1/c_inf`` it counts every root.
+
+    Raises
+    ------
+    ValueError
+        If ``omega`` is not finite and > 0.
+    OutOfRange
+        If ``y`` is off the slowness strip ``[1/c_inf, 1/c0)``.
+    ResultOutOfRange
+        If the count reaches ``2**53``, which a double cannot hold.
     """
-    if not 0.0 < omega < np.inf:
-        raise ValueError("omega must be finite and > 0")
-    lo, hi = medium.slowness_domain
-    if not lo < y < hi:
-        raise OutOfRange(f"level {y!r} outside the open slowness domain ({lo}, {hi})")
+    _check_strip(medium, omega, y)
     return int(_sturm_count(medium, omega, y))
 
 
 def weyl_prediction(medium: Medium, omega: float, y: float) -> WeylPrediction:
-    """Asymptotic count of modes with slowness >= ``y``."""
-    if not 0.0 < omega < np.inf:
-        raise ValueError("omega must be finite and > 0")
-    lo, hi = medium.slowness_domain
-    if not lo <= y < hi:
-        raise OutOfRange(f"level {y!r} outside [{lo}, {hi})")
+    """Asymptotic count of modes with slowness >= ``y``.
+
+    Raises
+    ------
+    ValueError
+        If ``omega`` is not finite and > 0.
+    OutOfRange
+        If ``y`` is off the slowness strip ``[1/c_inf, 1/c0)``.
+    """
+    _check_strip(medium, omega, y)
     prof = ordered_profile(medium)
     value = omega / np.pi * _oscillatory_phase(medium, y)
     if medium.n <= 2:
@@ -112,13 +120,18 @@ def accumulation_statistic(medium: Medium, omega: float, y: float) -> float:
 
     When the shifted level ``y - 1/omega`` falls below ``1/c_inf`` it is
     clamped there, so the count is taken over all existing branches, which
-    is the natural extension of the definition.
+    is the natural extension of the definition; at ``y = 1/c_inf`` the
+    statistic is 0.
+
+    Raises
+    ------
+    ValueError
+        If ``omega`` is not finite and > 0.
+    OutOfRange
+        If ``y`` is off the slowness strip ``[1/c_inf, 1/c0)``.
     """
-    if not 0.0 < omega < np.inf:
-        raise ValueError("omega must be finite and > 0")
-    lo, hi = medium.slowness_domain
-    if not lo < y < hi:
-        raise OutOfRange(f"level {y!r} outside the open slowness domain ({lo}, {hi})")
+    _check_strip(medium, omega, y)
+    lo = float(medium.slowness[-1])
     n_hi, n_lo = _sturm_count(medium, omega, np.array([max(y - 1.0 / omega, lo), y]))
     return float(np.pi * (n_hi - n_lo) / np.sqrt(2.0 * omega))
 

@@ -47,6 +47,24 @@ def medium_b_swapped_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def medium_b_config(tmp_path):
+    path = tmp_path / "medium_b.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "layers": [
+                    {"c": 1000.0, "rho": 1.0, "thickness": 100.0},
+                    {"c": 1818.0, "rho": 1.0, "thickness": 100.0},
+                    {"c": 10000.0, "rho": 1.0},
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
 def test_trace_outputs(tmp_path, medium_a_config):
     out = tmp_path / "out"
     code = run(
@@ -96,6 +114,12 @@ def test_count_command(medium_a_config, capsys):
     assert lines[2] == "proven true"
 
 
+def test_count_at_the_halfspace_slowness_counts_every_root(medium_a_config, capsys):
+    # y = 1/c_inf is on the strip: every one of A's modes at omega = 100
+    assert run(["count", "--medium", medium_a_config, "--omega", "100", "--y", "1e-4"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "count 4"
+
+
 def test_weyl_command(tmp_path, medium_a_config):
     out = tmp_path / "w"
     code = run(
@@ -129,6 +153,33 @@ def test_synth_invert_roundtrip(tmp_path, medium_a_config, capsys):
     assert values["c2"] == pytest.approx(10000.0, rel=0.01)
     assert values["H"] == pytest.approx(100.0, rel=0.02)
     assert values["rho2"] == pytest.approx(1.0, rel=0.05)
+
+
+@pytest.mark.parametrize("config, c, order", [
+    ("medium_b_config", (1000.0, 1818.0), "slow layer on top"),
+    ("medium_b_swapped_config", (1818.0, 1000.0), "fast layer on top"),
+])
+def test_synth_invert_two_layers(tmp_path, capsys, request, config, c, order):
+    # ROADMAP criterion 8's tolerances: velocities within 1%, thicknesses 10%
+    out = tmp_path / "s"
+    assert run(
+        ["synth", "--medium", request.getfixturevalue(config), "--omega-min", "1",
+         "--omega-max", "1000", "--omega-step", "1", "--out", str(out)]
+    ) == 0
+    capsys.readouterr()
+    assert run(
+        ["invert", "--data", str(out / "dataset.csv"), "--mode", "n2", "--out", str(out)]
+    ) == 0
+    report = (out / "report.txt").read_text()
+    assert capsys.readouterr().out == report
+    lines = report.splitlines()
+    rows = {line.split()[0]: line.split(None, 2)[1:] for line in lines[1:]}
+    for name, want in zip(("c1", "c2", "c3"), (*c, 10000.0)):
+        assert float(rows[name][0]) == pytest.approx(want, rel=0.01)
+    for name in ("T1", "T2"):
+        assert float(rows[name][0]) == pytest.approx(100.0, rel=0.10)
+    assert order in rows["c1"][1]
+    assert lines[-1] == "note: densities assumed equal (not identified by these rules)"
 
 
 def test_noisy_synth_invert_roundtrip(tmp_path, medium_a_config):
@@ -202,6 +253,14 @@ def test_non_finite_omega_bound_is_data_error(tmp_path, medium_a_config, capsys,
     assert f"error: {flag} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trace", "weyl", "synth"])
+def test_empty_omega_grid_is_data_error(tmp_path, medium_a_config, capsys, command):
+    extra = ["--y", "2e-4"] if command == "weyl" else []
+    assert run([command, "--medium", medium_a_config, "--omega-min", "5", "--omega-max", "1",
+                "--out", str(tmp_path), *extra]) == 2
+    assert "error: empty frequency grid" in capsys.readouterr().err
+
+
 # without the check, np.arange asks for 7.45 GiB and 7.11 PiB: the child runs
 # under a 1 GiB address-space limit
 _GRID_CHILD = """
@@ -264,6 +323,15 @@ def test_mode_command(tmp_path, medium_a_config, capsys):
     assert float(first[2]) == 0.0
     text = capsys.readouterr().out
     assert "square_integrable true" in text
+
+
+def test_mode_command_takes_the_depth_grid_end(tmp_path, medium_a_config):
+    k = 100.0 * float(roots_at_omega(load_medium(medium_a_config), 100.0)[0])
+    out = tmp_path / "m"
+    assert run(["mode", "--medium", medium_a_config, "--omega", "100", "--k", repr(k),
+                "--z-max", "300", "--z-points", "7", "--out", str(out)]) == 0
+    z = [float(row.split(",")[0]) for row in (out / "mode.csv").read_text().splitlines()[1:]]
+    assert z == np.linspace(0.0, 300.0, 7).tolist()
 
 
 @pytest.mark.parametrize(

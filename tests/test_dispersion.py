@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 
 from lovedisp import (
+    BranchSet,
+    DispersionDataset,
+    InversionReport,
     Medium,
     OutOfRange,
     ResultOutOfRange,
     accumulation_statistic,
+    cutoff_frequencies,
     determinant_oracle,
     dispersion_value,
     fd_eigen_oracle,
     layer_matrix,
+    least_squares_refine,
     mode_count,
     mode_shape,
     roots_at_omega,
+    synthesize_observations,
     trace_branches,
     weyl_prediction,
 )
@@ -255,6 +261,61 @@ def test_non_finite_inputs_raise(medium_a, call, error):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error):
             call(medium_a)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        pytest.param(lambda m: layer_matrix(m, 0, 10.0, 5e-4), ValueError, "layer index 0",
+                     id="layer-0"),
+        pytest.param(lambda m: layer_matrix(m, 2, 10.0, 5e-4), ValueError, "layer index 2",
+                     id="layer-past-n"),
+        pytest.param(lambda m: cutoff_frequencies(m, 0), ValueError, "ell_max", id="cutoffs-0"),
+        pytest.param(lambda m: DispersionDataset(omega=np.ones(3), k=np.ones(2)), ValueError,
+                     "equal length", id="dataset-lengths"),
+        pytest.param(lambda m: DispersionDataset(omega=np.ones(2), k=np.ones(2),
+                                                 ell=np.ones((2, 1))),
+                     ValueError, "ell must match", id="dataset-ell-shape"),
+        pytest.param(lambda m: BranchSet(omega_grid=np.array([1.0, 2.0]),
+                                         y=np.full((1, 1), 5e-4), cutoffs=np.zeros(1)),
+                     ValueError, "one row per grid frequency", id="branchset-rows"),
+        pytest.param(lambda m: least_squares_refine(
+            m, synthesize_observations(m, [10.0]), np.ones(4, dtype=bool)),
+                     ValueError, "mask length", id="refine-mask"),
+        pytest.param(lambda m: InversionReport(parameters=(), medium=m, residual=0.0)["c1"],
+                     KeyError, "c1", id="report-name"),
+    ],
+)
+def test_malformed_arguments_raise(medium_a, call, error, match):
+    with pytest.raises(error, match=match):
+        call(medium_a)
+
+
+_STRIP_CALLS = [mode_count, accumulation_statistic, weyl_prediction, mode_shape]
+
+
+@pytest.mark.parametrize("omega,y,error", [
+    (1.0, 5e-5, OutOfRange), (1.0, 1e-3, OutOfRange), (1.0, NAN, OutOfRange),
+    (0.0, 5e-4, ValueError), (NAN, 5e-4, ValueError),
+])
+def test_one_strip_rule_for_every_point_query(medium_a, omega, y, error):
+    # at omega = 1 the wavenumber mode_shape takes is the slowness itself
+    messages = set()
+    for call in _STRIP_CALLS:
+        with pytest.raises(error) as info:
+            call(medium_a, omega, y)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("medium", ["medium_a", "medium_b", "medium_b_swapped"])
+def test_halfspace_slowness_is_on_the_strip(medium, request):
+    # y = 1/c_inf: the count takes every root, and the statistic's window is empty
+    m = request.getfixturevalue(medium)
+    lo = m.slowness_domain[0]
+    assert mode_count(m, 100.0, lo) == len(roots_at_omega(m, 100.0))
+    assert accumulation_statistic(m, 100.0, lo) == 0.0
+    assert weyl_prediction(m, 100.0, lo).value > 0.0
 
 
 @pytest.mark.parametrize(
