@@ -5,8 +5,9 @@ frequency, with slope set by the oscillatory layers:
 (omega/pi) * sum |nu_tilde_p(y)| T_tilde_p.  Here the exact count (by
 the Sturm count) is compared with that prediction across frequency for
 the double-layer benchmark, at levels probing one and two oscillatory
-layers.  The `proven` flag marks where the asymptotics is a theorem
-rather than the conjectured extension (always, for up to two layers).
+layers.  The `proven` flag marks where the paper's theorem gives the
+asymptotics (always, for up to two layers); the count's layer-by-layer
+sum bounds -n <= N - W <= n + 1 everywhere, flagged or not.
 """
 
 from lovedisp import Medium, mode_count, weyl_prediction
@@ -24,8 +25,8 @@ for y in (7e-4, 4e-4, 1.2e-4):
         print(f"{omega:8.0f} {count:6d} {pred.value:10.2f} {ratio:11.4f}")
     print()
 
-print("three-layer example: the flag exposes the conjectured band, and the")
-print("exact count doubles as a numerical probe of it:")
+print("three-layer example: the flag marks the band outside the paper's theorem,")
+print("where the O(n) bound still holds and the exact count probes the asymptotics:")
 m3 = Medium(
     mu=[1e6, 1429.0**2, 2500.0**2, 1e8],
     rho=[1.0, 1.0, 1.0, 1.0],
@@ -34,6 +35,6 @@ m3 = Medium(
 for omega in (500.0, 1000.0, 2000.0):
     count = mode_count(m3, omega, 2e-4)
     pred = weyl_prediction(m3, omega, 2e-4)
-    print(f"  omega={omega:6.0f} y=2e-4: count {count:4d}  conjectured "
+    print(f"  omega={omega:6.0f} y=2e-4: count {count:4d}  weyl "
           f"{pred.value:8.2f}  ratio {count / pred.value:.4f}  "
           f"proven={pred.proven}")

@@ -13,18 +13,19 @@ by a minmax window and at least a quarter of the tolerance from either
 end, the minimum step of Dekker's and Brent's zeroin), and one secant step
 from the values the refinement already holds at the final ends.  Roots are
 found for a block of frequencies in one vectorized pass: every step works
-on all (frequency, rank) pairs of the block at once, a trace of up to
-``_TRACE_BLOCK`` frequencies is one block, and a single frequency is a
-block of one.  A pass over a few dozen brackets costs its numpy calls,
-not its points, so a single frequency seeds on ``_QUERY_SEED_NODES``
-(256) nodes: fewer ranks per cell leave fewer isolation counts, and
-narrower brackets leave fewer refinement steps.  Over many frequencies the
-seed count would dominate, so a trace block seeds on about two nodes per
-root at the trace's top frequency (16 to ``_SEED_NODES``, 64, and at least
-``_SMALL_PASS`` points in all, the size below which a pass costs its numpy
-calls, not its points).  Cutoffs are found the same way in frequency: one
-count at the half-space slowness on a seed grid of ``_SEED_NODES``
-frequencies, then the same isolation and refinement.
+on all (frequency, rank) pairs of the block at once, a frequency grid (a
+trace's or the refine's) is searched in blocks of up to ``_TRACE_BLOCK``,
+and a single frequency is a block of one.  A pass over a few dozen
+brackets costs its numpy calls, not its points, so a single frequency
+seeds on ``_QUERY_SEED_NODES`` (256) nodes: fewer ranks per cell leave
+fewer isolation counts, and narrower brackets leave fewer refinement
+steps.  Over many frequencies the seed count would dominate, so a grid's
+block seeds on about two nodes per root at the grid's top frequency (16
+to ``_SEED_NODES``, 64, and at least ``_SMALL_PASS`` points in all, the
+size below which a pass costs its numpy calls, not its points).  Cutoffs
+are found the same way in frequency: one count at the half-space slowness
+on a seed grid of ``_SEED_NODES`` frequencies, then the same isolation
+and refinement.
 """
 
 from __future__ import annotations
@@ -238,9 +239,7 @@ def _list_ranks(c_in: np.ndarray, c_out: np.ndarray):
     return cell, c_in[cell] - (np.arange(len(cell)) - first[cell])
 
 
-def _roots_on_grid(
-    medium: Medium, omegas: np.ndarray, seed_nodes: int = _SEED_NODES
-) -> np.ndarray:
+def _roots_in_block(medium: Medium, omegas: np.ndarray, seed_nodes: int) -> np.ndarray:
     """The (frequency x rank) table of roots at ``omegas``, as BranchSet stores it.
 
     Row ``i`` holds the roots at ``omegas[i]`` by rank, strictly descending,
@@ -256,10 +255,10 @@ def _roots_on_grid(
     # never changes sign there: the last node counts exactly 0 roots
     counts = _sturm_count(medium, omegas[:, None], nodes)
     width = int(counts[:, 0].max())
+    # a grid's blocks are checked before they are searched: only a single
+    # query gets here over the budget
     if (size := len(omegas) * width) > _ROOT_BUDGET:
-        what = (f"the root count at omega={float(omegas[0])!r}" if len(omegas) == 1
-                else f"the root table's size at {len(omegas)} frequencies")
-        raise _over_budget(what, size)
+        raise _over_budget(f"the root count at omega={float(omegas[0])!r}", size)
     # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j]
     c_in, c_out = counts[:, :-1].ravel(), counts[:, 1:].ravel()
     cell, ranks = _list_ranks(c_in, c_out)
@@ -277,6 +276,31 @@ def _roots_on_grid(
     table[row, ranks - 1] = _secant_polish(*_refine_zeros(
         lambda k, y: _dispersion_scaled(medium, omega[k], y), lo, hi, _REFINE_TOL, label
     ))
+    return table
+
+
+def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> np.ndarray:
+    """The (frequency x rank) table of roots at ascending ``omegas``.
+
+    Each block of up to ``_TRACE_BLOCK`` frequencies is one root search,
+    seeded on ``min(64, max(16, 2 * top, 4096 // len(block)))`` slowness
+    nodes, ``top`` being the root count at the grid's top frequency: about
+    two nodes per root, since a seed count over a block of many
+    frequencies costs more than the isolation steps that fewer nodes add,
+    and at least 4096 seed points, under which the count's cost is its
+    numpy calls and nodes are free.  The table is ``top`` wide and raises
+    as :func:`trace_branches` documents.
+    """
+    # no branch ends as omega grows: the top frequency holds the most roots
+    top = int(_sturm_count(medium, omegas[-1], medium.slowness[-1]))
+    if (size := len(omegas) * top) > _ROOT_BUDGET:
+        raise _over_budget("the branch table's size", size)
+    table = np.full((len(omegas), top), np.nan)
+    for s in range(0, len(omegas), _TRACE_BLOCK):
+        block = omegas[s : s + _TRACE_BLOCK]
+        nodes = min(_SEED_NODES, max(_MIN_SEED_NODES, 2 * top, _SMALL_PASS // len(block)))
+        roots = _roots_in_block(medium, block, nodes)
+        table[s : s + len(block), : roots.shape[1]] = roots
     return table
 
 
@@ -301,7 +325,7 @@ def roots_at_omega(medium: Medium, omega: float) -> np.ndarray:
     """
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be finite and > 0")
-    return _roots_on_grid(medium, np.array([float(omega)]), _QUERY_SEED_NODES)[0]
+    return _roots_in_block(medium, np.array([float(omega)]), _QUERY_SEED_NODES)[0]
 
 
 def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
@@ -430,16 +454,9 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
 
     Branch identity across frequencies is by rank in descending slowness,
     which is exact because branches never cross.  Cutoffs come from
-    :func:`cutoff_frequencies`.
-
-    Each block of up to ``_TRACE_BLOCK`` frequencies is one root search,
-    seeded on ``min(64, max(16, 2 * top, 4096 // len(block)))`` slowness
-    nodes, ``top`` being the root count at the grid's top frequency: about
-    two nodes per root, since a seed count over a block of many
-    frequencies costs more than the isolation steps that fewer nodes add,
-    and at least 4096 seed points, under which the count's cost is its
-    numpy calls and nodes are free.  The roots match those of
-    :func:`roots_at_omega` to within the refinement's tolerance.
+    :func:`cutoff_frequencies`.  The roots are searched in blocks of
+    frequencies and match those of :func:`roots_at_omega` to within the
+    refinement's tolerance.
 
     Raises
     ------
@@ -453,19 +470,8 @@ def trace_branches(medium: Medium, omega_grid) -> BranchSet:
     finite = np.all((0.0 < omega_grid) & (omega_grid < np.inf))
     if not finite or not np.all(np.diff(omega_grid) > 0.0):
         raise ValueError("omega_grid must be finite, positive and strictly increasing")
-
-    # no branch ends as omega grows: the top node holds the most roots
-    top = int(_sturm_count(medium, omega_grid[-1], medium.slowness[-1]))
-    if (size := len(omega_grid) * top) > _ROOT_BUDGET:
-        raise _over_budget("the branch table's size", size)
-    # row i: the roots at node i by rank, NaN past its last one; the last
-    # block's widest row is the top node's, so the table is ``top`` wide
-    table = np.full((len(omega_grid), top), np.nan)
-    for s in range(0, len(omega_grid), _TRACE_BLOCK):
-        block = omega_grid[s : s + _TRACE_BLOCK]
-        nodes = min(_SEED_NODES, max(_MIN_SEED_NODES, 2 * top, _SMALL_PASS // len(block)))
-        roots = _roots_on_grid(medium, block, nodes)
-        table[s : s + len(block), : roots.shape[1]] = roots
+    table = _roots_on_grid(medium, omega_grid)
+    top = table.shape[1]
     return BranchSet(
         omega_grid=omega_grid.copy(),
         y=table,

@@ -123,7 +123,10 @@ class DispersionDataset:
 
 @dataclass(frozen=True)
 class ParameterEstimate:
-    """One recovered parameter, the rule that produced it, and a spread proxy."""
+    """One recovered parameter, the rule that produced it, and a spread proxy.
+
+    ``spread`` is in the parameter's unit, NaN where the rule gives none.
+    """
 
     name: str
     value: float
@@ -281,15 +284,16 @@ def invert_single_layer(branchset: BranchSet, rho1: float) -> InversionReport:
         "c2",
         c2,
         "cutoff-slowness-level",
-        spread=float(np.std(np.nanmin(branchset.y, axis=0))),
+        spread=float(np.std(1.0 / np.nanmin(branchset.y, axis=0))),
     )
 
     # cutoff ell sits (ell - 1) spacings above 0
     spacing = float(np.polyfit(ells, cuts, 1)[0])
     gaps = np.diff(cuts) / np.diff(ells)
-    spacing_spread = float(np.std(gaps)) if len(gaps) >= 2 else float("nan")
     h = c1 * c2 / np.sqrt(c2 * c2 - c1 * c1) * np.pi / spacing
-    h_est = ParameterEstimate("H", float(h), "cutoff-spacing", spread=spacing_spread)
+    # H is proportional to 1/spacing: a gap's relative spread is H's
+    h_spread = float(h * np.std(gaps) / spacing) if len(gaps) >= 2 else float("nan")
+    h_est = ParameterEstimate("H", float(h), "cutoff-spacing", spread=h_spread)
 
     rho2_samples, rho2_weights = _rho2_from_identity(
         *_first_branch(branchset), c1, c2, h, rho1
@@ -498,8 +502,8 @@ def least_squares_refine(
 
     The misfit is ``sum_i (k_model(omega_i) - k_i)^2`` with the model
     wavenumber read from the root of matching rank at each sample
-    frequency; the roots at all sample frequencies are found in one
-    vectorized pass per trial medium, as one (frequency x rank) table.  A
+    frequency; the roots at all sample frequencies are found per trial
+    medium as one (frequency x rank) table, in the trace's blocks.  A
     rank the trial medium lacks at a sample frequency is filled with the
     half-space edge value ``omega_i / c_inf`` of the guess, where that
     branch starts, and gets a zero Jacobian row.

@@ -45,12 +45,13 @@ _FIT_NODES = 40  # grid nodes of the top decade in the joint weight fit
 
 @dataclass(frozen=True)
 class WeylPrediction:
-    """Asymptotic mode-count estimate and whether it is a proven regime.
+    """Asymptotic mode-count estimate and whether the paper's theorem covers it.
 
-    The flag is always true for one or two finite layers.  For three or
-    more it is true only above the second-smallest ordered slowness level
-    and only when the minimum velocity is attained by a single ordered
-    slot; elsewhere the formula is a conjectured extension.
+    ``proven`` keeps the paper's meaning: always true for one or two finite
+    layers; for three or more, true only above the second-smallest ordered
+    slowness level and only when the minimum velocity is attained by a
+    single ordered slot.  The ``O(n)`` remainder bound
+    ``-n <= N - W <= n + 1`` holds everywhere, flagged or not.
     """
 
     value: float
@@ -160,7 +161,8 @@ def detect_levels(branchset: BranchSet) -> list[LevelEstimate]:
         If the joint weight fit does not converge.
     """
     # noisy labelled data need not descend along the top row
-    y_top = np.sort(branchset.slownesses_at(-1))[::-1]
+    top_row = branchset.slownesses_at(-1) if len(branchset.omega_grid) else np.empty(0)
+    y_top = np.sort(top_row)[::-1]
     if len(y_top) < 10:
         raise InsufficientData(
             f"only {len(y_top)} branches at the top frequency; need >= 10"

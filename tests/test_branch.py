@@ -261,6 +261,18 @@ def test_trace_matches_roots_at_omega_four_layer(monkeypatch):
     _assert_trace_matches_pointwise(FOUR_LAYER, np.arange(1.0, 300.5, 3.0), monkeypatch)
 
 
+@pytest.mark.parametrize("block", [64, 128])
+@pytest.mark.parametrize("name", ["medium_a", "medium_b", "medium_b_swapped"])
+def test_grid_search_is_the_trace(name, block, request, monkeypatch):
+    # the refine's grid search and a trace fill one table, bit for bit, over
+    # several blocks; blocks of 128 seed on 32 nodes, not one pass's 64
+    medium, grid = request.getfixturevalue(name), np.arange(0.5, 150.01, 0.5)
+    monkeypatch.setattr(branch_mod, "_TRACE_BLOCK", block)
+    assert len(grid) > 2 * branch_mod._TRACE_BLOCK
+    roots = branch_mod._roots_on_grid(medium, grid)
+    assert np.array_equal(roots, trace_branches(medium, grid).y, equal_nan=True)
+
+
 def _random_four_layer(rng):
     c = np.concatenate([rng.uniform(600.0, 3000.0, 4), [rng.uniform(5000.0, 12000.0)]])
     rho = rng.uniform(0.5, 3.0, 5)

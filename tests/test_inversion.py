@@ -242,6 +242,23 @@ def test_invert_single_layer_roundtrip(trace_a_coarse):
     assert "rho2" in rep.render()
 
 
+def test_invert_single_layer_spreads_in_parameter_units(medium_a):
+    # c2's spread is that of the per-branch estimates 1/infimum (m/s), and
+    # H's that of the per-gap estimates c1 c2 / sqrt(c2^2 - c1^2) pi / gap (m)
+    data = synthesize_observations(
+        medium_a, np.arange(1.0, 999.01, 1.0), noise_sigma=1e-3, seed=3
+    )
+    bs = branchset_from_dataset(data)
+    rep = invert_single_layer(bs, rho1=1.0)
+    c1, c2 = rep["c1"].value, rep["c2"].value
+    per_branch = 1.0 / np.nanmin(bs.y, axis=0)
+    assert rep["c2"].spread == pytest.approx(np.std(per_branch), rel=0.05)
+    ells = np.flatnonzero(np.isfinite(bs.cutoffs)) + 1
+    gaps = np.diff(bs.cutoffs[ells - 1]) / np.diff(ells)
+    per_gap = c1 * c2 / np.sqrt(c2 * c2 - c1 * c1) * np.pi / gaps
+    assert rep["H"].spread == pytest.approx(np.std(per_gap), rel=0.05)
+
+
 def test_invert_single_layer_needs_two_cutoffs(medium_a):
     bs = trace_branches(medium_a, np.linspace(1.0, 25.0, 25))
     assert bs.n_branches == 1
@@ -328,6 +345,27 @@ def test_least_squares_recovers_thickness(medium_a, monkeypatch):
     refined, resid = least_squares_refine(guess, data, mask)
     assert refined.thickness[0] == pytest.approx(100.0, abs=1e-6)
     assert len(calls) <= 10
+
+
+def test_least_squares_searches_in_trace_blocks(medium_a, monkeypatch):
+    # 100 sample frequencies, blocks of 64: every trial's search is split
+    # as a trace's is, and no one pass covers the whole grid
+    import lovedisp.branch as branch_mod
+
+    monkeypatch.setattr(branch_mod, "_TRACE_BLOCK", 64)
+    sizes, real = [], branch_mod._roots_in_block
+
+    def recording(medium, omegas, seed_nodes):
+        sizes.append(len(omegas))
+        return real(medium, omegas, seed_nodes)
+
+    monkeypatch.setattr(branch_mod, "_roots_in_block", recording)
+    data = synthesize_observations(medium_a, np.linspace(20.0, 500.0, 100))
+    sizes.clear()
+    guess = Medium(mu=medium_a.mu, rho=medium_a.rho, thickness=[105.0])
+    refined, _ = least_squares_refine(guess, data, parameter_mask(guess, thickness=True))
+    assert refined.thickness[0] == pytest.approx(100.0, abs=1e-6)
+    assert sizes and max(sizes) <= 64 < len(np.unique(data.omega))
 
 
 def test_least_squares_recovers_two_thicknesses(medium_b):

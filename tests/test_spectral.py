@@ -6,6 +6,7 @@ from scipy.optimize import nnls
 from test_modes import _stress_medium
 
 from lovedisp import (
+    DispersionDataset,
     InsufficientData,
     Medium,
     OutOfRange,
@@ -142,6 +143,12 @@ def test_detect_levels_requires_branches(medium_a):
     bs = trace_branches(medium_a, np.arange(5.0, 100.01, 5.0))
     with pytest.raises(InsufficientData):
         detect_levels(bs)
+
+
+def test_detect_levels_on_an_empty_branch_set():
+    empty = branchset_from_dataset(DispersionDataset(omega=np.empty(0), k=np.empty(0)))
+    with pytest.raises(InsufficientData, match="only 0 branches"):
+        detect_levels(empty)
 
 
 def test_root_spacing_converges_to_layer_period(medium_b):
