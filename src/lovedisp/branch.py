@@ -11,13 +11,16 @@ dispersion function by ITP steps (Chandrupatla's choice between inverse
 quadratic interpolation and bisection, kept within bisection's worst case
 by a minmax window and at least a quarter of the tolerance from either
 end, the minimum step of Dekker's and Brent's zeroin), and one secant step
-from the values the refinement already holds at the final ends.  Roots are
-found for a block of frequencies in one vectorized pass: every step works
-on all (frequency, rank) pairs of the block at once, a frequency grid (a
-trace's or the refine's) is searched in blocks of up to ``_TRACE_BLOCK``,
-and a single frequency is a block of one.  A pass over a few dozen
+from the values the refinement already holds at the final ends.  Every
+count forms the dispersion value at each point it visits (its tail term
+reads its sign), and the isolation carries those values with the bracket
+ends, so the refinement starts from them: no point is evaluated twice.
+Roots are found for a block of frequencies in one vectorized pass: every
+step works on all (frequency, rank) pairs of the block at once, a
+frequency grid (a trace's or the refine's) is searched in blocks of up to
+``_TRACE_BLOCK``, and a single frequency is a block of one.  A pass over a few dozen
 brackets costs its numpy calls, not its points, so a single frequency
-seeds on ``_QUERY_SEED_NODES`` (256) nodes: fewer ranks per cell leave
+seeds on ``_QUERY_SEED_NODES`` (512) nodes: fewer ranks per cell leave
 fewer isolation counts, and narrower brackets leave fewer refinement
 steps.  Over many frequencies the seed count would dominate, so a grid's
 block seeds on about two nodes per root at the grid's top frequency (16
@@ -25,7 +28,8 @@ to ``_SEED_NODES``, 64, and at least ``_SMALL_PASS`` points in all, the
 size below which a pass costs its numpy calls, not its points).  Cutoffs
 are found the same way in frequency: one count at the half-space slowness
 on a seed grid of ``_SEED_NODES`` frequencies, then the same isolation
-and refinement.
+and refinement, which starts from the values of ``F(omega, 1/c_inf)``
+the counts formed.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ __all__ = [
 _REFINE_TOL = 1e-12  # relative bracket width (in y) at which refinement stops
 _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
-_QUERY_SEED_NODES = 256  # the same for a single frequency
+_QUERY_SEED_NODES = 512  # the same for a single frequency
 _MIN_SEED_NODES = 16  # the fewest seed nodes a trace block uses
 _MAX_STEPS = 100  # more halvings or refine steps than double precision can resolve
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
@@ -65,40 +69,47 @@ _ROWS = (
 )
 
 
-def _isolate(count, inside, outside, c_in, c_out, ranks, label):
+def _isolate(count, x, c, v, ls, ranks, label):
     """Shrink brackets until each holds exactly one step of a monotone count.
 
-    Rank ``ell`` is bracketed by a point ``inside`` counting at least ``ell``
-    roots and a point ``outside`` counting fewer; bisection on
-    "count >= ell" stops once the ends read exactly ``ell`` and ``ell - 1``.
-    Vectorized over brackets; ``count(k, x)`` maps bracket indices ``k`` and
-    points ``x`` to counts, and ``label(k)`` names bracket ``k`` in errors.
-    Updates the given arrays in place and returns the ``(inside, outside)``
-    ends.
+    Rank ``ell`` is bracketed by an end counting at least ``ell`` roots and
+    an end counting fewer; bisection on "count >= ell" stops once the ends
+    read exactly ``ell`` and ``ell - 1``.  Each end moves with its count
+    and the scaled dispersion value the count formed there: ``x``, ``c``,
+    ``v`` and ``ls`` are (2, n), row 0 the end inside rank ``ell``, row 1
+    the end outside it, one column per bracket.  Vectorized over brackets;
+    ``count(k, x)`` maps bracket indices ``k`` and points ``x`` to
+    ``(count, value, log_scale)``, and ``label(k)`` names bracket ``k`` in
+    errors.  Updates the given arrays in place and returns ``(x, v, ls)``.
     """
     for _ in range(_MAX_STEPS):
-        todo = np.flatnonzero((c_in != ranks) | (c_out != ranks - 1))
+        todo = np.flatnonzero((c[0] != ranks) | (c[1] != ranks - 1))
         if len(todo) == 0:
-            return inside, outside
-        mid = 0.5 * (inside[todo] + outside[todo])
-        c = count(todo, mid)
-        hit = c >= ranks[todo]
-        inside[todo[hit]], c_in[todo[hit]] = mid[hit], c[hit]
-        outside[todo[~hit]], c_out[todo[~hit]] = mid[~hit], c[~hit]
+            return x, v, ls
+        mid = 0.5 * (x[0, todo] + x[1, todo])
+        cm, vm, lm = count(todo, mid)
+        # the midpoint replaces the inside end where it counts at least ell
+        row = (cm < ranks[todo]).astype(np.intp)
+        x[row, todo], c[row, todo], v[row, todo], ls[row, todo] = mid, cm, vm, lm
     k = todo[0]
     raise BadBracket(
-        f"could not isolate {label(k)} between {float(inside[k])!r} "
-        f"and {float(outside[k])!r}"
+        f"could not isolate {label(k)} between {float(x[0, k])!r} "
+        f"and {float(x[1, k])!r}"
     )
 
 
-def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
+def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, v: np.ndarray, ls: np.ndarray,
+                  tol: float, label):
     """Shrink sign-change brackets of ``f`` by ITP steps on Chandrupatla's point.
 
     ``f(k, x)`` returns ``(value, log_scale)`` at points ``x`` of bracket
     indices ``k``, the true value being ``value * exp(log_scale)``;
-    ``label(k)`` names bracket ``k`` in errors.  Each step is one of ITP
-    (Oliveira & Takahashi, ACM TOMS 2020) with Chandrupatla's choice
+    ``label(k)`` names bracket ``k`` in errors.  ``v`` and ``ls`` are
+    ``f`` at the given ends, (2, n): row 0 at ``lo``, row 1 at ``hi``.  A
+    root search takes them from its counts, which form ``f`` at every
+    point they visit, so ``f`` is called only at the points the steps
+    choose.  Each step is one of ITP (Oliveira & Takahashi, ACM TOMS 2020)
+    with Chandrupatla's choice
     (Chandrupatla, Adv. Eng. Software 28, 1997) as its interpolation:
     inverse quadratic interpolation through the bracket's ends and the point
     the last step dropped, where the quadratic is monotone over the bracket,
@@ -133,15 +144,11 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     Raises
     ------
     BadBracket
-        Unless ``f`` has strictly opposite signs at the ends of every
-        bracket, or if a bracket is not done after ``_MAX_STEPS`` steps.
+        Unless the given values have strictly opposite signs at the ends of
+        every bracket, or if a bracket is not done after ``_MAX_STEPS``
+        steps.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     n = len(lo)
-    k = np.arange(n)
-    v, ls = f(np.concatenate([k, k]), np.concatenate([lo, hi]))
-    # row 0 holds the lo ends, row 1 the hi ends
-    v, ls = np.reshape(v, (2, n)), np.reshape(ls, (2, n))
     s_lo, s_hi = np.sign(v)
     bad = np.flatnonzero((s_lo == 0) | (s_hi == 0) | (s_lo == s_hi))
     if len(bad):
@@ -154,7 +161,7 @@ def _refine_zeros(f, lo: np.ndarray, hi: np.ndarray, tol: float, label):
     # no point has been dropped yet: its NaN makes the first step bisect
     state[0:2], state[3:5], state[6:8] = (lo, hi), v, ls
     state[2:9:3], state[9], state[10] = np.nan, s_lo, 0.5 * (hi - lo)
-    t, todo = state, k
+    t, todo = state, np.arange(n)
     step = 0
     while len(todo):
         # points by (x, v, ls) and by x1 (the end moved last), x2, x3 (dropped)
@@ -253,28 +260,30 @@ def _roots_in_block(medium: Medium, omegas: np.ndarray, seed_nodes: int) -> np.n
     nodes = np.linspace(*medium.slowness_domain, seed_nodes)
     # at 1/c0 every layer is evanescent or degenerate, so the shot from (1, 0)
     # never changes sign there: the last node counts exactly 0 roots
-    counts = _sturm_count(medium, omegas[:, None], nodes)
+    counts, v, ls = _sturm_count(medium, omegas[:, None], nodes)
     width = int(counts[:, 0].max())
     # a grid's blocks are checked before they are searched: only a single
     # query gets here over the budget
     if (size := len(omegas) * width) > _ROOT_BUDGET:
         raise _over_budget(f"the root count at omega={float(omegas[0])!r}", size)
     # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j]
-    c_in, c_out = counts[:, :-1].ravel(), counts[:, 1:].ravel()
-    cell, ranks = _list_ranks(c_in, c_out)
+    cell, ranks = _list_ranks(counts[:, :-1].ravel(), counts[:, 1:].ravel())
     row, j = np.divmod(cell, seed_nodes - 1)
     omega = omegas[row]
 
     def label(k):
         return f"rank {ranks[k]} at omega={float(omega[k])!r}"
 
-    lo, hi = _isolate(
+    # each cell's ends, nodes j and j + 1, with the seed count's values there
+    ends = np.array([j, j + 1])
+    x, v, ls = _isolate(
         lambda k, y: _sturm_count(medium, omega[k], y),
-        nodes[j], nodes[j + 1], c_in[cell], c_out[cell], ranks, label,
+        nodes[ends], counts[row, ends], v[row, ends], ls[row, ends], ranks, label,
     )
     table = np.full((len(omegas), width), np.nan)
     table[row, ranks - 1] = _secant_polish(*_refine_zeros(
-        lambda k, y: _dispersion_scaled(medium, omega[k], y), lo, hi, _REFINE_TOL, label
+        lambda k, y: _dispersion_scaled(medium, omega[k], y), x[0], x[1], v, ls,
+        _REFINE_TOL, label,
     ))
     return table
 
@@ -292,7 +301,7 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> np.ndarray:
     as :func:`trace_branches` documents.
     """
     # no branch ends as omega grows: the top frequency holds the most roots
-    top = int(_sturm_count(medium, omegas[-1], medium.slowness[-1]))
+    top = int(_sturm_count(medium, omegas[-1], medium.slowness[-1])[0])
     if (size := len(omegas) * top) > _ROOT_BUDGET:
         raise _over_budget("the branch table's size", size)
     table = np.full((len(omegas), top), np.nan)
@@ -370,7 +379,7 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     while True:
         # descending, so that the count falls along the grid as in slowness
         w = np.linspace(w_max, w_min, _SEED_NODES)
-        counts = count(None, w)
+        counts, v, ls = count(None, w)
         if counts[0] >= ell_max:
             break
         w_max *= 2.0
@@ -381,11 +390,13 @@ def cutoff_frequencies(medium: Medium, ell_max: int) -> np.ndarray:
     def label(k):
         return f"cutoff {ranks[k]}"
 
-    hi, lo = _isolate(
-        count, w[cell], w[cell + 1], counts[cell], counts[cell + 1], ranks, label
-    )
+    # the count at y0 is the shot of F(omega, y0): its values start the refine
+    ends = np.array([cell, cell + 1])
+    x, v, ls = _isolate(count, w[ends], counts[ends], v[ends], ls[ends], ranks, label)
+    # row 0, inside the rank, is the higher frequency: the refine's hi end
     lo = _refine_zeros(
-        lambda k, w: _dispersion_scaled(medium, w, y0), lo, hi, _OMEGA_TOL, label
+        lambda k, w: _dispersion_scaled(medium, w, y0), x[1], x[0], v[::-1], ls[::-1],
+        _OMEGA_TOL, label,
     )[0]
     # ranks run descending; reverse to ascending frequency
     return np.concatenate([np.zeros(min(int(counts[-1]), ell_max)), lo[::-1]])

@@ -34,7 +34,7 @@ from .inversion import (
 from .medium import load_medium
 from .modes import mode_residuals, mode_shape
 from .oracles import determinant_oracle
-from .dispersion import dispersion_value
+from .dispersion import _sturm_count, dispersion_value
 from .spectral import mode_count, weyl_prediction
 
 USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 1, 2, 3
@@ -155,10 +155,11 @@ def _cmd_count(args) -> int:
 
 def _cmd_weyl(args) -> int:
     medium = load_medium(args.medium)
+    grid = _omega_grid(args)
+    # each prediction checks its point on the strip; one count takes the grid
+    preds = [weyl_prediction(medium, float(w), args.y) for w in grid]
     rows = []
-    for w in _omega_grid(args):
-        n = mode_count(medium, float(w), args.y)
-        pred = weyl_prediction(medium, float(w), args.y)
+    for w, n, pred in zip(grid, _sturm_count(medium, grid, args.y)[0].tolist(), preds):
         rel = (n - pred.value) / pred.value if pred.value else float(n)
         rows.append((float(w), args.y, n, pred.value, pred.proven, rel))
     out = Path(args.out)

@@ -225,8 +225,12 @@ def _sturm_count(medium: Medium, omega, y):
     off the downward :func:`_shoot`.  The turns are summed in doubles,
     which hold every count below ``2**53`` exactly.
 
-    Vectorized over broadcastable ``omega`` and ``y``; returns an int64
-    array (0-d for scalars).
+    Vectorized over broadcastable ``omega`` and ``y``; returns ``(count,
+    value, log_scale)``: the count as an int64 array (0-d for scalars),
+    and the scaled dispersion value the tail reads, bit for bit what
+    :func:`_dispersion_scaled` returns at the same points.  A root search
+    starts its refinement from these values, so it evaluates no point
+    twice.
 
     Raises
     ------
@@ -235,10 +239,10 @@ def _sturm_count(medium: Medium, omega, y):
         exactly: a phase ``x`` of about ``2.8e16`` summed over the layers.
     """
     shot = _shoot(medium, omega, y)
-    p, q, _, _ = next(shot)
+    p, q, ls, _ = next(shot)
     total = np.zeros(p.shape)
     half_pi = 0.5 * np.pi
-    for p2, q2, _, (x, a, osc) in shot:
+    for p2, q2, ls, (x, a, osc) in shot:
         # monotone-type layer: at most one interior sign change
         flip = (np.sign(p2) * np.sign(p) <= 0.0) & (p != 0.0)
         # oscillatory layer: zeros of R cos(t - delta) for the rotation angle
@@ -249,14 +253,15 @@ def _sturm_count(medium: Medium, omega, y):
         total += np.where(osc, turns, flip)
         p, q = p2, q2
     # the tail adds a zero where F and the displacement have opposite signs
-    total += np.sign(_dispersion_from_state(medium, y, p, q)) * np.sign(p) < 0.0
+    value = _dispersion_from_state(medium, y, p, q)
+    total += np.sign(value) * np.sign(p) < 0.0
     if not total.max() < 2.0**53:
         at = np.flatnonzero(~(total < 2.0**53))[0]
         raise ResultOutOfRange(
             f"root count at omega={float(np.broadcast_to(omega, total.shape).flat[at])!r} "
             "is beyond 2**53, where a double no longer holds it exactly"
         )
-    return total.astype(np.int64)
+    return total.astype(np.int64), value, ls
 
 
 def _dispersion_from_state(medium: Medium, y, p, q):

@@ -13,6 +13,7 @@ layer is *oscillatory* at ``y`` when ``y < 1/c_j``, *evanescent* when
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,35 +158,60 @@ def validate_medium(raw) -> Medium:
     ordered top-down, the last one (half-space) without ``thickness``.  An
     optional ``n`` is checked against the layer count.  Velocities ``c`` are
     canonicalized to moduli via ``mu = rho * c^2``.
+
+    Raises ``ValueError`` naming the layer and the field for a layer that
+    is not a mapping, a missing field, a value that is not a number, or an
+    ``n`` that is not a whole number.
     """
     if not isinstance(raw, dict) or "layers" not in raw:
         raise ValueError("medium config must be a mapping with a 'layers' list")
     layers = raw["layers"]
     if not isinstance(layers, (list, tuple)) or len(layers) < 2:
         raise ValueError("medium config needs at least two layers")
-    if "n" in raw and int(raw["n"]) != len(layers) - 1:
-        raise ValueError(
-            f"config says n={raw['n']} but provides {len(layers)} layers"
-        )
+    if "n" in raw:
+        n = raw["n"]
+        if not _is_number(n) or not float(n).is_integer():
+            raise ValueError(f"n must be a whole number, not {n!r}")
+        if n != len(layers) - 1:
+            raise ValueError(f"config says n={n} but provides {len(layers)} layers")
     mu, rho, thickness = [], [], []
     for i, layer in enumerate(layers):
         last = i == len(layers) - 1
-        if "rho" not in layer:
-            raise ValueError(f"layer {i + 1}: missing rho")
-        r = float(layer["rho"])
+        if not isinstance(layer, dict):
+            raise ValueError(
+                f"layer {i + 1}: must be a mapping of mu or c, rho and thickness, "
+                f"not {layer!r}"
+            )
+        r = _layer_number(layer, i, "rho")
         if ("mu" in layer) == ("c" in layer):
             raise ValueError(f"layer {i + 1}: give exactly one of mu or c")
-        m = float(layer["mu"]) if "mu" in layer else r * float(layer["c"]) ** 2
+        if "mu" in layer:
+            m = _layer_number(layer, i, "mu")
+        else:
+            m = r * _layer_number(layer, i, "c") ** 2
         mu.append(m)
         rho.append(r)
         if last:
             if "thickness" in layer:
                 raise ValueError("the half-space (last layer) takes no thickness")
         else:
-            if "thickness" not in layer:
-                raise ValueError(f"layer {i + 1}: missing thickness")
-            thickness.append(float(layer["thickness"]))
+            thickness.append(_layer_number(layer, i, "thickness"))
     return Medium(mu=np.array(mu), rho=np.array(rho), thickness=np.array(thickness))
+
+
+def _is_number(value) -> bool:
+    """Whether a config value is a real number (a JSON bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _layer_number(layer: dict, i: int, field: str) -> float:
+    """The number under ``field`` of config layer ``i`` (0-based)."""
+    if field not in layer:
+        raise ValueError(f"layer {i + 1}: missing {field}")
+    value = layer[field]
+    if not _is_number(value):
+        raise ValueError(f"layer {i + 1}: {field} must be a number, not {value!r}")
+    return float(value)
 
 
 def load_medium(path: str | Path) -> Medium:

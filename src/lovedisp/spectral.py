@@ -88,7 +88,7 @@ def mode_count(medium: Medium, omega: float, y: float) -> int:
         If the count reaches ``2**53``, which a double cannot hold.
     """
     _check_strip(medium, omega, y)
-    return int(_sturm_count(medium, omega, y))
+    return int(_sturm_count(medium, omega, y)[0])
 
 
 def weyl_prediction(medium: Medium, omega: float, y: float) -> WeylPrediction:
@@ -133,7 +133,7 @@ def accumulation_statistic(medium: Medium, omega: float, y: float) -> float:
     """
     _check_strip(medium, omega, y)
     lo = float(medium.slowness[-1])
-    n_hi, n_lo = _sturm_count(medium, omega, np.array([max(y - 1.0 / omega, lo), y]))
+    n_hi, n_lo = _sturm_count(medium, omega, np.array([max(y - 1.0 / omega, lo), y]))[0]
     return float(np.pi * (n_hi - n_lo) / np.sqrt(2.0 * omega))
 
 

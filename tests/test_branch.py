@@ -71,8 +71,8 @@ def test_roots_fill_the_closed_domain(medium_a, medium_b, medium_b_swapped):
         lo, hi = medium.slowness_domain
         roots = roots_at_omega(medium, omega)
         assert np.all((roots > lo) & (roots < hi))
-        assert len(roots) == branch_mod._sturm_count(medium, omega, lo)
-        assert branch_mod._sturm_count(medium, omega, hi) == 0
+        assert len(roots) == branch_mod._sturm_count(medium, omega, lo)[0]
+        assert branch_mod._sturm_count(medium, omega, hi)[0] == 0
 
 
 def test_thick_layer_keeps_its_fundamental():
@@ -100,7 +100,8 @@ def test_thick_layer_keeps_its_fundamental():
 def _add_phantom_count_step(monkeypatch):
     real = branch_mod._sturm_count
     def phantom(medium, omega, y):
-        return real(medium, omega, y) + (np.asarray(y) < 5e-4)
+        count, value, log_scale = real(medium, omega, y)
+        return count + (np.asarray(y) < 5e-4), value, log_scale
 
     monkeypatch.setattr(branch_mod, "_sturm_count", phantom)
 
@@ -374,15 +375,15 @@ def test_refine_steps_within_bisection_plus_slack(case, medium_b, medium_b_swapp
     # crawls: without it both B cases at omega = 12000 exceed the bound
     real, seen = branch_mod._refine_zeros, []
 
-    def counted(f, lo, hi, tol, label):
+    def counted(f, lo, hi, v, ls, tol, label):
         evals = np.zeros(len(lo), dtype=int)
 
         def g(k, x):
             np.add.at(evals, k, 1)
             return f(k, x)
 
-        out = real(g, lo, hi, tol, label)
-        seen.append((evals - 2, _bisection_steps(f, lo, hi, tol)))
+        out = real(g, lo, hi, v, ls, tol, label)
+        seen.append((evals, _bisection_steps(f, lo, hi, tol)))
         return out
 
     monkeypatch.setattr(branch_mod, "_refine_zeros", counted)
@@ -410,11 +411,13 @@ def _count_dispersion_calls(monkeypatch):
 
 def test_trace_dispersion_passes(medium_b, monkeypatch):
     # tripwire: a trace of 300 nodes is one root search with ITP steps and
-    # the minimum step (25 passes); without the minimum step it made 34, the
-    # untruncated Illinois step 55, bisection in 64-frequency blocks 250
+    # the minimum step, its refine started from the counts' values of F (14
+    # passes; 16 with an opening pass over the bracket ends); without the
+    # minimum step it made 34, the untruncated Illinois step 55, bisection
+    # in 64-frequency blocks 250
     calls = _count_dispersion_calls(monkeypatch)
     trace_branches(medium_b, np.arange(0.5, 150.01, 0.5))
-    assert len(calls) <= 30
+    assert len(calls) <= 15
 
 
 def test_single_query_dispersion_passes(monkeypatch):
@@ -462,10 +465,12 @@ def _query_random_like(rng, n):
 
 def test_query_passes(monkeypatch):
     # tripwire on the passes of a single-frequency root search, over the
-    # first 100 queries of the benchmark's seed-1 stream: 8.39 F passes and
-    # 1.52 counts per query with Chandrupatla's step and 256 seed nodes;
-    # 11.48 and 2.77 with the Illinois step and 64 nodes, 10.67 F passes
-    # with the Illinois step alone and 2.77 counts with 64 nodes alone
+    # first 100 queries of the benchmark's seed-1 stream: 6.78 F passes and
+    # 1.20 counts per query with 512 seed nodes and the refine started from
+    # the counts' values of F; 8.38 and 1.52 with 256 nodes and an opening F
+    # pass over the bracket ends; 11.48 and 2.77 with the Illinois step and
+    # 64 nodes, 10.67 F passes with the Illinois step alone and 2.77 counts
+    # with 64 nodes alone
     f_calls, counts = _count_dispersion_calls(monkeypatch), []
     real = branch_mod._sturm_count
 
@@ -478,8 +483,8 @@ def test_query_passes(monkeypatch):
     ns = rng.permutation(np.repeat(np.arange(1, 6), 96))[:100]
     for n in ns:
         roots_at_omega(*_query_random_like(rng, int(n)))
-    assert len(f_calls) / len(ns) <= 9.0
-    assert len(counts) / len(ns) <= 2.0
+    assert len(f_calls) / len(ns) <= 7.0
+    assert len(counts) / len(ns) <= 1.3
 
 
 def test_stress_root_invariants():
@@ -491,7 +496,7 @@ def test_stress_root_invariants():
     for _ in range(300):
         m, omega = _stress_medium(rng)
         roots = roots_at_omega(m, omega)
-        assert len(roots) == branch_mod._sturm_count(m, omega, m.slowness[-1])
+        assert len(roots) == branch_mod._sturm_count(m, omega, m.slowness[-1])[0]
         assert np.all(np.diff(roots) < 0.0)
         top = roots[:3]
         below = branch_mod._dispersion_scaled(m, omega, top * (1.0 - 1e-11))[0]
@@ -537,7 +542,7 @@ def test_extreme_root_invariants():
     # descent and a strict sign change of F across y(1 -+ 1e-11) at the first 3
     found = 0
     for m, omega, roots in _extreme_draws(300):
-        assert len(roots) == branch_mod._sturm_count(m, omega, m.slowness[-1]) <= 10**4
+        assert len(roots) == branch_mod._sturm_count(m, omega, m.slowness[-1])[0] <= 10**4
         assert np.all(np.diff(roots) < 0.0)
         top = roots[:3]
         below = branch_mod._dispersion_scaled(m, omega, top * (1.0 - 1e-11))[0]
@@ -564,7 +569,7 @@ def test_refine_does_not_overflow_on_a_deep_layer():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         roots = roots_at_omega(m, 5.44)
-    assert len(roots) == branch_mod._sturm_count(m, 5.44, m.slowness[-1]) == 18053
+    assert len(roots) == branch_mod._sturm_count(m, 5.44, m.slowness[-1])[0] == 18053
     assert np.all(np.diff(roots) < 0.0)
 
 
@@ -685,6 +690,14 @@ def test_budget_bounds_cutoffs_and_trace_table(medium_a):
         trace_branches(medium_a, grid)
 
 
+def _end_values(f, lo, hi):
+    """``f`` at the ends of every bracket, as the refine takes them: (2, n)
+    values and log scales, row 0 at ``lo``, in one pass over both ends."""
+    k = np.arange(len(lo))
+    v, ls = f(np.concatenate([k, k]), np.concatenate([lo, hi]))
+    return np.reshape(v, (2, -1)), np.reshape(ls, (2, -1))
+
+
 def test_refine_closes_once_a_point_lands_by_the_root():
     # a linear f with its root tol*mid/8 above lo, so lo starts within
     # h = tol*mid/4 of it.  The first steps' truncation keeps the point off
@@ -705,7 +718,7 @@ def test_refine_closes_once_a_point_lands_by_the_root():
             reached[k[near]] = steps[k[near]]
         return x - root[k], np.zeros(len(x))
 
-    lo_out, hi_out, _, _ = branch_mod._refine_zeros(f, lo, hi, tol, str)
+    lo_out, hi_out, _, _ = branch_mod._refine_zeros(f, lo, hi, *_end_values(f, lo, hi), tol, str)
     assert np.all(hi_out - lo_out <= tol * 0.5 * (lo_out + hi_out))
     assert np.all((lo_out <= root) & (root <= hi_out))
     landed = reached > 0
@@ -722,12 +735,12 @@ def test_refine_returns_true_end_values(case, medium_b, monkeypatch):
     medium, omega = {"B at 12000": (medium_b, 12000.0), "steep at 582.4": (STEEP, 582.4)}[case]
     real, seen, ends = branch_mod._refine_zeros, [], []
 
-    def recorded(f, lo, hi, tol, label):
+    def recorded(f, lo, hi, v, ls, tol, label):
         def g(k, x):
             seen.append(1)
             return f(k, x)
 
-        ends.append(real(g, lo, hi, tol, label))
+        ends.append(real(g, lo, hi, v, ls, tol, label))
         return ends[-1]
 
     monkeypatch.setattr(branch_mod, "_refine_zeros", recorded)
@@ -750,17 +763,18 @@ def test_refine_bracket_alone_matches_joint(case, medium_b, monkeypatch):
     medium, omega = {"B at 12000": (medium_b, 12000.0), "steep at 582.4": (STEEP, 582.4)}[case]
     real, calls = branch_mod._refine_zeros, []
 
-    def recorded(f, lo, hi, tol, label):
-        calls.append((f, lo.copy(), hi.copy(), tol))
-        return real(f, lo, hi, tol, label)
+    def recorded(f, lo, hi, v, ls, tol, label):
+        calls.append((f, lo.copy(), hi.copy(), v.copy(), ls.copy(), tol))
+        return real(f, lo, hi, v, ls, tol, label)
 
     monkeypatch.setattr(branch_mod, "_refine_zeros", recorded)
     roots_at_omega(medium, omega)
-    ((f, lo, hi, tol),) = calls
+    ((f, lo, hi, v, ls, tol),) = calls
     assert len(lo) > 40
-    joint = real(f, lo, hi, tol, str)
+    joint = real(f, lo, hi, v, ls, tol, str)
     for b in range(len(lo)):
-        alone = real(lambda k, x: f(k + b, x), lo[b : b + 1], hi[b : b + 1], tol, str)
+        alone = real(lambda k, x: f(k + b, x), lo[b : b + 1], hi[b : b + 1],
+                     v[:, b : b + 1], ls[:, b : b + 1], tol, str)
         for got, want in zip(alone, joint):
             assert np.array_equal(got, want[..., b : b + 1])
 
@@ -775,7 +789,8 @@ def test_refine_keeps_an_exact_zero_as_hi():
     def f(k, x):
         return x - root[k], np.zeros(len(x))
 
-    lo, hi, v, ls = branch_mod._refine_zeros(f, np.ones(2), np.full(2, 2.0), 1e-12, str)
+    lo, hi = np.ones(2), np.full(2, 2.0)
+    lo, hi, v, ls = branch_mod._refine_zeros(f, lo, hi, *_end_values(f, lo, hi), 1e-12, str)
     assert hi[0] == 1.5 and v[1, 0] == 0.0
     assert lo[0] < 1.5 and v[0, 0] < 0.0
     assert 1.5 - lo[0] <= 1e-12 * 1.5

@@ -385,6 +385,23 @@ def test_oracle_on_nearly_equal_velocities_is_data_error(tmp_path):
     assert done.stdout == ""
 
 
+def test_malformed_medium_config_is_data_error(tmp_path):
+    # a layer that is not a mapping crashed the CLI with a TypeError (exit 1)
+    medium = tmp_path / "bad.json"
+    medium.write_text(json.dumps({"layers": [1, 2]}))
+    import lovedisp
+
+    src = str(Path(lovedisp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    child = "import sys; from lovedisp.cli import run; sys.exit(run(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", child, "count", "--medium", str(medium),
+                           "--omega", "10", "--y", "5e-4"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: layer 1: ")
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_oracle_without_samples_is_data_error(medium_a_config, capsys, samples):
     # a check of no samples checks nothing, so it must not report success

@@ -150,7 +150,7 @@ def test_deeply_evanescent_layer_keeps_decaying_part(medium_b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dv = dispersion_value(medium_b, 953.5, y)
-        counts = _sturm_count(medium_b, 953.5, np.array([y * (1 - 1e-15), y, y * (1 + 1e-15)]))
+        counts = _sturm_count(medium_b, 953.5, np.array([y * (1 - 1e-15), y, y * (1 + 1e-15)]))[0]
     assert np.isfinite(dv.value) and np.isfinite(dv.log_scale)
     assert np.all(np.diff(counts) <= 0)
 
@@ -460,6 +460,30 @@ def test_stacked_maps_match_the_per_layer_loop(medium_b, monkeypatch):
         for size in (disp_mod._SMALL_PASS, disp_mod._SMALL_PASS + 1):
             _assert_stacking_changes_nothing(
                 medium_b, 300.0, np.linspace(lo, hi, size), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_count_returns_the_dispersion_value_it_reads(n):
+    # the root search starts its refine from the count's values of F, so
+    # they must be F bit for bit: on a small pass of (frequency x node)
+    # points (maps stacked for n >= 2), on a pass over _SMALL_PASS points
+    # (one map per layer), and at y = 1/c_inf over a frequency grid, as the
+    # cutoff search counts
+    rng = np.random.default_rng(40 + n)
+    for _ in range(4):
+        m = _random_valid_medium(rng, n)
+        lo, hi = m.slowness_domain
+        omegas = rng.uniform(0.05, 2.0, 3) * 1e3
+        points = [
+            (omegas[:, None], np.linspace(lo, hi, 64)),
+            (omegas[0], lo + (hi - lo) * rng.uniform(0.0, 1.0, disp_mod._SMALL_PASS + 1)),
+            (np.linspace(2e3, 1.0, 64), float(m.slowness[-1])),
+        ]
+        for omega, y in points:
+            _, value, log_scale = _sturm_count(m, omega, y)
+            want_value, want_log_scale = _dispersion_scaled(m, omega, y)
+            assert np.array_equal(value, want_value)
+            assert np.array_equal(log_scale, want_log_scale)
 
 
 def test_small_passes_form_every_map_at_once(medium_a, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from lovedisp import (
     NonPositiveParameter,
     dispersion_value,
     layer_matrix,
+    load_medium,
     ordered_profile,
     validate_medium,
 )
@@ -58,6 +60,20 @@ _HALF = {"c": 10000.0, "rho": 1.0}
 def test_config_rejections_name_their_cause(raw, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         validate_medium(raw)
+
+
+@pytest.mark.parametrize("raw,fragment", [
+    ({"layers": [1, 2]}, "layer 1: must be a mapping"),
+    ({"layers": [{**_A, "thickness": None}, _HALF]}, "layer 1: thickness must be a number"),
+    ({"layers": [{**_A, "c": [1000]}, _HALF]}, "layer 1: c must be a number"),
+    ({"n": [1], "layers": [_A, _HALF]}, "n must be a whole number"),
+])
+def test_load_medium_rejects_malformed_values(raw, fragment, tmp_path):
+    # each of these raised a TypeError from an unchecked `in`, float() or int()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        load_medium(path)
 
 
 @pytest.mark.parametrize("mu,rho,thickness,fragment", [
