@@ -25,7 +25,9 @@ fewer isolation counts, and narrower brackets leave fewer refinement
 steps.  Over many frequencies the seed count would dominate, so a grid's
 block seeds on about two nodes per root at the grid's top frequency (16
 to ``_SEED_NODES``, 64, and at least ``_SMALL_PASS`` points in all, the
-size below which a pass costs its numpy calls, not its points).  Cutoffs
+size below which a pass costs its numpy calls, not its points).  The
+least-squares refine's trial searches seed each frequency on its own
+nodes, on both sides of every root the step predicts.  Cutoffs
 are found the same way in frequency: one count at the half-space slowness
 on a seed grid of ``_SEED_NODES`` frequencies, then the same isolation
 and refinement, which starts from the values of ``F(omega, 1/c_inf)``
@@ -56,6 +58,8 @@ _OMEGA_TOL = 1e-13  # the same for cutoff frequencies
 _SEED_NODES = 64  # uniform count grid seeding the per-rank isolation
 _QUERY_SEED_NODES = 512  # the same for a single frequency
 _MIN_SEED_NODES = 16  # the fewest seed nodes a trace block uses
+_SEED_MOVE = 0.5  # a predicted root's seed bracket: this share of its move
+_SEED_GAP = 1e-9  # ... plus this share of the root, on either side
 _MAX_STEPS = 100  # more halvings or refine steps than double precision can resolve
 _SLACK_STEPS = 8  # refine steps a bracket may take beyond bisection's count
 _TRACE_BLOCK = 1024  # frequencies per root search in a trace: bounds its memory
@@ -246,29 +250,32 @@ def _list_ranks(c_in: np.ndarray, c_out: np.ndarray):
     return cell, c_in[cell] - (np.arange(len(cell)) - first[cell])
 
 
-def _roots_in_block(medium: Medium, omegas: np.ndarray, seed_nodes: int) -> np.ndarray:
+def _roots_in_block(medium: Medium, omegas: np.ndarray, seed_nodes) -> np.ndarray:
     """The (frequency x rank) table of roots at ``omegas``, as BranchSet stores it.
 
     Row ``i`` holds the roots at ``omegas[i]`` by rank, strictly descending,
     NaN past its last one.  One pass for the whole block: one seed count on
-    the (frequency x node) grid of ``seed_nodes`` uniform slowness nodes,
+    the (frequency x node) grid of ``seed_nodes`` uniform slowness nodes (or
+    on ``seed_nodes`` itself, rows ascending from ``1/c_inf`` to ``1/c0``),
     then isolation, refinement and the secant step each vectorized over
-    every (frequency, rank) pair.  The count is exact, so any number of
-    nodes finds every root; fewer nodes leave more ranks per cell for the
-    isolation to split.
+    every (frequency, rank) pair.  The count is exact, so any nodes find
+    every root; fewer nodes leave more ranks per cell for the isolation to
+    split.
     """
-    nodes = np.linspace(*medium.slowness_domain, seed_nodes)
+    nodes = seed_nodes
+    if np.ndim(nodes) == 0:
+        nodes = np.linspace(*medium.slowness_domain, nodes)
     # at 1/c0 every layer is evanescent or degenerate, so the shot from (1, 0)
     # never changes sign there: the last node counts exactly 0 roots
     counts, v, ls = _sturm_count(medium, omegas[:, None], nodes)
     width = int(counts[:, 0].max())
-    # a grid's blocks are checked before they are searched: only a single
-    # query gets here over the budget
+    # a cold grid is checked before its blocks are searched; a single query
+    # and a seeded grid are checked here
     if (size := len(omegas) * width) > _ROOT_BUDGET:
         raise _over_budget(f"the root count at omega={float(omegas[0])!r}", size)
     # seed cell (row b, node j) holds the ranks counts[b, j+1]+1 .. counts[b, j]
     cell, ranks = _list_ranks(counts[:, :-1].ravel(), counts[:, 1:].ravel())
-    row, j = np.divmod(cell, seed_nodes - 1)
+    row, j = np.divmod(cell, counts.shape[1] - 1)
     omega = omegas[row]
 
     def label(k):
@@ -278,7 +285,8 @@ def _roots_in_block(medium: Medium, omegas: np.ndarray, seed_nodes: int) -> np.n
     ends = np.array([j, j + 1])
     x, v, ls = _isolate(
         lambda k, y: _sturm_count(medium, omega[k], y),
-        nodes[ends], counts[row, ends], v[row, ends], ls[row, ends], ranks, label,
+        nodes[row, ends] if nodes.ndim == 2 else nodes[ends], counts[row, ends],
+        v[row, ends], ls[row, ends], ranks, label,
     )
     table = np.full((len(omegas), width), np.nan)
     table[row, ranks - 1] = _secant_polish(*_refine_zeros(
@@ -288,7 +296,7 @@ def _roots_in_block(medium: Medium, omegas: np.ndarray, seed_nodes: int) -> np.n
     return table
 
 
-def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> np.ndarray:
+def _roots_on_grid(medium: Medium, omegas: np.ndarray, predicted=None) -> np.ndarray:
     """The (frequency x rank) table of roots at ascending ``omegas``.
 
     Each block of up to ``_TRACE_BLOCK`` frequencies is one root search,
@@ -299,7 +307,28 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> np.ndarray:
     and at least 4096 seed points, under which the count's cost is its
     numpy calls and nodes are free.  The table is ``top`` wide and raises
     as :func:`trace_branches` documents.
+
+    ``predicted``, private to the least-squares refine, is a pair of
+    (frequency x rank) tables: roots ``y`` and their predicted moves, NaN
+    where none.  Each frequency then seeds on ``1/c_inf``, ``1/c0`` and
+    ``y -+ h``, ``h = _SEED_MOVE * |move| + _SEED_GAP * y``, clipped and
+    sorted: a close prediction leaves each root a narrow bracket, and a
+    wrong one costs isolation steps, never a root.  A seeded grid of one
+    block skips the top count, which its seed count at ``1/c_inf`` holds.
     """
+    lo, hi = medium.slowness_domain
+
+    def seed_nodes(s, block):
+        if predicted is None:
+            return min(_SEED_NODES, max(_MIN_SEED_NODES, 2 * top, _SMALL_PASS // len(block)))
+        y, move = (p[s : s + len(block)] for p in predicted)
+        h = _SEED_MOVE * np.abs(move) + _SEED_GAP * y
+        # fmax takes lo for a NaN: a missing prediction is one more node at lo
+        around = np.fmin(np.fmax(np.hstack([y - h, y + h]), lo), hi)
+        return np.sort(np.hstack([np.broadcast_to([lo, hi], (len(y), 2)), around]), axis=1)
+
+    if predicted is not None and len(omegas) <= _TRACE_BLOCK:
+        return _roots_in_block(medium, omegas, seed_nodes(0, omegas))
     # no branch ends as omega grows: the top frequency holds the most roots
     top = int(_sturm_count(medium, omegas[-1], medium.slowness[-1])[0])
     if (size := len(omegas) * top) > _ROOT_BUDGET:
@@ -307,8 +336,7 @@ def _roots_on_grid(medium: Medium, omegas: np.ndarray) -> np.ndarray:
     table = np.full((len(omegas), top), np.nan)
     for s in range(0, len(omegas), _TRACE_BLOCK):
         block = omegas[s : s + _TRACE_BLOCK]
-        nodes = min(_SEED_NODES, max(_MIN_SEED_NODES, 2 * top, _SMALL_PASS // len(block)))
-        roots = _roots_in_block(medium, block, nodes)
+        roots = _roots_in_block(medium, block, seed_nodes(s, block))
         table[s : s + len(block), : roots.shape[1]] = roots
     return table
 

@@ -512,7 +512,10 @@ def least_squares_refine(
     positive.  The Jacobian is analytic: Rayleigh-principle sensitivities
     of every root from the closed-form energy integrals
     (:func:`~lovedisp.modes._wavenumber_sensitivities`), so an iteration
-    costs one root search.  The step solves the damped normal equations
+    costs one root search, seeded around the roots the step predicts,
+    ``y + (J step) / omega`` (a poor prediction costs search steps, never
+    a root), and a Jacobian is formed only for a step, not at the final
+    medium.  The step solves the damped normal equations
     ``(J^T J + lam D^2) step = -J^T r`` with ``D^2 = diag(J^T J)``, as a
     least-squares problem, so a rank-deficient ``J`` (moduli and densities
     scaled together leave every velocity unchanged) still gives a step.
@@ -526,8 +529,8 @@ def least_squares_refine(
     integer >= 0.
 
     A debug line on the ``lovedisp`` logger reports the iterations, root
-    searches, rejected steps, samples at the edge value and the final
-    misfit.
+    searches, rejected steps, Jacobians formed, samples at the edge value
+    and the final misfit.
 
     Raises
     ------
@@ -535,9 +538,10 @@ def least_squares_refine(
         If the guess's root table (frequencies x most roots) is over
         ``2**22``, or a root count at the guess reaches ``2**53``.
     OutOfRange
-        If the guess or an accepted medium has a root within rounding of its
-        half-space slowness ``1/c_inf``, where a mode does not decay and the
-        Jacobian is undefined.
+        If a medium a step starts from (the guess or an accepted trial) has
+        a sampled root within rounding of its half-space slowness
+        ``1/c_inf``, where a mode does not decay and the Jacobian is
+        undefined.
     InsufficientData
         If the data carry no labels and a frequency holds fewer samples than
         the one below it.
@@ -556,16 +560,16 @@ def least_squares_refine(
     uniq_w, inverse, ranks = _sample_grid(data)
     edge = float(guess.slowness[-1])
 
-    def model(medium: Medium):
-        """Residuals, and the model slowness and a found flag per sample."""
-        table = _roots_on_grid(medium, uniq_w)
+    def model(medium: Medium, predicted=None):
+        """Residuals, the model slowness and a found flag per sample, and the roots."""
+        table = _roots_on_grid(medium, uniq_w, predicted)
         # a missing rank is NaN in the table or lies past its width
         inside = ranks < table.shape[1]
         y = np.full(len(data), np.nan)
         y[inside] = table[inverse[inside], ranks[inside]]
         found = ~np.isnan(y)
         y[~found] = edge
-        return data.omega * y - data.k, y, found
+        return data.omega * y - data.k, y, found, table
 
     def jacobian(medium: Medium, theta, y, found):
         """Residual derivatives in the free log-parameters; zero rows where missing."""
@@ -575,13 +579,15 @@ def least_squares_refine(
         return jac
 
     theta, medium = theta0, guess
-    r, y, found = model(medium)
+    r, y, found, table = model(medium)
     misfit = float(r @ r)
     target = 1e-14 * max(misfit, 1e-30)
-    jac = jacobian(medium, theta, y, found)
+    jac = None
     lam = 1e-3
-    iterations, searches, rejected = 0, 1, 0
+    iterations, searches, rejected, jacobians = 0, 1, 0, 0
     while free.any() and iterations < max_iter and misfit > target:
+        if jac is None:
+            jac, jacobians = jacobian(medium, theta, y, found), jacobians + 1
         damp = np.sqrt(lam * np.sum(jac * jac, axis=0))
         step = np.linalg.lstsq(
             np.vstack([jac, np.diag(damp)]),
@@ -594,25 +600,34 @@ def least_squares_refine(
         trial = theta.copy()
         with np.errstate(over="ignore"):  # Medium refuses an inf parameter
             trial[free] *= np.exp(step)
+        # the trial's roots to first order, y + (J step) / omega, seed its
+        # search; a root no sample sees may move as far as its frequency's
+        # largest predicted move
+        move = np.full(table.shape, np.nan)
+        move[inverse[found], ranks[found]] = (jac[found] @ step) / data.omega[found]
+        widest = np.fmax.reduce(np.abs(move), axis=1, initial=0.0)
+        reach = np.where(np.isnan(move), widest[:, None], move)
         try:
             trial_medium = _medium_from_theta(trial, n)
             searches += 1
-            r_t, y_t, found_t = model(trial_medium)
+            r_t, y_t, found_t, table_t = model(
+                trial_medium, (table + np.nan_to_num(move), reach))
         except (NonPositiveParameter, NoLoveWaves, ResultOutOfRange):
             rejected, lam = rejected + 1, 10.0 * lam
             continue
         if r_t @ r_t < misfit:
-            theta, medium, r, found = trial, trial_medium, r_t, found_t
+            theta, medium, r, y, found, table = trial, trial_medium, r_t, y_t, found_t, table_t
             misfit = float(r @ r)
-            jac = jacobian(medium, theta, y_t, found)
+            jac = None
             lam *= 0.1
         else:
             rejected, lam = rejected + 1, 10.0 * lam
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "least_squares_refine: %d iterations, %d root searches, %d rejected "
-            "steps, %d of %d samples at the edge value, misfit %.6g",
-            iterations, searches, rejected, int(np.sum(~found)), len(data), misfit,
+            "steps, %d Jacobians, %d of %d samples at the edge value, misfit %.6g",
+            iterations, searches, rejected, jacobians, int(np.sum(~found)), len(data),
+            misfit,
         )
     return medium, misfit
 

@@ -274,6 +274,60 @@ def test_grid_search_is_the_trace(name, block, request, monkeypatch):
     assert np.array_equal(roots, trace_branches(medium, grid).y, equal_nan=True)
 
 
+def _predictions(medium, cold):
+    """Seed tables for ``_roots_on_grid``: (name, predicted roots, moves)."""
+    lo, hi = medium.slowness_domain
+    sign = np.where(np.arange(cold.shape[1]) % 2, 1.0, -1.0)
+    zero = np.zeros_like(cold)
+    wide = np.hstack([cold, np.full((len(cold), 3), hi), cold[:, :1]])
+    return [
+        ("exact", cold, zero),
+        ("exact, moved", cold, 1e-3 * cold),
+        # the roots lie outside their narrow seed brackets
+        ("shifted", cold * (1.0 + 1e-3 * sign), zero),
+        ("shifted, moved", cold * (1.0 - 1e-3 * sign), 1e-3 * cold),
+        ("nan", np.full_like(cold, np.nan), np.full_like(cold, np.nan)),
+        ("edges", np.where(np.isnan(cold), lo, np.where(sign > 0, hi, lo)), zero),
+        ("past the edges", np.where(sign > 0, 2.0 * hi, -lo) + zero, zero),
+        ("duplicated", np.repeat(cold[:, :1], cold.shape[1], axis=1), zero),
+        ("rank-swapped", cold[:, ::-1], 1e-6 * cold[:, ::-1]),
+        ("one rank", cold[:, :1], zero[:, :1]),
+        ("wider", wide, np.zeros_like(wide)),
+    ]
+
+
+def _prediction_cases():
+    rng = np.random.default_rng(7)
+    stress = [_stress_medium(rng) for _ in range(20)]
+    return [
+        ("medium_a", None), ("medium_b", None), ("medium_b_swapped", None),
+        *((m, np.linspace(omega / 12, omega, 12)) for m, omega in stress),
+    ]
+
+
+@pytest.mark.parametrize("block", [1024, 5])
+def test_no_prediction_changes_the_roots(block, request, monkeypatch):
+    # a seeded search finds what the cold one finds, however far off the
+    # prediction: the same ranks at every frequency, the same roots within
+    # the refinement's tolerance; blocks of 5 search 12 or 25 frequencies
+    # in several seeded blocks, after the top count
+    monkeypatch.setattr(branch_mod, "_TRACE_BLOCK", block)
+    searched = 0
+    for medium, grid in _prediction_cases():
+        if grid is None:
+            medium, grid = request.getfixturevalue(medium), np.linspace(20.0, 500.0, 25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cold = branch_mod._roots_on_grid(medium, grid)
+            for name, predicted, move in _predictions(medium, cold):
+                warm = branch_mod._roots_on_grid(medium, grid, (predicted, move))
+                assert warm.shape == cold.shape, name
+                assert np.array_equal(np.isnan(warm), np.isnan(cold)), name
+                assert np.allclose(warm, cold, rtol=1e-12, atol=0.0, equal_nan=True), name
+                searched += 1
+    assert searched == 23 * 11
+
+
 def _random_four_layer(rng):
     c = np.concatenate([rng.uniform(600.0, 3000.0, 4), [rng.uniform(5000.0, 12000.0)]])
     rho = rng.uniform(0.5, 3.0, 5)

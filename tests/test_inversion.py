@@ -324,8 +324,8 @@ def _count_root_searches(monkeypatch, on_roots=None):
     calls = []
     orig = inv_mod._roots_on_grid
 
-    def recording(medium, omegas):
-        roots = orig(medium, omegas)
+    def recording(medium, omegas, predicted=None):
+        roots = orig(medium, omegas, predicted)
         calls.append(medium)
         if on_roots is not None:
             on_roots(omegas, roots)
@@ -366,6 +366,59 @@ def test_least_squares_searches_in_trace_blocks(medium_a, monkeypatch):
     refined, _ = least_squares_refine(guess, data, parameter_mask(guess, thickness=True))
     assert refined.thickness[0] == pytest.approx(100.0, abs=1e-6)
     assert sizes and max(sizes) <= 64 < len(np.unique(data.omega))
+
+
+def _workload_refines(medium_a, seeds):
+    """Least-squares problems of the invert benchmark's kind: A's labelled
+    roots at 25 jittered frequencies in 20..500, T guessed 4.5-5.5% high,
+    thickness free."""
+    step = 480.0 / 24
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        w = np.linspace(20.0, 500.0, 25) + rng.uniform(-step / 3, step / 3, 25)
+        data = synthesize_observations(medium_a, w)
+        guess = Medium(mu=medium_a.mu, rho=medium_a.rho,
+                       thickness=[100.0 * (1.0 + rng.uniform(0.045, 0.055))])
+        yield guess, data, parameter_mask(guess, thickness=True)
+
+
+def test_least_squares_work_per_refine(medium_a, monkeypatch, caplog):
+    # tripwire on the work of the benchmark's refine, over 10 problems that
+    # each end on the misfit target: 7.4 count passes and 28.1 F passes per
+    # refine with every trial searched from its Gauss-Newton prediction, 17.6
+    # and 35.2 with cold searches.  A Jacobian is formed only for a step, so
+    # there is one per accepted step (one more when each accepted medium
+    # formed its own).
+    import lovedisp.branch as branch_mod
+    import lovedisp.inversion as inv_mod
+
+    problems = list(_workload_refines(medium_a, range(1, 11)))
+    starts = [least_squares_refine(*p, max_iter=0)[1] for p in problems]
+    calls = {"_sturm_count": 0, "_dispersion_scaled": 0, "_wavenumber_sensitivities": 0}
+    for mod, name in ((branch_mod, "_sturm_count"), (branch_mod, "_dispersion_scaled"),
+                      (inv_mod, "_wavenumber_sensitivities")):
+        def counted(*args, real=getattr(mod, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    pattern = (r"(\d+) iterations, (\d+) root searches, (\d+) rejected steps, "
+               r"(\d+) Jacobians, 0 of \d+ samples at the edge value")
+    for (guess, data, mask), start in zip(problems, starts):
+        jacobians_before = calls["_wavenumber_sensitivities"]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="lovedisp"):
+            refined, misfit = least_squares_refine(guess, data, mask)
+        (record,) = [r for r in caplog.records if r.name == "lovedisp"]
+        iterations, searches, rejected, jacobians = map(
+            int, re.search(pattern, record.getMessage()).groups())
+        assert misfit <= 1e-14 * start
+        assert refined.thickness[0] == pytest.approx(100.0, abs=1e-6)
+        assert searches == iterations + 1
+        assert jacobians == calls["_wavenumber_sensitivities"] - jacobians_before
+        assert jacobians == iterations - rejected
+    assert calls["_sturm_count"] / len(problems) <= 8.0
+    assert calls["_dispersion_scaled"] / len(problems) <= 30.0
 
 
 def test_least_squares_recovers_two_thicknesses(medium_b):
